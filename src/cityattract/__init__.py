@@ -10,17 +10,27 @@ end-to-end validation.
 
 __version__ = "0.1.0"
 
-from .events import EventRecord, IngestReport, parse_events
-from .home import UNDETERMINED, HomeRecord, accumulate_stats, infer_home, resolve_origin
-from .geo import Region, RegionLayer, assign_events, load_layer, point_in_region
+from .events import EventRecord, EventTable, IngestReport, parse_events
+from .home import (
+    UNDETERMINED,
+    HomeRecord,
+    Homes,
+    Origins,
+    accumulate_stats_seq,
+    infer_all,
+    origin_map,
+)
+from .geo import Assignment, Region, RegionLayer, assign_events, load_layer, point_in_region
 from .scaling import (
     AttractivenessTable,
     BinnedTrend,
+    ForeignCounts,
     ResidualScore,
     ScalingFit,
     compute_attractiveness,
     correlate_residuals,
     fit_power_law,
+    foreign_counts,
     log_bin,
     pearson,
     residuals,
@@ -30,23 +40,29 @@ from .synthetic import SyntheticSpec, generate_events, generate_table
 
 __all__ = [
     "EventRecord",
+    "EventTable",
     "IngestReport",
     "parse_events",
     "UNDETERMINED",
     "HomeRecord",
-    "accumulate_stats",
-    "infer_home",
-    "resolve_origin",
+    "Homes",
+    "Origins",
+    "accumulate_stats_seq",
+    "infer_all",
+    "origin_map",
+    "Assignment",
     "Region",
     "RegionLayer",
     "load_layer",
     "point_in_region",
     "assign_events",
     "AttractivenessTable",
+    "ForeignCounts",
     "ScalingFit",
     "BinnedTrend",
     "ResidualScore",
     "compute_attractiveness",
+    "foreign_counts",
     "fit_power_law",
     "log_bin",
     "residuals",

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .events import IngestError, parse_events, write_events_csv
+from .events import EventTable, IngestError, parse_events, write_events_csv
 from .geo import (
     LayerError,
     assign_events,
@@ -23,14 +23,14 @@ from .geo import (
 )
 from .home import accumulate_stats_seq, homes_to_csv, infer_all, origin_map
 from .output import dumps_stable, write_text
-from .pipeline import PipelineError, load_config, run_pipeline, slug
+from .pipeline import PipelineError, correlations_csv, load_config, run_pipeline, slug
 from .scaling import (
     StatsError,
     binned_to_csv,
     compute_attractiveness,
-    correlate_residuals,
     fit_power_law,
     fit_to_json,
+    foreign_counts,
     log_bin,
     read_residuals_csv,
     read_table_csv,
@@ -77,9 +77,19 @@ def _load_layer(path: str):
 
 def _origins_for(events, country_layer, min_events: int, threads: int):
     country_assign = assign_events(events, country_layer, threads=threads)
-    stats, _ = accumulate_stats_seq(events, country_assign.region_ids)
-    homes = infer_all(stats, min_events=min_events, all_users=(e.user_id for e in events))
+    stats, _ = accumulate_stats_seq(events, country_assign)
+    homes = infer_all(stats, min_events=min_events)
     return origin_map(events, homes), homes
+
+
+def _foreign_counts(args):
+    """Read the events and count foreign visitors per region and month."""
+    events, _ = _read_events(args.events, args.format, args.strict)
+    layer = _load_layer(args.layer)
+    country_layer = _load_layer(args.countries)
+    origins, _ = _origins_for(events, country_layer, args.min_events, args.threads)
+    assignment = assign_events(events, layer, threads=args.threads)
+    return foreign_counts(events, assignment, origins, layer, args.target, dataset_tag=args.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -121,19 +131,13 @@ def _cmd_assign(args) -> int:
 
 
 def _cmd_attractiveness(args) -> int:
-    events, _ = _read_events(args.events, args.format, args.strict)
-    layer = _load_layer(args.layer)
-    country_layer = _load_layer(args.countries)
-    origins, _ = _origins_for(events, country_layer, args.min_events, args.threads)
-    assignment = assign_events(events, layer, threads=args.threads)
     try:
-        table = compute_attractiveness(
-            assignment, origins, args.target, layer, events, dataset_tag=args.tag
-        )
+        counts = _foreign_counts(args)
+        table = compute_attractiveness(counts)
     except StatsError as exc:
         raise PipelineError("attractiveness", str(exc)) from exc
     out = _out_dir(args)
-    path = out / f"attractiveness__{slug(args.tag)}__{slug(layer.label)}.csv"
+    path = out / f"attractiveness__{slug(args.tag)}__{slug(counts.layer.label)}.csv"
     write_text(path, table_to_csv(table))
     print(f"{table.total_events} foreign events over {len(table.rows)} regions -> {path}")
     return 0
@@ -190,18 +194,13 @@ def _cmd_residuals(args) -> int:
 
 
 def _cmd_temporal(args) -> int:
-    events, _ = _read_events(args.events, args.format, args.strict)
-    layer = _load_layer(args.layer)
-    country_layer = _load_layer(args.countries)
-    origins, _ = _origins_for(events, country_layer, args.min_events, args.threads)
     try:
-        windows = window_exponents(
-            events, origins, layer, args.target, dataset_tag=args.tag, threads=args.threads
-        )
+        counts = _foreign_counts(args)
+        windows = window_exponents(counts)
     except StatsError as exc:
         raise PipelineError("temporal", str(exc)) from exc
     out = _out_dir(args)
-    base = f"{slug(args.tag)}__{slug(layer.label)}"
+    base = f"{slug(args.tag)}__{slug(counts.layer.label)}"
     write_text(out / f"temporal__{base}.csv", windows_to_csv(windows))
     write_text(out / f"temporal__{base}.json", dumps_stable(windows_to_json(windows)))
     print(
@@ -212,9 +211,6 @@ def _cmd_temporal(args) -> int:
 
 
 def _cmd_correlate(args) -> int:
-    import csv as _csv
-    import io as _io
-
     pairs: dict[str, str] = {}
     for item in args.pair:
         tag, sep, path = item.partition("=")
@@ -230,25 +226,18 @@ def _cmd_correlate(args) -> int:
         if not Path(path).is_file():
             raise PipelineError("input-error", f"missing residuals file: {path}")
         try:
-            scores[tag] = read_residuals_csv(path)
+            scores[(tag, args.layer_label)] = read_residuals_csv(path)
         except (StatsError, ValueError) as exc:
             raise PipelineError("input-error", f"cannot read residuals {path}: {exc}") from exc
-    tags = sorted(pairs)
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
-    combos = [(a, b) for i, a in enumerate(tags) for b in tags[i + 1 :]]
-    writer.writerow(["layer"] + [f"{a}|{b}" for a, b in combos])
-    cells: list[str] = [args.layer_label]
-    for a, b in combos:
-        try:
-            cells.append(format(correlate_residuals(scores[a], scores[b]).r, ".12g"))
-        except StatsError as exc:
-            raise PipelineError("correlate", f"{a}|{b}: {exc}") from exc
-    writer.writerow(cells)
+    try:
+        text = correlations_csv(list(pairs), [args.layer_label], scores, strict=True)
+    except StatsError as exc:
+        raise PipelineError("correlate", str(exc)) from exc
     out = _out_dir(args)
     path = out / "correlations.csv"
-    write_text(path, buf.getvalue())
-    print(f"{len(combos)} correlations -> {path}")
+    write_text(path, text)
+    n = len(pairs)
+    print(f"{n * (n - 1) // 2} correlations -> {path}")
     return 0
 
 
@@ -287,7 +276,7 @@ def _cmd_synth(args) -> int:
         print(f"{len(table.rows)} regions -> {out / f'table__{tag}.csv'}")
     else:
         bundle = generate_events(spec, year=args.year, dataset_tag=args.tag)
-        write_events_csv(bundle.events, out / f"events__{tag}.csv")
+        write_events_csv(EventTable.from_records(bundle.events), out / f"events__{tag}.csv")
         write_layer_geojson(bundle.city_layer, out / f"cities__{tag}.geojson")
         write_layer_geojson(bundle.country_layer, out / f"countries__{tag}.geojson")
         write_text(out / f"truth__{tag}.json", dumps_stable(bundle.truth))

@@ -21,11 +21,11 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Sequence
+from typing import IO, Sequence
 
 import numpy as np
 
-from .events import EventRecord
+from .events import EventTable, labels_of
 
 Ring = tuple[tuple[float, float], ...]  # (lat, lon) vertices, not closed
 PolygonRings = tuple[Ring, tuple[Ring, ...]]  # outer ring + hole rings
@@ -59,20 +59,26 @@ class RegionLayer:
         return {r.id: r for r in self.regions}
 
 
-@dataclass
+@dataclass(eq=False)
 class Assignment:
-    """Per-event region ids plus overlap/unassigned diagnostics."""
+    """Per-event region positions plus overlap/unassigned diagnostics.
 
-    region_ids: list[str | None]
+    ``index[i]`` is the position in ``regions`` of the region holding
+    event i, or -1 when no region holds it.
+    """
+
+    index: np.ndarray
+    regions: tuple[str, ...]
     overlap_events: int
     unassigned: int
 
+    @property
+    def region_ids(self) -> list[str | None]:
+        return labels_of(self.regions, self.index)
+
     def counts(self) -> dict[str, int]:
-        out: dict[str, int] = {}
-        for rid in self.region_ids:
-            if rid is not None:
-                out[rid] = out.get(rid, 0) + 1
-        return out
+        tally = np.bincount(self.index[self.index >= 0], minlength=len(self.regions))
+        return {self.regions[i]: int(tally[i]) for i in np.flatnonzero(tally)}
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +375,15 @@ def _assign_chunk(
     return assigned, multi
 
 
-def assign_events(
-    events: Sequence[EventRecord], layer: RegionLayer, threads: int = 1
-) -> Assignment:
+def assign_events(events: EventTable, layer: RegionLayer, threads: int = 1) -> Assignment:
     """Map each event to the first containing region in layer order.
 
     Events contained by more than one region are assigned to the earliest
     region and counted in ``overlap_events``.  The result is independent of
     event order and of how the workload is sharded.
     """
+    lats, lons = events.lat, events.lon
     n = len(events)
-    lats = np.fromiter((e.lat for e in events), dtype=np.float64, count=n)
-    lons = np.fromiter((e.lon for e in events), dtype=np.float64, count=n)
     if threads > 1 and n >= 4096:
         bounds = np.linspace(0, n, threads + 1, dtype=int)
         chunks = [(lats[a:b], lons[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -390,49 +393,22 @@ def assign_events(
         multi = np.concatenate([p[1] for p in parts])
     else:
         assigned, multi = _assign_chunk(lats, lons, layer.regions)
-    region_ids = [layer.regions[i].id if i >= 0 else None for i in assigned]
     return Assignment(
-        region_ids=region_ids,
+        index=assigned,
+        regions=tuple(r.id for r in layer.regions),
         overlap_events=int(multi.sum()),
         unassigned=int((assigned < 0).sum()),
     )
-
-
-def region_lookup(layer: RegionLayer) -> Callable[[float, float], str | None]:
-    """A (lat, lon) -> region id function over the layer (None if no hit)."""
-
-    def lookup(lat: float, lon: float) -> str | None:
-        for region in layer.regions:
-            if point_in_region(lat, lon, region):
-                return region.id
-        return None
-
-    return lookup
 
 
 def assignments_to_csv(assignment: Assignment) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("event_index", "region_id"))
-    for i, rid in enumerate(assignment.region_ids):
-        writer.writerow((i, rid or ""))
+    writer.writerows(enumerate(labels_of(assignment.regions, assignment.index, "")))
     return buf.getvalue()
 
 
 def write_assignments_csv(assignment: Assignment, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(assignments_to_csv(assignment))
-
-
-def read_assignments_csv(path: str | Path) -> list[str | None]:
-    out: list[str | None] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["event_index", "region_id"]:
-            raise LayerError(f"bad assignment file header in {path}")
-        for row in reader:
-            if not row:
-                continue
-            out.append(row[1] or None)
-    return out

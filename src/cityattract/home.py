@@ -7,23 +7,30 @@ ties by lexicographically smallest country id.  Users with fewer located
 events than ``min_events`` come out as UNDETERMINED.
 
 Records that declare an origin country (e.g. card transactions) do not
-need inference; resolve_origins prefers the declared value per record.
+need inference; origin_map prefers a user's declared value.
+
+Everything here works on whole columns: the tally groups events by
+(user, country) with one sort, and the tie-break is a second sort.  Users
+are the codes of the event table, so every per-user result is aligned
+with its sorted ``user_ids``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from .events import EventRecord
+import numpy as np
+
+from .events import EventTable, labels_of
+from .geo import Assignment
 
 UNDETERMINED = "UNDETERMINED"
-
-# user -> country -> [count, first_ts, last_ts]
-UserStats = dict[str, dict[str, list]]
 
 
 @dataclass(frozen=True, slots=True)
@@ -34,117 +41,194 @@ class HomeRecord:
     timespan_seconds: int
 
 
-def accumulate_stats(
-    events: Sequence[EventRecord], country_of: Callable[[float, float], str | None]
-) -> tuple[UserStats, int]:
+@dataclass(frozen=True, eq=False)
+class CountryStats:
+    """Per-(user, country) tallies: one entry per pair that has events,
+    ordered by user code, then country id.
+
+    ``user`` indexes ``user_ids`` (every user of the tallied events, with
+    or without located events); ``country`` indexes ``countries``, which
+    is sorted, so code order is id order.  ``first`` and ``last`` are the
+    epoch seconds of the pair's earliest and latest event.
+    """
+
+    user_ids: tuple[str, ...]
+    countries: tuple[str, ...]
+    user: np.ndarray
+    country: np.ndarray
+    count: np.ndarray
+    first: np.ndarray
+    last: np.ndarray
+
+
+def _user_position(user_ids: Sequence[str], user_id: str) -> int:
+    i = bisect_left(user_ids, user_id)
+    if i == len(user_ids) or user_ids[i] != user_id:
+        raise KeyError(user_id)
+    return i
+
+
+@dataclass(frozen=True, eq=False)
+class Homes(Mapping):
+    """Every user's inferred home, read as a mapping user id -> HomeRecord.
+
+    Columns are aligned with the sorted ``user_ids``; ``country`` indexes
+    ``countries``, with -1 for UNDETERMINED.
+    """
+
+    user_ids: tuple[str, ...]
+    countries: tuple[str, ...]
+    country: np.ndarray
+    event_count: np.ndarray
+    timespan_seconds: np.ndarray
+
+    def __getitem__(self, user_id: str) -> HomeRecord:
+        i = _user_position(self.user_ids, user_id)
+        code = int(self.country[i])
+        return HomeRecord(
+            user_id,
+            self.countries[code] if code >= 0 else UNDETERMINED,
+            int(self.event_count[i]),
+            int(self.timespan_seconds[i]),
+        )
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.user_ids)
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
+
+
+@dataclass(frozen=True, eq=False)
+class Origins(Mapping):
+    """Every user's resolved origin, read as a mapping user id -> country.
+
+    ``code`` is aligned with the sorted ``user_ids`` and indexes ``names``.
+    """
+
+    user_ids: tuple[str, ...]
+    names: tuple[str, ...]
+    code: np.ndarray
+
+    def __getitem__(self, user_id: str) -> str:
+        return self.names[self.code[_user_position(self.user_ids, user_id)]]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.user_ids)
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
+
+    def foreign(self, target_country: str) -> np.ndarray:
+        """Per user: whether the origin is known and not the target country."""
+        local = [i for i, name in enumerate(self.names) if name in (target_country, UNDETERMINED)]
+        return ~np.isin(self.code, local)
+
+
+def _group_starts(*keys: np.ndarray) -> np.ndarray:
+    """Start positions of the runs of equal key tuples in sorted keys."""
+    n = keys[0].shape[0]
+    change = np.zeros(n, dtype=bool)
+    change[:1] = True
+    for key in keys:
+        change[1:] |= key[1:] != key[:-1]
+    return np.flatnonzero(change)
+
+
+def accumulate_stats_seq(events: EventTable, countries: Assignment) -> tuple[CountryStats, int]:
     """Tally per-user per-country counts and time extents.
 
-    Returns the tally and the number of events that resolved to no country.
+    ``countries`` is the events' assignment to the country layer.  Returns
+    the tally and the number of events that resolved to no country.
     """
-    return accumulate_stats_seq(events, (country_of(e.lat, e.lon) for e in events))
+    if countries.index.shape[0] != len(events):
+        raise ValueError(f"{countries.index.shape[0]} countries for {len(events)} events")
+    order = sorted(range(len(countries.regions)), key=countries.regions.__getitem__)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    located = countries.index >= 0
+    user = events.user[located]
+    country = rank[countries.index[located]]
+    seconds = events.seconds[located]
+    by_pair = np.lexsort((country, user))
+    user, country, seconds = user[by_pair], country[by_pair], seconds[by_pair]
+    starts = _group_starts(user, country)
+    if starts.shape[0]:
+        first = np.minimum.reduceat(seconds, starts)
+        last = np.maximum.reduceat(seconds, starts)
+    else:
+        first = last = seconds
+    stats = CountryStats(
+        user_ids=events.user_ids,
+        countries=tuple(countries.regions[i] for i in order),
+        user=user[starts],
+        country=country[starts],
+        count=np.diff(np.append(starts, user.shape[0])),
+        first=first,
+        last=last,
+    )
+    return stats, int(located.shape[0] - user.shape[0])
 
 
-def accumulate_stats_seq(
-    events: Sequence[EventRecord], countries: Iterable[str | None]
-) -> tuple[UserStats, int]:
-    """Like accumulate_stats but with countries already resolved per event."""
-    stats: UserStats = {}
-    unresolved = 0
-    for event, country in zip(events, countries):
-        if country is None:
-            unresolved += 1
-            continue
-        per_user = stats.setdefault(event.user_id, {})
-        entry = per_user.get(country)
-        if entry is None:
-            per_user[country] = [1, event.timestamp, event.timestamp]
-        else:
-            entry[0] += 1
-            if event.timestamp < entry[1]:
-                entry[1] = event.timestamp
-            if event.timestamp > entry[2]:
-                entry[2] = event.timestamp
-    return stats, unresolved
+def infer_all(stats: CountryStats, min_events: int = 1) -> Homes:
+    """Homes for every user of the tallied events.
+
+    Users whose located events number fewer than ``min_events`` (users
+    without any included) come out UNDETERMINED, with the total located
+    count as evidence and no span.
+    """
+    n = len(stats.user_ids)
+    span = stats.last - stats.first
+    total = np.bincount(stats.user, weights=stats.count, minlength=n).astype(np.int64)
+    ranked = np.lexsort((stats.country, -span, -stats.count, stats.user))
+    best = ranked[_group_starts(stats.user[ranked])]
+    winners = best[total[stats.user[best]] >= min_events]
+    country = np.full(n, -1, dtype=np.int64)
+    timespan = np.zeros(n, dtype=np.int64)
+    event_count = total
+    users = stats.user[winners]
+    country[users] = stats.country[winners]
+    event_count[users] = stats.count[winners]
+    timespan[users] = span[winners]
+    return Homes(stats.user_ids, stats.countries, country, event_count, timespan)
 
 
-def infer_home(user_id: str, per_country: Mapping[str, list], min_events: int = 1) -> HomeRecord:
-    total = sum(entry[0] for entry in per_country.values())
-    if total < min_events or not per_country:
-        return HomeRecord(user_id, UNDETERMINED, total, 0)
-    best_country = None
-    best_key = None
-    for country, (count, first, last) in per_country.items():
-        span = int((last - first).total_seconds())
-        key = (-count, -span, country)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_country = country
-    return HomeRecord(user_id, best_country, -best_key[0], -best_key[1])
-
-
-def infer_all(
-    stats: UserStats, min_events: int = 1, all_users: Iterable[str] | None = None
-) -> dict[str, HomeRecord]:
-    """Homes for every user in stats; ``all_users`` extends coverage to
-    users with no locatable events, who come out UNDETERMINED."""
-    out = {uid: infer_home(uid, per_country, min_events) for uid, per_country in stats.items()}
-    if all_users is not None:
-        for uid in all_users:
-            if uid not in out:
-                out[uid] = HomeRecord(uid, UNDETERMINED, 0, 0)
-    return out
-
-
-def resolve_origin(home: HomeRecord | None, declared: str | None) -> str:
-    """Origin country for one user: a declared value wins over inference."""
-    if declared is not None:
-        return declared
-    return home.country if home is not None else UNDETERMINED
-
-
-def origin_map(
-    events: Sequence[EventRecord], homes: Mapping[str, HomeRecord]
-) -> dict[str, str]:
+def origin_map(events: EventTable, homes: Homes) -> Origins:
     """Resolve every event owner to an origin country.
 
-    Users whose records declare an origin keep the first declared value;
-    the rest fall back to their inferred home, or UNDETERMINED when the
-    user produced no locatable events at all.
+    Users whose records declare an origin keep the first declared value in
+    row order; the rest fall back to their inferred home, or UNDETERMINED
+    when the user produced no locatable events at all.
     """
-    declared: dict[str, str] = {}
-    users: dict[str, None] = {}
-    for event in events:
-        users.setdefault(event.user_id, None)
-        if event.origin_country is not None and event.user_id not in declared:
-            declared[event.user_id] = event.origin_country
-    return {uid: resolve_origin(homes.get(uid), declared.get(uid)) for uid in users}
+    if homes.user_ids != events.user_ids:
+        raise ValueError("homes must cover exactly the users of the events")
+    names = sorted({*events.origin_ids, *homes.countries, UNDETERMINED})
+    position = {name: i for i, name in enumerate(names)}
+    home_code = np.array([position[c] for c in (*homes.countries, UNDETERMINED)], dtype=np.int64)
+    declared_code = np.array([position[c] for c in events.origin_ids], dtype=np.int64)
+    code = home_code[homes.country]
+    declaring = np.flatnonzero(events.origin >= 0)
+    users, first = np.unique(events.user[declaring], return_index=True)
+    code[users] = declared_code[events.origin[declaring[first]]]
+    return Origins(events.user_ids, tuple(names), code)
 
 
-def homes_to_csv(homes: Mapping[str, HomeRecord] | Iterable[HomeRecord]) -> str:
-    records = homes.values() if isinstance(homes, Mapping) else homes
+def homes_to_csv(homes: Homes) -> str:
+    """One row per user, sorted by user id."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("user_id", "country", "event_count", "timespan_seconds"))
-    for rec in sorted(records, key=lambda r: r.user_id):
-        writer.writerow((rec.user_id, rec.country, rec.event_count, rec.timespan_seconds))
+    writer.writerows(
+        zip(
+            homes.user_ids,
+            labels_of(homes.countries, homes.country, UNDETERMINED),
+            homes.event_count.tolist(),
+            homes.timespan_seconds.tolist(),
+        )
+    )
     return buf.getvalue()
 
 
-def write_homes_csv(homes: Mapping[str, HomeRecord] | Iterable[HomeRecord], path: str | Path) -> None:
+def write_homes_csv(homes: Homes, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(homes_to_csv(homes))
-
-
-def read_homes_csv(path: str | Path) -> dict[str, HomeRecord]:
-    out: dict[str, HomeRecord] = {}
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["user_id", "country", "event_count", "timespan_seconds"]:
-            raise ValueError(f"bad homes file header in {path}")
-        for row in reader:
-            if not row:
-                continue
-            rec = HomeRecord(row[0], row[1], int(row[2]), int(row[3]))
-            out[rec.user_id] = rec
-    return out

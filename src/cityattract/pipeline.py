@@ -25,18 +25,21 @@ import tempfile
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from . import __version__
 from .events import IngestError, parse_events
-from .geo import LayerError, RegionLayer, assign_events, load_layer
+from .geo import LayerError, assign_events, load_layer
 from .home import accumulate_stats_seq, infer_all, origin_map, homes_to_csv
 from .scaling import (
+    ResidualScore,
     StatsError,
     binned_to_csv,
     compute_attractiveness,
     correlate_residuals,
     fit_power_law,
     fit_to_json,
+    foreign_counts,
     log_bin,
     residuals,
     residuals_to_csv,
@@ -191,10 +194,8 @@ def run_pipeline(config: PipelineConfig, threads: int = 1, strict: bool = False)
             write_text(tmp / f"ingest__{tag}.json", report.to_json())
 
             country_assign = assign_events(events, country_layer, threads=threads)
-            stats, unresolved = accumulate_stats_seq(events, country_assign.region_ids)
-            homes = infer_all(
-                stats, min_events=config.min_events, all_users=(e.user_id for e in events)
-            )
+            stats, unresolved = accumulate_stats_seq(events, country_assign)
+            homes = infer_all(stats, min_events=config.min_events)
             write_text(tmp / f"homes__{tag}.csv", homes_to_csv(homes))
             origins = origin_map(events, homes)
             dataset_summaries[source.dataset_tag] = {
@@ -209,14 +210,15 @@ def run_pipeline(config: PipelineConfig, threads: int = 1, strict: bool = False)
                 suffix = f"{tag}__{lbl}"
                 assignment = assign_events(events, layer, threads=threads)
                 try:
-                    table = compute_attractiveness(
+                    counts = foreign_counts(
+                        events,
                         assignment,
                         origins,
-                        config.target_country,
                         layer,
-                        events,
+                        config.target_country,
                         dataset_tag=source.dataset_tag,
                     )
+                    table = compute_attractiveness(counts)
                 except StatsError as exc:
                     raise PipelineError("attractiveness", f"{suffix}: {exc}") from exc
                 write_text(tmp / f"attractiveness__{suffix}.csv", table_to_csv(table))
@@ -238,20 +240,20 @@ def run_pipeline(config: PipelineConfig, threads: int = 1, strict: bool = False)
                 write_text(tmp / f"residuals__{suffix}.csv", residuals_to_csv(scores))
                 write_text(tmp / f"scatter__{suffix}.csv", scatter_to_csv(table, fit))
                 try:
-                    windows = window_exponents(
-                        events,
-                        origins,
-                        layer,
-                        config.target_country,
-                        dataset_tag=source.dataset_tag,
-                        assignments=assignment,
-                    )
+                    windows = window_exponents(counts)
                 except StatsError as exc:
                     raise PipelineError("temporal", f"{suffix}: {exc}") from exc
                 write_text(tmp / f"temporal__{suffix}.csv", windows_to_csv(windows))
                 write_text(tmp / f"temporal__{suffix}.json", dumps_stable(windows_to_json(windows)))
 
-        write_text(tmp / "correlations.csv", _correlation_matrix(config, city_layers, residual_lists))
+        write_text(
+            tmp / "correlations.csv",
+            correlations_csv(
+                [s.dataset_tag for s in config.event_sources],
+                [layer.label for layer in city_layers],
+                residual_lists,
+            ),
+        )
 
         outputs = {f.name: sha256_file(f) for f in sorted(tmp.iterdir())}
         manifest = {
@@ -276,25 +278,31 @@ def run_pipeline(config: PipelineConfig, threads: int = 1, strict: bool = False)
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def _correlation_matrix(
-    config: PipelineConfig, city_layers: list[RegionLayer], residual_lists: dict
+def correlations_csv(
+    tags: Sequence[str],
+    layer_labels: Sequence[str],
+    residual_lists: Mapping[tuple[str, str], Sequence[ResidualScore]],
+    strict: bool = False,
 ) -> str:
-    """Rows are city layers, columns are dataset pairs; blank cells mark
-    pairs that share too few regions to correlate."""
-    tags = sorted(s.dataset_tag for s in config.event_sources)
+    """Correlation matrix of residual rankings: rows are layers, columns
+    are dataset pairs in tag order.  ``residual_lists`` maps (tag, layer
+    label) to that dataset's residuals on that layer.  A pair sharing too
+    few regions to correlate gets a blank cell, or with ``strict`` raises
+    StatsError naming the pair."""
+    tags = sorted(tags)
     pairs = [(a, b) for i, a in enumerate(tags) for b in tags[i + 1 :]]
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["layer"] + [f"{a}|{b}" for a, b in pairs])
-    for layer in city_layers:
-        cells: list[str] = [layer.label]
+    for label in layer_labels:
+        cells: list[str] = [label]
         for a, b in pairs:
             try:
-                result = correlate_residuals(
-                    residual_lists[(a, layer.label)], residual_lists[(b, layer.label)]
-                )
+                result = correlate_residuals(residual_lists[(a, label)], residual_lists[(b, label)])
                 cells.append(fmt_num(result.r))
-            except StatsError:
+            except StatsError as exc:
+                if strict:
+                    raise StatsError(f"{a}|{b}: {exc}") from exc
                 cells.append("")
         writer.writerow(cells)
     return buf.getvalue()

@@ -20,11 +20,13 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .events import EventRecord
+import numpy as np
+
+from .events import EventTable
 from .geo import Assignment, RegionLayer
-from .home import UNDETERMINED
+from .home import Origins
 from .special import t_two_sided_p
 
 
@@ -93,58 +95,90 @@ class CorrelationResult:
 # ---------------------------------------------------------------------------
 # attractiveness
 
-def compute_attractiveness(
-    assignments: Assignment | Sequence[str | None],
-    origins: Mapping[str, str],
-    target_country: str,
-    layer: RegionLayer,
-    events: Sequence[EventRecord],
-    dataset_tag: str = "",
-) -> AttractivenessTable:
-    """Per-region share of foreign-visitor events.
+@dataclass(frozen=True, eq=False)
+class ForeignCounts:
+    """Foreign-visitor events of one dataset per (region, calendar month).
 
-    An event counts when its owner's resolved origin is neither the target
-    country nor UNDETERMINED and it falls in a region that has population
-    data.  Regions without population cannot enter the fit, so their events
-    are kept out of the normalization too and reported separately.
+    ``by_month[r, m - 1]`` counts the events of month m in the layer's
+    r-th region; one extra last row holds events assigned to regions the
+    layer does not have (an assignment made against another layer).  The
+    attractiveness table sums all twelve columns, a seasonal window sums
+    its three.
     """
-    region_ids = assignments.region_ids if isinstance(assignments, Assignment) else assignments
-    if len(region_ids) != len(events):
+
+    layer: RegionLayer
+    target_country: str
+    dataset_tag: str
+    by_month: np.ndarray
+
+
+def _foreign_users(events: EventTable, origins: Origins, target_country: str) -> np.ndarray:
+    """Per user of ``events``: whether their resolved origin counts as foreign."""
+    foreign = origins.foreign(target_country)
+    if origins.user_ids == events.user_ids:
+        return foreign
+    position = {uid: i for i, uid in enumerate(origins.user_ids)}
+    missing = [code for code, uid in enumerate(events.user_ids) if uid not in position]
+    if missing:
+        uid = events.user_ids[events.user[np.isin(events.user, missing)][0]]
+        raise StatsError(f"empty table: user {uid!r} missing from origins")
+    return foreign[[position[uid] for uid in events.user_ids]]
+
+
+def foreign_counts(
+    events: EventTable,
+    assignment: Assignment,
+    origins: Origins,
+    layer: RegionLayer,
+    target_country: str,
+    dataset_tag: str = "",
+) -> ForeignCounts:
+    """Count foreign-visitor events per region and month.
+
+    ``assignment`` maps the events to the regions of ``layer``.  An event
+    counts when its owner's resolved origin is neither the target country
+    nor UNDETERMINED and it falls in a region.
+    """
+    if assignment.index.shape[0] != len(events):
         raise StatsError(
-            f"empty table: {len(region_ids)} assignments for {len(events)} events"
+            f"empty table: {assignment.index.shape[0]} assignments for {len(events)} events"
         )
-    counts: dict[str, int] = {}
-    for event, rid in zip(events, region_ids):
-        origin = origins.get(event.user_id)
-        if origin is None:
-            raise StatsError(f"empty table: user {event.user_id!r} missing from origins")
-        if origin == UNDETERMINED or origin == target_country or rid is None:
-            continue
-        counts[rid] = counts.get(rid, 0) + 1
+    foreign = _foreign_users(events, origins, target_country)
+    position = {r.id: i for i, r in enumerate(layer.regions)}
+    n = len(layer.regions)
+    row_of = np.array([position.get(rid, n) for rid in assignment.regions], dtype=np.int64)
+    counted = foreign[events.user] & (assignment.index >= 0)
+    cells = row_of[assignment.index[counted]] * 12 + (events.month[counted] - 1)
+    by_month = np.bincount(cells, minlength=(n + 1) * 12).reshape(n + 1, 12)
+    return ForeignCounts(layer, target_country, dataset_tag, by_month)
 
-    populated = [r for r in layer.regions if r.population is not None]
-    excluded_regions = tuple(r.id for r in layer.regions if r.population is None)
-    excluded_events = sum(counts.get(rid, 0) for rid in excluded_regions)
-    # counts can also land in ids absent from the layer when assignments
-    # were produced against a different layer; treat those as excluded
-    known = {r.id for r in layer.regions}
-    excluded_events += sum(c for rid, c in counts.items() if rid not in known)
 
-    total = sum(counts.get(r.id, 0) for r in populated)
+def compute_attractiveness(
+    counts: ForeignCounts, months: Sequence[int] | None = None
+) -> AttractivenessTable:
+    """Per-region share of foreign-visitor events, over the whole year or
+    the given calendar months.
+
+    Regions without population cannot enter the fit, so their events are
+    kept out of the normalization too and reported separately.
+    """
+    by_month = counts.by_month if months is None else counts.by_month[:, [m - 1 for m in months]]
+    per_region = by_month.sum(axis=1).tolist()
+    regions = counts.layer.regions
+    populated = [(r, c) for r, c in zip(regions, per_region) if r.population is not None]
+    excluded_events = sum(c for r, c in zip(regions, per_region) if r.population is None)
+    excluded_events += per_region[-1]
+    total = sum(c for _, c in populated)
     if total == 0:
         raise StatsError("empty table: no foreign-visitor events in populated regions")
-    rows = tuple(
-        AttractRow(r.id, r.population, counts.get(r.id, 0), counts.get(r.id, 0) / total)
-        for r in populated
-    )
     return AttractivenessTable(
-        dataset_tag=dataset_tag,
-        layer=layer.label,
-        target_country=target_country,
-        rows=rows,
+        dataset_tag=counts.dataset_tag,
+        layer=counts.layer.label,
+        target_country=counts.target_country,
+        rows=tuple(AttractRow(r.id, r.population, c, c / total) for r, c in populated),
         total_events=total,
         excluded_events=excluded_events,
-        excluded_regions=excluded_regions,
+        excluded_regions=tuple(r.id for r in regions if r.population is None),
     )
 
 
@@ -243,18 +277,6 @@ def log_bin(table: AttractivenessTable, k: int = 5) -> BinnedTrend:
         if pts
     )
     return BinnedTrend(bins, k)
-
-
-def fit_binned(trend: BinnedTrend) -> ScalingFit:
-    """OLS over the binned points, every non-empty bin weighted equally.
-
-    The abscissa is each bin's member geometric mean, not the reported
-    p_center: edge midpoints would tilt the slope whenever members sit
-    off-center in their bins, even on noise-free data.
-    """
-    xs = [math.log10(row.p_members) for row in trend.bins]
-    ys = [math.log10(row.mean_A) for row in trend.bins]
-    return fit_xy(xs, ys)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,8 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
-from .events import EventRecord
-from .geo import Assignment, RegionLayer, assign_events
-from .scaling import ScalingFit, StatsError, compute_attractiveness, fit_power_law
+from .scaling import ForeignCounts, ScalingFit, StatsError, compute_attractiveness, fit_power_law
 
 _NUM_WINDOWS = 12
 
@@ -54,43 +51,16 @@ class WindowedExponents:
     insufficient: int
 
 
-def window_exponents(
-    events: Sequence[EventRecord],
-    origins: Mapping[str, str],
-    layer: RegionLayer,
-    target_country: str,
-    dataset_tag: str = "",
-    assignments: Assignment | Sequence[str | None] | None = None,
-    threads: int = 1,
-) -> WindowedExponents:
+def window_exponents(counts: ForeignCounts) -> WindowedExponents:
     """Fit the scaling exponent in each of the 12 moving windows.
 
-    ``assignments`` may carry a precomputed event-to-region mapping for
-    this layer; otherwise events are assigned here.
+    Window m's table sums the three month columns of ``counts``.
     """
-    if assignments is None:
-        assignments = assign_events(events, layer, threads=threads)
-    region_ids = assignments.region_ids if isinstance(assignments, Assignment) else assignments
-    if len(region_ids) != len(events):
-        raise StatsError(
-            f"empty table: {len(region_ids)} assignments for {len(events)} events"
-        )
-
     windows: list[WindowFit] = []
     for m in range(1, _NUM_WINDOWS + 1):
         months = window_months(m)
-        wanted = set(months)
-        sub_events = []
-        sub_ids = []
-        for event, rid in zip(events, region_ids):
-            if event.timestamp.month in wanted:
-                sub_events.append(event)
-                sub_ids.append(rid)
         try:
-            table = compute_attractiveness(
-                sub_ids, origins, target_country, layer, sub_events, dataset_tag=dataset_tag
-            )
-            fit = fit_power_law(table)
+            fit = fit_power_law(compute_attractiveness(counts, months))
             windows.append(WindowFit(m, months, fit, None))
         except StatsError as exc:
             windows.append(WindowFit(m, months, None, str(exc)))
@@ -103,8 +73,8 @@ def window_exponents(
         raise StatsError("degenerate abscissa: mean window exponent is 0, cannot normalize")
     normalized = {w.center_month: w.fit.b / mean_b for w in fitted}
     return WindowedExponents(
-        dataset_tag=dataset_tag,
-        layer=layer.label,
+        dataset_tag=counts.dataset_tag,
+        layer=counts.layer.label,
         windows=tuple(windows),
         normalized=normalized,
         mean_b=mean_b,

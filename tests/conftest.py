@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
-from cityattract.events import EventRecord
-from cityattract.geo import load_layer
+import numpy as np
+
+from cityattract.events import EventRecord, EventTable
+from cityattract.geo import Assignment, assign_events, load_layer
+from cityattract.home import HomeRecord, Origins, accumulate_stats_seq, infer_all
+from cityattract.scaling import foreign_counts
+
+T0 = datetime(2012, 1, 1, tzinfo=timezone.utc)
 
 
 def square_feature(rid: str, lat0: float, lon0: float, side: float, population=None, layer="test"):
@@ -31,6 +37,45 @@ def layer_of(*features, name="test"):
 def ev(user="u1", ts="2012-06-01T12:00:00Z", lat=0.5, lon=0.5, origin=None, tag="t"):
     stamp = datetime.strptime(ts, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
     return EventRecord(user, stamp, lat, lon, origin, tag)
+
+
+def table_of(events) -> EventTable:
+    return EventTable.from_records(events)
+
+
+def assignment_of(region_ids) -> Assignment:
+    """An assignment given as one region id (or None) per event."""
+    regions = tuple(dict.fromkeys(r for r in region_ids if r is not None))
+    index = np.array([-1 if r is None else regions.index(r) for r in region_ids], dtype=np.int64)
+    return Assignment(index, regions, 0, int((index < 0).sum()))
+
+
+def origins_of(mapping: dict) -> Origins:
+    """Origins of the users in ``mapping`` (user id -> origin)."""
+    user_ids = tuple(sorted(mapping))
+    names = tuple(sorted(set(mapping.values())))
+    return Origins(user_ids, names, np.array([names.index(mapping[u]) for u in user_ids], dtype=np.int64))
+
+
+def counts_of(events, origins: dict, layer, target_country="ES", region_ids=None, dataset_tag=""):
+    """Foreign counts of EventRecords with origins given as a dict, assigned
+    to ``layer`` unless ``region_ids`` gives one region id per event."""
+    table = table_of(events)
+    assignment = assign_events(table, layer) if region_ids is None else assignment_of(region_ids)
+    return foreign_counts(table, assignment, origins_of(origins), layer, target_country, dataset_tag)
+
+
+def home_of(per_country: dict, min_events: int = 1) -> HomeRecord:
+    """Home of user "u" whose events in each country number ``count`` and
+    span ``days``: the first at T0, the last ``days`` later.  One more event
+    of "u" resolves to no country."""
+    events, countries = [EventRecord("u", T0, 0.5, 0.5, None, "t")], [None]
+    for country, (count, days) in per_country.items():
+        stamps = [T0] + [T0 + timedelta(days=days)] * (count - 1)
+        events += [EventRecord("u", t, 0.5, 0.5, None, "t") for t in stamps]
+        countries += [country] * count
+    stats, _ = accumulate_stats_seq(table_of(events), assignment_of(countries))
+    return infer_all(stats, min_events=min_events)["u"]
 
 
 def polygon_feature(rid: str, rings_latlon, population=None, layer="test"):

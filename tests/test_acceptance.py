@@ -17,8 +17,8 @@ from pathlib import Path
 
 import pytest
 
-from cityattract.geo import point_in_region, region_lookup
-from cityattract.home import accumulate_stats, infer_all, infer_home
+from cityattract.geo import assign_events, point_in_region
+from cityattract.home import accumulate_stats_seq, infer_all
 from cityattract.rng import CounterRng
 from cityattract.scaling import (
     AttractRow,
@@ -39,7 +39,7 @@ from cityattract.synthetic import (
 )
 from cityattract.temporal import window_exponents, window_months
 
-from conftest import ev, shape_regions
+from conftest import counts_of, ev, home_of, shape_regions, table_of
 from oracles import distance_to_boundary, ols_grid_search, pearson_direct, raster_oracle
 
 BOUNDARY_PAD = 2e-4  # one raster diagonal: closer points cannot be resolved
@@ -327,7 +327,7 @@ def test_09_temporal_seasonality():
     origins = {
         e.user_id: ("ES" if e.user_id.startswith("d") else "FR") for e in bundle.events
     }
-    result = window_exponents(bundle.events, origins, bundle.city_layer, "ES")
+    result = window_exponents(counts_of(bundle.events, origins, bundle.city_layer))
     lowest = min(result.normalized, key=result.normalized.get)
 
     # blend oracle: refit the generator's own window-summed weights
@@ -430,7 +430,6 @@ def test_11_thread_determinism(big_world):
 def test_12_home_inference_invariance():
     spec = table_spec(n_regions=4)
     countries = make_country_layer(spec)
-    lookup = region_lookup(countries)
     # lower-left corners of the generator's country squares (0.2 degrees wide)
     anchors = {
         "ES": (39.0, 0.0),
@@ -452,28 +451,25 @@ def test_12_home_inference_invariance():
                 lon=lon0 + rnd.uniform(0.001, 0.199),
             )
         )
-    stats, _ = accumulate_stats(events, lookup)
-    baseline = infer_all(stats, all_users=(e.user_id for e in events))
+
+    def homes_of(evts):
+        table = table_of(evts)
+        stats, _ = accumulate_stats_seq(table, assign_events(table, countries))
+        return infer_all(stats)
+
+    baseline = homes_of(events)
     stable = True
     for shuffle in range(100):
         shuffled = events[:]
         random.Random(shuffle).shuffle(shuffled)
-        stats, _ = accumulate_stats(shuffled, lookup)
-        if infer_all(stats, all_users=(e.user_id for e in shuffled)) != baseline:
+        if homes_of(shuffled) != baseline:
             stable = False
             break
 
-    t0 = ev().timestamp
-
-    def span(count, days):
-        from datetime import timedelta
-
-        return [count, t0, t0 + timedelta(days=days)]
-
     ties_ok = (
-        infer_home("u", {"ES": span(10, 5), "FR": span(3, 300)}).country == "ES"
-        and infer_home("u", {"ES": span(5, 10), "FR": span(5, 30)}).country == "FR"
-        and infer_home("u", {"ES": span(5, 10), "FR": span(5, 10)}).country == "ES"
+        home_of({"ES": (10, 5), "FR": (3, 300)}).country == "ES"
+        and home_of({"ES": (5, 10), "FR": (5, 30)}).country == "FR"
+        and home_of({"ES": (5, 10), "FR": (5, 10)}).country == "ES"
     )
     ok = stable and ties_ok
     report(

@@ -240,6 +240,37 @@ def test_pipeline_end_to_end(world, tmp_path):
         assert (out_dir / name).read_bytes() == (tmp_path / "run2" / name).read_bytes(), name
 
 
+def test_correlate_writes_the_pipeline_matrix(world, tmp_path, capsys):
+    # the CLI and the pipeline share one correlation writer: same residuals,
+    # same bytes; a pair without enough shared regions fails the CLI command
+    lines = (world / "events__demo.csv").read_text().splitlines(keepends=True)
+    (tmp_path / "thin.csv").write_text(lines[0] + "".join(lines[1::2]))
+    config = {
+        "event_sources": [
+            {"path": str(world / "events__demo.csv"), "format": "csv", "dataset_tag": "full"},
+            {"path": str(tmp_path / "thin.csv"), "format": "csv", "dataset_tag": "thin"},
+        ],
+        "country_layer_path": str(world / "countries__demo.geojson"),
+        "city_layer_paths": [str(world / "cities__demo.geojson")],
+        "output_dir": str(tmp_path / "run"),
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    run_ok(["pipeline", "--config", str(tmp_path / "config.json")])
+    run = tmp_path / "run"
+    run_ok(["correlate", "--pair", f"thin={run / 'residuals__thin__cities.csv'}",
+            "--pair", f"full={run / 'residuals__full__cities.csv'}",
+            "--layer-label", "cities", "--out", str(tmp_path / "cli")])
+    written = (tmp_path / "cli" / "correlations.csv").read_bytes()
+    assert written == (run / "correlations.csv").read_bytes()
+    assert written.decode().splitlines()[0] == "layer,full|thin"
+
+    (tmp_path / "lone.csv").write_text("region_id,res\nelsewhere,0.5\n")
+    code = main(["correlate", "--pair", f"full={run / 'residuals__full__cities.csv'}",
+                 "--pair", f"lone={tmp_path / 'lone.csv'}", "--out", str(tmp_path / "cli")])
+    assert code == 1
+    assert "error [correlate]: full|lone: insufficient data" in capsys.readouterr().err
+
+
 def test_missing_input_exits_2(tmp_path, capsys):
     code = main(["ingest", "--input", str(tmp_path / "nope.csv"), "--tag", "x", "--out", str(tmp_path)])
     assert code == 2

@@ -15,14 +15,18 @@ from cityattract.geo import (
     layer_to_geojson,
     load_layer,
     point_in_region,
-    read_assignments_csv,
     region_contains_bulk,
-    region_lookup,
     write_layer_geojson,
 )
 
-from conftest import ev, layer_of, polygon_feature, shape_regions, square_feature
-from oracles import distance_to_boundary, pnpoly_region, raster_oracle
+from conftest import ev, layer_of, polygon_feature, shape_regions, square_feature, table_of
+from oracles import (
+    distance_to_boundary,
+    pnpoly_region,
+    raster_oracle,
+    read_assignments_csv,
+    region_lookup,
+)
 
 # raster cells are 1e-4 degrees; points this close to an edge may land in
 # a cell whose corner nodes straddle the boundary, so the oracle skips them
@@ -218,7 +222,7 @@ def test_translation_consistency(lat8, lon8, dlat4, dlon4):
 # --- assignment ------------------------------------------------------------
 
 def test_assign_basic(unit_square_layer):
-    assignment = assign_events([ev(lat=0.5, lon=0.5), ev(lat=5.0, lon=5.0)], unit_square_layer)
+    assignment = assign_events(table_of([ev(lat=0.5, lon=0.5), ev(lat=5.0, lon=5.0)]), unit_square_layer)
     assert assignment.region_ids == ["sq", None]
     assert assignment.unassigned == 1
     assert assignment.overlap_events == 0
@@ -229,7 +233,7 @@ def test_assign_counts_match_pointwise_oracle():
     layer = layer_of(square_feature("A", 0, 0, 1), square_feature("B", 0, 2, 1))
     rnd = random.Random(11)
     events = [ev(user=f"u{i}", lat=rnd.uniform(-0.5, 1.5), lon=rnd.uniform(-0.5, 3.5)) for i in range(10_000)]
-    assignment = assign_events(events, layer)
+    assignment = assign_events(table_of(events), layer)
     regions = layer.regions
     polys = {r.id: r.polygons for r in regions}
     expected = {}
@@ -248,7 +252,7 @@ def test_assign_counts_match_pointwise_oracle():
 
 def test_overlap_first_region_wins():
     layer = layer_of(square_feature("first", 0, 0, 2), square_feature("second", 1, 1, 2))
-    assignment = assign_events([ev(lat=1.5, lon=1.5), ev(lat=0.5, lon=0.5), ev(lat=2.5, lon=2.5)], layer)
+    assignment = assign_events(table_of([ev(lat=1.5, lon=1.5), ev(lat=0.5, lon=0.5), ev(lat=2.5, lon=2.5)]), layer)
     assert assignment.region_ids == ["first", "first", "second"]
     assert assignment.overlap_events == 1
 
@@ -257,10 +261,10 @@ def test_assign_reorder_invariance():
     layer = layer_of(square_feature("A", 0, 0, 1), square_feature("B", 0, 2, 1))
     rnd = random.Random(5)
     events = [ev(user=f"u{i}", lat=rnd.uniform(0, 1), lon=rnd.uniform(0, 3)) for i in range(500)]
-    base = assign_events(events, layer)
+    base = assign_events(table_of(events), layer)
     shuffled = events[:]
     rnd.shuffle(shuffled)
-    again = assign_events(shuffled, layer)
+    again = assign_events(table_of(shuffled), layer)
     assert base.counts() == again.counts()
     assert base.unassigned == again.unassigned
 
@@ -270,8 +274,8 @@ def test_assign_thread_sharding_invariance():
     rnd = random.Random(13)
     # enough events to actually split into shards
     events = [ev(user=f"u{i}", lat=rnd.uniform(0, 1), lon=rnd.uniform(0, 3)) for i in range(6000)]
-    one = assign_events(events, layer, threads=1)
-    many = assign_events(events, layer, threads=4)
+    one = assign_events(table_of(events), layer, threads=1)
+    many = assign_events(table_of(events), layer, threads=4)
     assert one.region_ids == many.region_ids
     assert one.overlap_events == many.overlap_events
     assert one.unassigned == many.unassigned
@@ -281,10 +285,13 @@ def test_region_lookup_matches_assign(unit_square_layer):
     lookup = region_lookup(unit_square_layer)
     assert lookup(0.5, 0.5) == "sq"
     assert lookup(3.0, 3.0) is None
+    points = [(0.5, 0.5), (3.0, 3.0), (1.0, 0.25), (0.0, 0.0), (-0.1, 0.5)]
+    assignment = assign_events(table_of([ev(lat=a, lon=b) for a, b in points]), unit_square_layer)
+    assert assignment.region_ids == [lookup(a, b) for a, b in points]
 
 
 def test_assignments_csv_round_trip(tmp_path, unit_square_layer):
-    assignment = assign_events([ev(lat=0.5, lon=0.5), ev(lat=5.0, lon=5.0)], unit_square_layer)
+    assignment = assign_events(table_of([ev(lat=0.5, lon=0.5), ev(lat=5.0, lon=5.0)]), unit_square_layer)
     text = assignments_to_csv(assignment)
     assert text.splitlines()[0] == "event_index,region_id"
     path = tmp_path / "assign.csv"

@@ -17,7 +17,6 @@ from cityattract.scaling import (
     binned_to_csv,
     compute_attractiveness,
     correlate_residuals,
-    fit_binned,
     fit_power_law,
     fit_to_json,
     fit_xy,
@@ -31,8 +30,11 @@ from cityattract.scaling import (
     table_to_csv,
 )
 
-from conftest import ev, layer_of, square_feature
-from oracles import ols_grid_search, pearson_direct
+from cityattract.temporal import window_exponents, window_months
+
+import oracles
+from conftest import counts_of, ev, layer_of, square_feature, table_of
+from oracles import fit_binned, ols_grid_search, pearson_direct
 
 
 def table_from(pairs, tag="syn", total=None) -> AttractivenessTable:
@@ -62,7 +64,7 @@ def test_share_normalization_example():
     events = [ev(user=f"x{i}", lat=0.5, lon=0.5) for i in range(10)]
     events += [ev(user=f"y{i}", lat=0.5, lon=2.5) for i in range(30)]
     origins = {e.user_id: "FR" for e in events}
-    table = compute_attractiveness(assign_events(events, layer), origins, "ES", layer, events)
+    table = compute_attractiveness(counts_of(events, origins, layer))
     shares = {row.region_id: row.share for row in table.rows}
     assert shares == {"X": 0.25, "Y": 0.75}
     assert table.total_events == 40
@@ -72,7 +74,7 @@ def test_all_target_country_residents_is_empty_error():
     layer = layer_of(square_feature("X", 0, 0, 1, population=100))
     events = [ev(user="u1", lat=0.5, lon=0.5)]
     with pytest.raises(StatsError, match="empty table"):
-        compute_attractiveness(assign_events(events, layer), {"u1": "ES"}, "ES", layer, events)
+        compute_attractiveness(counts_of(events, {"u1": "ES"}, layer))
 
 
 def test_undetermined_and_unassigned_excluded():
@@ -83,7 +85,7 @@ def test_undetermined_and_unassigned_excluded():
         ev(user="f1", lat=9.0, lon=9.0),
     ]
     origins = {"f1": "FR", "und": "UNDETERMINED"}
-    table = compute_attractiveness(assign_events(events, layer), origins, "ES", layer, events)
+    table = compute_attractiveness(counts_of(events, origins, layer))
     assert table.total_events == 1
     assert table.rows[0].share == 1.0
 
@@ -94,7 +96,7 @@ def test_no_population_region_reported_not_normalized():
         square_feature("nopop", 0, 2, 1),
     )
     events = [ev(user="a", lat=0.5, lon=0.5), ev(user="a", lat=0.5, lon=2.5)]
-    table = compute_attractiveness(assign_events(events, layer), {"a": "FR"}, "ES", layer, events)
+    table = compute_attractiveness(counts_of(events, {"a": "FR"}, layer))
     assert [r.region_id for r in table.rows] == ["pop"]
     assert table.rows[0].share == 1.0
     assert table.excluded_events == 1
@@ -111,8 +113,8 @@ def test_shares_match_sequential_recount():
         uid = f"u{i % 200}"
         origins[uid] = ("FR", "ES", "UNDETERMINED")[i % 3]
         events.append(ev(user=uid, lat=rnd.uniform(0, 1), lon=rnd.uniform(-0.5, 9.5)))
-    assignment = assign_events(events, layer)
-    table = compute_attractiveness(assignment, origins, "ES", layer, events)
+    assignment = assign_events(table_of(events), layer)
+    table = compute_attractiveness(counts_of(events, origins, layer, region_ids=assignment.region_ids))
     counts = {f"r{i}": 0 for i in range(5)}
     kept = 0
     for e, rid in zip(events, assignment.region_ids):
@@ -124,6 +126,74 @@ def test_shares_match_sequential_recount():
     for row in table.rows:
         assert row.events == counts[row.region_id]
         assert row.share == counts[row.region_id] / kept
+
+
+def test_assignment_against_other_layer_counts_as_excluded():
+    layer = layer_of(square_feature("X", 0, 0, 1, population=100))
+    events = [ev(user="a"), ev(user="a"), ev(user="a")]
+    counts = counts_of(events, {"a": "FR"}, layer, region_ids=["X", "elsewhere", None])
+    table = compute_attractiveness(counts)
+    assert table.total_events == 1 and table.excluded_events == 1
+
+
+def test_origins_must_cover_every_event_owner():
+    layer = layer_of(square_feature("X", 0, 0, 1, population=100))
+    events = [ev(user="a"), ev(user="c"), ev(user="b")]
+    with pytest.raises(StatsError, match="user 'c' missing from origins"):
+        counts_of(events, {"a": "FR", "b": "FR"}, layer)
+    # origins of more users than the events have are fine
+    table = compute_attractiveness(counts_of(events, {"a": "FR", "b": "ES", "c": "FR", "d": "FR"}, layer))
+    assert table.total_events == 2
+
+
+def test_assignment_length_must_match_events():
+    layer = layer_of(square_feature("X", 0, 0, 1, population=100))
+    with pytest.raises(StatsError, match="2 assignments for 1 events"):
+        counts_of([ev(user="a")], {"a": "FR"}, layer, region_ids=["X", "X"])
+
+
+COUNT_EVENTS = st.lists(
+    st.tuples(
+        st.sampled_from(["f1", "f2", "d1", "und", "f\x00"]),
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([0.5, 2.5, 4.5, 6.5, 9.0]),  # lon: A, B, C, no-population D, outside
+    ),
+    max_size=80,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(COUNT_EVENTS)
+def test_count_matrix_matches_event_filter_reference(raw):
+    layer = layer_of(
+        square_feature("A", 0, 0, 1, population=10_000),
+        square_feature("B", 0, 2, 1, population=100_000),
+        square_feature("C", 0, 4, 1, population=1_000_000),
+        square_feature("D", 0, 6, 1),
+    )
+    origins = {"f1": "FR", "f2": "DE", "d1": "ES", "und": "UNDETERMINED", "f\x00": "GB"}
+    events = [ev(user=u, ts=f"2012-{m:02d}-15T12:00:00Z", lat=0.5, lon=lon) for u, m, lon in raw]
+    region_ids = assign_events(table_of(events), layer).region_ids
+    counts = counts_of(events, origins, layer, region_ids=region_ids, dataset_tag="d")
+
+    def outcome(make):
+        try:
+            return make()
+        except StatsError as exc:
+            return str(exc)
+
+    assert outcome(lambda: compute_attractiveness(counts)) == outcome(
+        lambda: oracles.compute_attractiveness(region_ids, origins, "ES", layer, events, "d")
+    )
+    reference = oracles.window_tables(region_ids, origins, "ES", layer, events, "d")
+    for m, want in reference.items():
+        assert outcome(lambda: compute_attractiveness(counts, window_months(m))) == want
+    windows = outcome(lambda: window_exponents(counts))
+    if not isinstance(windows, str):
+        for w in windows.windows:
+            want = reference[w.center_month]
+            fit = want if isinstance(want, str) else outcome(lambda: fit_power_law(want))
+            assert (w.fit if w.fit is not None else w.error) == fit
 
 
 # --- fitting -----------------------------------------------------------------

@@ -19,6 +19,8 @@ from cityattract.synthetic import (
     weight_matrix,
 )
 
+from conftest import table_of
+
 
 def base_spec(**overrides):
     kwargs = dict(
@@ -128,7 +130,7 @@ def test_event_counts_match_truth_exactly():
     bundle = generate_events(spec)
     truth = bundle.truth
     assignment = assign_events(
-        [e for e in bundle.events if not e.user_id.startswith("d")], bundle.city_layer
+        table_of(e for e in bundle.events if not e.user_id.startswith("d")), bundle.city_layer
     )
     foreign_city = {
         rid: count

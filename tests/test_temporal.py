@@ -14,7 +14,11 @@ from cityattract.temporal import (
     windows_to_json,
 )
 
-from conftest import ev, layer_of, square_feature
+from conftest import counts_of, ev, layer_of, square_feature
+
+
+def windows_of(events, origins, layer, target_country):
+    return window_exponents(counts_of(events, origins, layer, target_country))
 
 
 def flat_bundle(total=36_000, n_regions=12, seed=404):
@@ -71,7 +75,7 @@ def test_single_month_events_fit_three_windows():
                 ev(user=f"u{i}_{j}", ts="2012-06-15T12:00:00Z", lat=0.5, lon=lon)
             )
     origins = {e.user_id: "FR" for e in events}
-    result = window_exponents(events, origins, layer, "ES")
+    result = windows_of(events, origins, layer, "ES")
     fitted = [w.center_month for w in result.windows if w.fit is not None]
     assert fitted == [5, 6, 7]  # June sits in windows centered 5, 6, 7
     assert result.insufficient == 9
@@ -84,7 +88,7 @@ def test_single_month_events_fit_three_windows():
 
 def test_flat_generation_normalizes_to_one():
     bundle = flat_bundle()
-    result = window_exponents(
+    result = windows_of(
         bundle.events, foreign_origins(bundle), bundle.city_layer, "ES"
     )
     assert result.insufficient == 0
@@ -96,7 +100,7 @@ def test_flat_generation_normalizes_to_one():
 
 def test_normalized_mean_is_one():
     bundle = flat_bundle(total=9_000, n_regions=6, seed=77)
-    result = window_exponents(
+    result = windows_of(
         bundle.events, foreign_origins(bundle), bundle.city_layer, "ES"
     )
     included = [result.normalized[w.center_month] for w in result.windows if w.fit is not None]
@@ -119,7 +123,7 @@ def test_seasonal_dip_lands_on_summer():
         60_000,
     )
     bundle = generate_events(spec)
-    result = window_exponents(
+    result = windows_of(
         bundle.events, foreign_origins(bundle), bundle.city_layer, "ES"
     )
     lowest = min(result.normalized, key=result.normalized.get)
@@ -132,10 +136,10 @@ def test_seasonal_dip_lands_on_summer():
 def test_reorder_invariance():
     bundle = flat_bundle(total=6_000, n_regions=6, seed=19)
     origins = foreign_origins(bundle)
-    base = window_exponents(bundle.events, origins, bundle.city_layer, "ES")
+    base = windows_of(bundle.events, origins, bundle.city_layer, "ES")
     shuffled = list(bundle.events)
     random.Random(1).shuffle(shuffled)
-    again = window_exponents(shuffled, origins, bundle.city_layer, "ES")
+    again = windows_of(shuffled, origins, bundle.city_layer, "ES")
     for w0, w1 in zip(base.windows, again.windows):
         if w0.fit is None:
             assert w1.fit is None
@@ -148,14 +152,14 @@ def test_no_fittable_window_raises():
     layer = layer_of(square_feature("a", 0, 0, 1, population=10_000))
     events = [ev(user="u1", lat=0.5, lon=0.5)]
     with pytest.raises(StatsError):
-        window_exponents(events, {"u1": "FR"}, layer, "ES")
+        windows_of(events, {"u1": "FR"}, layer, "ES")
 
 
 # --- serialization -------------------------------------------------------------
 
 def test_windows_csv_shape():
     bundle = flat_bundle(total=6_000, n_regions=6, seed=23)
-    result = window_exponents(
+    result = windows_of(
         bundle.events, foreign_origins(bundle), bundle.city_layer, "ES"
     )
     lines = windows_to_csv(result).splitlines()
@@ -174,7 +178,7 @@ def test_windows_csv_blank_markers():
     for i, lon in enumerate([0.5, 2.5, 4.5]):
         for j in range(6 * (i + 1)):
             events.append(ev(user=f"u{i}_{j}", ts="2012-01-10T00:00:00Z", lat=0.5, lon=lon))
-    result = window_exponents(events, {e.user_id: "FR" for e in events}, layer, "ES")
+    result = windows_of(events, {e.user_id: "FR" for e in events}, layer, "ES")
     lines = windows_to_csv(result).splitlines()
     march = lines[3]
     assert march.split(",")[1] == ""  # no fit for a window without events
@@ -182,7 +186,7 @@ def test_windows_csv_blank_markers():
 
 def test_windows_json_summary():
     bundle = flat_bundle(total=6_000, n_regions=6, seed=29)
-    result = window_exponents(
+    result = windows_of(
         bundle.events, foreign_origins(bundle), bundle.city_layer, "ES"
     )
     doc = windows_to_json(result)
