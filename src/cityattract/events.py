@@ -34,7 +34,6 @@ from .output import dumps_stable
 CANONICAL_COLUMNS = ("user_id", "timestamp", "lat", "lon", "origin_country", "dataset_tag")
 
 CHUNK_ROWS = 1 << 13  # input rows validated together; bounds the per-chunk memory
-READ_CHARS = 1 << 20  # characters read from the source at a time
 
 CODE = np.int32  # dtype of the string-field codes
 
@@ -256,11 +255,8 @@ def _stamp_column(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """
     n = len(values)
     seconds = np.zeros(n, dtype=np.int64)
-    fixed = np.fromiter(map(len, values), np.intp, n) == _STAMP_WIDTH
-    text = "".join(values) if fixed.all() else "".join(compress(values, fixed.tolist()))
-    if not text.isascii():
-        fixed &= np.fromiter(map(str.isascii, values), bool, n)
-        text = "".join(compress(values, fixed.tolist()))
+    fixed = (np.fromiter(map(len, values), np.intp, n) == _STAMP_WIDTH) & np.fromiter(map(str.isascii, values), bool, n)
+    text = "".join(compress(values, fixed.tolist()))
     raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _STAMP_WIDTH)
     digits = raw[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
     d = [digits[:, k] * 10 + digits[:, k + 1] for k in range(0, 14, 2)]
@@ -345,12 +341,6 @@ def _valid_origin(origin) -> bool:
 def _text_ok(values: list) -> np.ndarray:
     """Mask of the values that are non-empty strings."""
     n = len(values)
-    try:
-        "".join(values)  # the quickest check that every value is a str
-        if "" not in values:
-            return np.ones(n, dtype=bool)
-    except TypeError:
-        pass
     return np.fromiter(map(isinstance, values, repeat(str)), bool, n) & np.fromiter(map(bool, values), bool, n)
 
 
@@ -383,8 +373,6 @@ def _origin_column(values: list) -> tuple[list, np.ndarray]:
     that are empty or a valid country code."""
     if not set(map(type, values)) <= {str, type(None)}:
         values = [v if type(v) is str or v is None else "?" for v in values]
-    if values.count(values[0]) == len(values):  # one value, typically none declared
-        return [values[0] or None] * len(values), np.full(len(values), not values[0] or _valid_origin(values[0]))
     valid = {v: not v or _valid_origin(v) for v in dict.fromkeys(values)}
     ok = np.fromiter(map(valid.__getitem__, values), bool, len(values))
     if "" in valid:
@@ -394,17 +382,16 @@ def _origin_column(values: list) -> tuple[list, np.ndarray]:
 
 class _TableAccumulator:
     """Accumulates validated chunks.  String fields get provisional codes,
-    increasing but with gaps, re-coded to sorted order at the end."""
+    one per distinct value, re-coded to sorted order at the end."""
 
     def __init__(self) -> None:
         self.codes: tuple[dict, dict, dict] = ({}, {None: -1}, {})  # user, origin, tag
-        self.counter = count()
         self.parts: list[tuple[np.ndarray, ...]] = []
 
-    def _encode(self, values: list, codes: dict) -> np.ndarray:
-        if values and values.count(values[0]) == len(values):  # one value, as a tag column has
-            return np.full(len(values), codes.setdefault(values[0], next(self.counter)), dtype=CODE)
-        return np.fromiter(map(codes.setdefault, values, self.counter), CODE, len(values))
+    @staticmethod
+    def _encode(values: list, codes: dict) -> np.ndarray:
+        codes.update(zip(set(values).difference(codes), count(len(codes))))
+        return np.fromiter(map(codes.__getitem__, values), CODE, len(values))
 
     def append(self, users, seconds, lat, lon, origins, tags) -> None:
         user_codes, origin_codes, tag_codes = self.codes
@@ -446,18 +433,30 @@ def _sorted_codes(codes: dict, provisional: np.ndarray) -> tuple[tuple[str, ...]
 # parsing
 
 def _text_lines(source) -> Iterator[str]:
-    """The source's lines, read about READ_CHARS characters at a time."""
     if isinstance(source, (str, Path)):
         with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield from chain.from_iterable(iter(lambda: fh.readlines(READ_CHARS), []))
+            yield from fh
         return
     if not isinstance(source, io.TextIOBase):  # byte stream
         source = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    yield from chain.from_iterable(iter(lambda: source.readlines(READ_CHARS), []))
+    yield from source
 
 
-def _line_chunks(lines: Iterator[str]) -> Iterator[list[str]]:
-    return iter(lambda: list(islice(lines, CHUNK_ROWS)), [])
+def _read_chunk(items: Iterator, errors: type[Exception] | tuple[type[Exception], ...]) -> tuple[list, Exception | None]:
+    """Up to CHUNK_ROWS items, and the error of ``errors`` that cut the
+    chunk short, if any.  The caller settles the items read before raising
+    it, so a bad row still fails before an error later in the input."""
+    chunk: list = []
+    try:
+        chunk.extend(islice(items, CHUNK_ROWS))
+    except errors as exc:
+        return chunk, exc
+    return chunk, None
+
+
+def _raise_after(items: list, error: Exception) -> Iterator:
+    yield from items
+    raise error
 
 
 # A chunk is (line numbers, the six raw field columns in CANONICAL_COLUMNS
@@ -539,16 +538,18 @@ def _validate_chunk(
 
 
 def _csv_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
-    """Chunks of a CSV stream, split like ``csv.reader`` splits it.
+    """Chunks of a CSV stream; line numbers count rows, as ``csv.reader``
+    yields them.
 
-    ``csv.reader`` reads the header, the first non-blank row.  Chunks free
-    of quotes, carriage returns, NULs and over-long lines are then split
-    on commas, where that is exactly what ``csv.reader`` does; from the
-    first chunk that has any of them on, ``csv.reader`` reads the rest.
-    Line numbers count rows, as ``csv.reader`` yields them.
+    While every line of a chunk holds as many commas as the header and
+    none holds a quote, a carriage return, a NUL or more characters than
+    csv's field size limit, the lines are split on commas, which is what
+    ``csv.reader`` does with them.  From the first other chunk on,
+    ``csv.reader`` reads the rest, so that a quoted field may span chunks.
     """
+    reader = csv.reader(lines)
     line_no = 0
-    for header in csv.reader(lines):
+    for header in reader:
         line_no += 1
         if header:
             break
@@ -560,48 +561,39 @@ def _csv_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
         raise IngestError(f"header is missing column(s): {', '.join(missing)}", line=line_no)
     columns = [names.index(c) for c in CANONICAL_COLUMNS]
     width = max(columns) + 1
-    for block in _line_chunks(lines):
-        text = "".join(block)
-        if '"' in text or "\r" in text or "\0" in text or max(map(len, block)) > csv.field_size_limit():
-            break
-        line_nos: Sequence[int] = range(line_no + 1, line_no + 1 + len(block))
-        line_no += len(block)
-        if "\n" in block:
-            nonblank = [k for k, line in enumerate(block) if line != "\n"]
-            block = [block[k] for k in nonblank]
-            line_nos = [line_nos[k] for k in nonblank]
-            if not block:
-                continue
-            text = "".join(block)
-        if set(map(str.count, block, repeat(","))) == {len(header) - 1}:
-            flat = text.replace("\n", ",").split(",")
-            if text.endswith("\n"):
-                flat.pop()
-            yield line_nos, [list(map(str.strip, flat[c :: len(header)])) for c in columns], {}
-        else:
-            yield (line_nos, *_row_fields([line.rstrip("\n").split(",") for line in block], columns, width))
-    else:
-        return
-    reader = csv.reader(chain(block, lines))
+    commas = len(header) - 1
     while True:
-        rows: list[list[str]] = []
-        error = None
-        try:
-            rows.extend(islice(reader, CHUNK_ROWS))
-        except csv.Error as exc:  # rows read before it are settled first: errors keep input order
-            error = exc
-        n_read = len(rows)
-        line_nos = range(line_no + 1, line_no + 1 + n_read)
-        line_no += n_read
-        if [] in rows:
-            nonblank = [k for k, row in enumerate(rows) if row]
-            rows = [rows[k] for k in nonblank]
-            line_nos = [line_nos[k] for k in nonblank]
-        if rows:
-            yield (line_nos, *_row_fields(rows, columns, width))
+        block, error = _read_chunk(lines, UnicodeDecodeError)
+        text = "".join(block)
+        if (
+            error is not None
+            or not block
+            or '"' in text or "\r" in text or "\0" in text
+            or max(map(len, block)) > csv.field_size_limit()
+            or set(map(str.count, block, repeat(","))) != {commas}
+        ):
+            break
+        fields = text.replace("\n", ",").split(",")[: len(block) * len(header)]
+        yield (
+            range(line_no + 1, line_no + 1 + len(block)),
+            [list(map(str.strip, fields[c :: len(header)])) for c in columns],
+            {},
+        )
+        line_no += len(block)
+    reader = csv.reader(chain(block, lines) if error is None else _raise_after(block, error))
+    while True:
+        rows, error = _read_chunk(reader, (csv.Error, UnicodeDecodeError))
+        line_nos: Sequence[int] = range(line_no + 1, line_no + 1 + len(rows))
+        line_no += len(rows)
+        nonblank = [k for k, row in enumerate(rows) if row]
+        if nonblank:
+            yield (
+                [line_nos[k] for k in nonblank],
+                *_row_fields([rows[k] for k in nonblank], columns, width),
+            )
         if error is not None:
             raise error
-        if n_read < CHUNK_ROWS:
+        if len(rows) < CHUNK_ROWS:
             return
 
 
@@ -629,7 +621,8 @@ _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 def _jsonl_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
     line_no = 0
-    for block in _line_chunks(lines):
+    while True:
+        block, error = _read_chunk(lines, UnicodeDecodeError)
         line_nos: list[int] = []
         objects: list[dict] = []
         rejected: dict[int, str] = {}
@@ -649,6 +642,10 @@ def _jsonl_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
             objects.append(obj)
         if objects:
             yield line_nos, [list(map(dict.get, objects, repeat(c))) for c in CANONICAL_COLUMNS], rejected
+        if error is not None:
+            raise error
+        if len(block) < CHUNK_ROWS:
+            return
 
 
 # ---------------------------------------------------------------------------

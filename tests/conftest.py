@@ -67,11 +67,11 @@ def counts_of(events, origins: dict, layer, target_country="ES", region_ids=None
 
 def home_of(per_country: dict, min_events: int = 1) -> HomeRecord:
     """Home of user "u" whose events in each country number ``count`` and
-    span ``days``: the first at T0, the last ``days`` later.  One more event
-    of "u" resolves to no country."""
+    span ``seconds``: the first at T0, the last ``seconds`` later.  One more
+    event of "u" resolves to no country."""
     events, countries = [EventRecord("u", T0, 0.5, 0.5, None, "t")], [None]
-    for country, (count, days) in per_country.items():
-        stamps = [T0] + [T0 + timedelta(days=days)] * (count - 1)
+    for country, (count, seconds) in per_country.items():
+        stamps = [T0] + [T0 + timedelta(seconds=seconds)] * (count - 1)
         events += [EventRecord("u", t, 0.5, 0.5, None, "t") for t in stamps]
         countries += [country] * count
     stats, _ = accumulate_stats_seq(table_of(events), assignment_of(countries))

@@ -74,6 +74,31 @@ def test_strict_mode_raises_with_line_number():
     assert "line 3" in str(exc.value)
 
 
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+@pytest.mark.parametrize("from_path", [True, False])
+def test_bad_row_fails_before_later_undecodable_bytes(tmp_path, format, from_path):
+    good = {"user_id": "u1", "timestamp": "2012-06-01T12:00:00Z", "lat": 40.4, "lon": -3.7, "dataset_tag": "t"}
+    bad = dict(good, lat=200.0)
+    if format == "csv":
+        rows = [HEADER] + [f"u1,2012-06-01T12:00:00Z,{r['lat']},-3.7,,t" for r in (good, bad)]
+    else:
+        rows = [json.dumps(good), json.dumps(bad)]
+    # the undecodable bytes lie well past the first read of the text decoder
+    data = ("\n".join(rows + rows[-2:-1] * 500) + "\n").encode() + b"\xff\xfe\n"
+    path = tmp_path / "events"
+    path.write_bytes(data)
+    bad_line = 3 if format == "csv" else 2
+
+    def parse(strict):
+        return parse_events(path if from_path else io.BytesIO(data), format=format, strict=strict)
+
+    with pytest.raises(IngestError) as exc:
+        parse(strict=True)
+    assert exc.value.line == bad_line and exc.value.reason == "lat out of range"
+    with pytest.raises(UnicodeDecodeError):
+        parse(strict=False)
+
+
 @pytest.mark.parametrize(
     "row,reason",
     [

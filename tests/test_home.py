@@ -75,7 +75,7 @@ def test_tally_permutation_invariance():
 # --- selection ---------------------------------------------------------------
 
 def test_count_dominates():
-    rec = home_of({"ES": (10, 5), "FR": (3, 300)})
+    rec = home_of({"ES": (10, 5 * 86400), "FR": (3, 300 * 86400)})
     assert rec.country == "ES"
     assert rec.event_count == 10
     assert rec.timespan_seconds == 5 * 86400
@@ -109,15 +109,15 @@ def test_no_located_events_is_undetermined():
 @given(
     st.dictionaries(
         st.sampled_from(["AT", "BE", "DE", "ES", "FR", "IT"]),
-        st.tuples(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=10)),
+        st.tuples(st.integers(min_value=1, max_value=50), st.integers(min_value=0, max_value=10**6)),
         min_size=1,
         max_size=6,
     )
 )
 def test_adding_event_to_winner_is_monotone(raw):
     winner = home_of(raw).country
-    count, days = raw[winner]
-    raw[winner] = (count + 1, days)
+    count, seconds = raw[winner]
+    raw[winner] = (count + 1, seconds)
     assert home_of(raw).country == winner
 
 
