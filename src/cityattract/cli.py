@@ -12,40 +12,18 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import __version__
-from .events import EventTable, IngestError, parse_events, write_events_csv
-from .geo import (
-    LayerError,
-    assign_events,
-    load_layer,
-    write_assignments_csv,
-    write_layer_geojson,
-)
-from .home import accumulate_stats_seq, homes_to_csv, infer_all, origin_map
+from . import __version__, pipeline
+from .events import EventTable, write_events_csv
+from .geo import assign_events, write_assignments_csv, write_layer_geojson
 from .output import dumps_stable, write_text
-from .pipeline import PipelineError, correlations_csv, load_config, run_pipeline, slug
-from .scaling import (
-    StatsError,
-    binned_to_csv,
-    compute_attractiveness,
-    fit_power_law,
-    fit_to_json,
-    foreign_counts,
-    log_bin,
-    read_residuals_csv,
-    read_table_csv,
-    residuals,
-    residuals_to_csv,
-    scatter_to_csv,
-    table_to_csv,
-)
+from .pipeline import PipelineError
+from .scaling import table_to_csv
 from .synthetic import (
     SyntheticSpec,
     events_per_unit_for_total,
     generate_events,
     generate_table,
 )
-from .temporal import window_exponents, windows_to_csv, windows_to_json
 
 
 def _out_dir(args) -> Path:
@@ -54,74 +32,50 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _read_events(path: str, format: str, strict: bool):
-    if not Path(path).is_file():
-        raise PipelineError("input-error", f"missing input file: {path}")
-    try:
-        events, report = parse_events(path, format=format, strict=strict)
-    except IngestError as exc:
-        raise PipelineError("ingest", str(exc)) from exc
-    if not events:
-        raise PipelineError("ingest", f"no events accepted from {path}")
-    return events, report
-
-
-def _load_layer(path: str):
-    if not Path(path).is_file():
-        raise PipelineError("input-error", f"missing layer file: {path}")
-    try:
-        return load_layer(path)
-    except (LayerError, ValueError) as exc:
-        raise PipelineError("input-error", f"cannot load layer {path}: {exc}") from exc
-
-
-def _origins_for(events, country_layer, min_events: int, threads: int):
-    country_assign = assign_events(events, country_layer, threads=threads)
-    stats, _ = accumulate_stats_seq(events, country_assign)
-    homes = infer_all(stats, min_events=min_events)
-    return origin_map(events, homes), homes
+def _inputs(args, *layer_paths: str):
+    """Check that the events and layers exist, load the layers, then read
+    the events."""
+    pipeline.require_files([args.events, *layer_paths])
+    layers = [pipeline.read_layer(p) for p in layer_paths]
+    events, _ = pipeline.read_events(args.events, args.format, args.tag, args.strict)
+    return events, layers
 
 
 def _foreign_counts(args):
     """Read the events and count foreign visitors per region and month."""
-    events, _ = _read_events(args.events, args.format, args.strict)
-    layer = _load_layer(args.layer)
-    country_layer = _load_layer(args.countries)
-    origins, _ = _origins_for(events, country_layer, args.min_events, args.threads)
-    assignment = assign_events(events, layer, threads=args.threads)
-    return foreign_counts(events, assignment, origins, layer, args.target, dataset_tag=args.tag)
+    events, (layer, country_layer) = _inputs(args, args.layer, args.countries)
+    origins, _, _ = pipeline.resolve_origins(events, country_layer, args.min_events)
+    return pipeline.count_foreign(events, layer, origins, args.target, args.tag)
 
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_ingest(args) -> int:
-    events, report = _read_events(args.input, args.format, args.strict)
+    pipeline.require_files([args.input])
+    events, report = pipeline.read_events(args.input, args.format, args.tag, args.strict)
     out = _out_dir(args)
-    tag = slug(args.tag)
-    write_events_csv(events, out / f"events__{tag}.csv")
-    write_text(out / f"ingest__{tag}.json", report.to_json())
-    print(f"accepted {report.accepted}, rejected {report.rejected} -> {out / f'events__{tag}.csv'}")
+    path = out / pipeline.output_name("events", args.tag)
+    write_events_csv(events, path)
+    pipeline.write_ingest_report(out, args.tag, report)
+    print(f"accepted {report.accepted}, rejected {report.rejected} -> {path}")
     return 0
 
 
 def _cmd_infer_home(args) -> int:
-    events, _ = _read_events(args.events, args.format, args.strict)
-    country_layer = _load_layer(args.countries)
-    _, homes = _origins_for(events, country_layer, args.min_events, args.threads)
+    events, (country_layer,) = _inputs(args, args.countries)
+    _, homes, _ = pipeline.resolve_origins(events, country_layer, args.min_events)
     out = _out_dir(args)
-    path = out / f"homes__{slug(args.tag)}.csv"
-    write_text(path, homes_to_csv(homes))
-    print(f"inferred homes for {len(homes)} users -> {path}")
+    pipeline.write_homes(out, args.tag, homes)
+    print(f"inferred homes for {len(homes)} users -> {out / pipeline.output_name('homes', args.tag)}")
     return 0
 
 
 def _cmd_assign(args) -> int:
-    events, _ = _read_events(args.events, args.format, args.strict)
-    layer = _load_layer(args.layer)
-    assignment = assign_events(events, layer, threads=args.threads)
+    events, (layer,) = _inputs(args, args.layer)
+    assignment = assign_events(events, layer)
     out = _out_dir(args)
-    path = out / f"assign__{slug(args.tag)}__{slug(layer.label)}.csv"
+    path = out / pipeline.output_name("assign", args.tag, layer.label)
     write_assignments_csv(assignment, path)
     print(
         f"assigned {len(events) - assignment.unassigned}/{len(events)} events "
@@ -131,81 +85,48 @@ def _cmd_assign(args) -> int:
 
 
 def _cmd_attractiveness(args) -> int:
-    try:
-        counts = _foreign_counts(args)
-        table = compute_attractiveness(counts)
-    except StatsError as exc:
-        raise PipelineError("attractiveness", str(exc)) from exc
+    counts = _foreign_counts(args)
     out = _out_dir(args)
-    path = out / f"attractiveness__{slug(args.tag)}__{slug(counts.layer.label)}.csv"
-    write_text(path, table_to_csv(table))
+    table = pipeline.write_attractiveness(out, counts)
+    path = out / pipeline.output_name("attractiveness", table.dataset_tag, table.layer)
     print(f"{table.total_events} foreign events over {len(table.rows)} regions -> {path}")
     return 0
 
 
-def _read_table(args):
-    if not Path(args.table).is_file():
-        raise PipelineError("input-error", f"missing table file: {args.table}")
-    try:
-        return read_table_csv(args.table, dataset_tag=args.dataset, layer=args.layer)
-    except (StatsError, ValueError) as exc:
-        raise PipelineError("input-error", f"cannot read table {args.table}: {exc}") from exc
-
-
 def _cmd_fit(args) -> int:
-    table = _read_table(args)
-    try:
-        fit = fit_power_law(table)
-    except StatsError as exc:
-        raise PipelineError("fit", str(exc)) from exc
+    table = pipeline.read_table(args.table, args.dataset, args.layer)
     out = _out_dir(args)
-    path = out / f"fit__{slug(args.dataset)}__{slug(args.layer)}.json"
-    write_text(path, dumps_stable(fit_to_json(fit, args.dataset, args.layer)))
+    fit = pipeline.write_fit(out, table)
+    path = out / pipeline.output_name("fit", args.dataset, args.layer, "json")
     print(f"b = {fit.b:.6g} (r2 = {fit.r2:.6g}, n = {fit.n}) -> {path}")
     return 0
 
 
 def _cmd_bin(args) -> int:
-    table = _read_table(args)
-    try:
-        trend = log_bin(table, k=args.k)
-    except StatsError as exc:
-        raise PipelineError("bin", str(exc)) from exc
+    table = pipeline.read_table(args.table, args.dataset, args.layer)
     out = _out_dir(args)
-    path = out / f"binned__{slug(args.dataset)}__{slug(args.layer)}.csv"
-    write_text(path, binned_to_csv(trend))
+    trend = pipeline.write_binned(out, table, args.k)
+    path = out / pipeline.output_name("binned", args.dataset, args.layer)
     print(f"{len(trend.bins)} non-empty of {trend.k} bins -> {path}")
     return 0
 
 
 def _cmd_residuals(args) -> int:
-    table = _read_table(args)
-    try:
-        fit = fit_power_law(table)
-    except StatsError as exc:
-        raise PipelineError("fit", str(exc)) from exc
-    scores = residuals(table, fit)
+    table = pipeline.read_table(args.table, args.dataset, args.layer)
+    fit = pipeline.fit_table(table)
     out = _out_dir(args)
-    base = f"{slug(args.dataset)}__{slug(args.layer)}"
-    write_text(out / f"residuals__{base}.csv", residuals_to_csv(scores))
-    write_text(out / f"scatter__{base}.csv", scatter_to_csv(table, fit))
-    print(f"{len(scores)} residuals -> {out / f'residuals__{base}.csv'}")
+    scores = pipeline.write_residuals(out, table, fit)
+    print(f"{len(scores)} residuals -> {out / pipeline.output_name('residuals', args.dataset, args.layer)}")
     return 0
 
 
 def _cmd_temporal(args) -> int:
-    try:
-        counts = _foreign_counts(args)
-        windows = window_exponents(counts)
-    except StatsError as exc:
-        raise PipelineError("temporal", str(exc)) from exc
+    counts = _foreign_counts(args)
     out = _out_dir(args)
-    base = f"{slug(args.tag)}__{slug(counts.layer.label)}"
-    write_text(out / f"temporal__{base}.csv", windows_to_csv(windows))
-    write_text(out / f"temporal__{base}.json", dumps_stable(windows_to_json(windows)))
+    windows = pipeline.write_temporal(out, counts)
     print(
         f"mean b = {windows.mean_b:.6g}, {windows.insufficient} insufficient windows "
-        f"-> {out / f'temporal__{base}.csv'}"
+        f"-> {out / pipeline.output_name('temporal', args.tag, windows.layer)}"
     )
     return 0
 
@@ -221,23 +142,11 @@ def _cmd_correlate(args) -> int:
         pairs[tag] = path
     if len(pairs) < 2:
         raise PipelineError("input-error", "need at least two --pair arguments")
-    scores = {}
-    for tag, path in pairs.items():
-        if not Path(path).is_file():
-            raise PipelineError("input-error", f"missing residuals file: {path}")
-        try:
-            scores[(tag, args.layer_label)] = read_residuals_csv(path)
-        except (StatsError, ValueError) as exc:
-            raise PipelineError("input-error", f"cannot read residuals {path}: {exc}") from exc
-    try:
-        text = correlations_csv(list(pairs), [args.layer_label], scores, strict=True)
-    except StatsError as exc:
-        raise PipelineError("correlate", str(exc)) from exc
+    scores = {(tag, args.layer_label): pipeline.read_residuals(path) for tag, path in pairs.items()}
     out = _out_dir(args)
-    path = out / "correlations.csv"
-    write_text(path, text)
+    pipeline.write_correlations(out, list(pairs), [args.layer_label], scores, strict=True)
     n = len(pairs)
-    print(f"{n * (n - 1) // 2} correlations -> {path}")
+    print(f"{n * (n - 1) // 2} correlations -> {out / 'correlations.csv'}")
     return 0
 
 
@@ -268,7 +177,7 @@ def _cmd_synth(args) -> int:
     except ValueError as exc:
         raise PipelineError("input-error", str(exc)) from exc
     out = _out_dir(args)
-    tag = slug(args.tag)
+    tag = pipeline.slug(args.tag)
     if args.table:
         table, truth = generate_table(spec, dataset_tag=args.tag)
         write_text(out / f"table__{tag}.csv", table_to_csv(table))
@@ -285,10 +194,9 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    if not Path(args.config).is_file():
-        raise PipelineError("input-error", f"missing config file: {args.config}")
-    config = load_config(args.config)
-    manifest = run_pipeline(config, threads=args.threads, strict=args.strict)
+    pipeline.require_files([args.config])
+    config = pipeline.load_config(args.config)
+    manifest = pipeline.run_pipeline(config, strict=args.strict)
     print(f"wrote {len(manifest['outputs']) + 1} files to {config.output_dir}")
     return 0
 
@@ -299,10 +207,6 @@ def _cmd_pipeline(args) -> int:
 def _add_event_opts(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="event file format")
     p.add_argument("--strict", action="store_true", help="fail on the first malformed record")
-
-
-def _add_threads(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--threads", type=int, default=1, help="worker threads (never changes results)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -327,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--min-events", type=int, default=1)
     _add_event_opts(p)
-    _add_threads(p)
     p.set_defaults(func=_cmd_infer_home)
 
     p = sub.add_parser("assign", help="assign events to regions of one layer")
@@ -336,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tag", required=True)
     p.add_argument("--out", required=True)
     _add_event_opts(p)
-    _add_threads(p)
     p.set_defaults(func=_cmd_assign)
 
     p = sub.add_parser("attractiveness", help="per-region foreign-visitor shares")
@@ -348,7 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="ES", help="target country code")
     p.add_argument("--min-events", type=int, default=1)
     _add_event_opts(p)
-    _add_threads(p)
     p.set_defaults(func=_cmd_attractiveness)
 
     p = sub.add_parser("fit", help="fit the power law on an attractiveness table")
@@ -356,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dataset", required=True)
     p.add_argument("--layer", required=True)
     p.add_argument("--out", required=True)
-    _add_threads(p)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("bin", help="log-bin an attractiveness table")
@@ -383,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", default="ES")
     p.add_argument("--min-events", type=int, default=1)
     _add_event_opts(p)
-    _add_threads(p)
     p.set_defaults(func=_cmd_temporal)
 
     p = sub.add_parser("correlate", help="correlate residual rankings across datasets")
@@ -415,7 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="run every stage from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--strict", action="store_true")
-    _add_threads(p)
     p.set_defaults(func=_cmd_pipeline)
 
     return parser

@@ -1,8 +1,11 @@
 """Region layers and point-in-polygon assignment.
 
-Geometry is planar even-odd ray casting on raw (lat, lon) degrees: the
-regions this package deals with are city-scale, where projection error is
-negligible and a flat-plane method stays easy to cross-check.
+Geometry is planar even-odd ray casting on raw (lat, lon) degrees, for
+city and country layers alike.  That is the GeoJSON reading of a polygon
+(RFC 7946 section 3.1.1: an edge is a straight line in the coordinate
+space), so no projection is involved at any scale.  Every coordinate
+must be finite, and a ring crossing the antimeridian must be split before
+loading (RFC 7946 section 3.1.9).
 
 Conventions, fixed for determinism:
   - a point exactly on any ring edge is inside;
@@ -18,7 +21,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Sequence
@@ -94,7 +97,13 @@ def _as_ring(coords, where: str) -> Ring:
         lon, lat = pt[0], pt[1]
         if isinstance(lon, bool) or isinstance(lat, bool) or not isinstance(lon, (int, float)) or not isinstance(lat, (int, float)):
             raise LayerError(f"{where}: non-numeric coordinate")
-        pts.append((float(lat), float(lon)))
+        try:
+            lat, lon = float(lat), float(lon)
+        except OverflowError:  # an integer too large for a float
+            lat = math.inf
+        if not (math.isfinite(lat) and math.isfinite(lon)):
+            raise LayerError(f"{where}: non-finite coordinate")
+        pts.append((lat, lon))
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()  # GeoJSON rings close on themselves; store open
     if len({p for p in pts}) < 3:
@@ -360,39 +369,22 @@ def region_contains_bulk(region: Region, plats: np.ndarray, plons: np.ndarray) -
 # ---------------------------------------------------------------------------
 # event assignment
 
-def _assign_chunk(
-    lats: np.ndarray, lons: np.ndarray, regions: Sequence[Region]
-) -> tuple[np.ndarray, np.ndarray]:
-    assigned = np.full(lats.shape[0], -1, dtype=np.int64)
-    multi = np.zeros(lats.shape[0], dtype=bool)
-    for ri, region in enumerate(regions):
-        hits = np.nonzero(region_contains_bulk(region, lats, lons))[0]
+def assign_events(events: EventTable, layer: RegionLayer) -> Assignment:
+    """Map each event to the first containing region in layer order.
+
+    Events contained by more than one region are assigned to the earliest
+    region and counted in ``overlap_events``.  The result is independent of
+    event order.
+    """
+    assigned = np.full(len(events), -1, dtype=np.int64)
+    multi = np.zeros(len(events), dtype=bool)
+    for ri, region in enumerate(layer.regions):
+        hits = np.nonzero(region_contains_bulk(region, events.lat, events.lon))[0]
         if hits.shape[0] == 0:
             continue
         already = assigned[hits] >= 0
         multi[hits[already]] = True
         assigned[hits[~already]] = ri
-    return assigned, multi
-
-
-def assign_events(events: EventTable, layer: RegionLayer, threads: int = 1) -> Assignment:
-    """Map each event to the first containing region in layer order.
-
-    Events contained by more than one region are assigned to the earliest
-    region and counted in ``overlap_events``.  The result is independent of
-    event order and of how the workload is sharded.
-    """
-    lats, lons = events.lat, events.lon
-    n = len(events)
-    if threads > 1 and n >= 4096:
-        bounds = np.linspace(0, n, threads + 1, dtype=int)
-        chunks = [(lats[a:b], lons[a:b]) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: _assign_chunk(c[0], c[1], layer.regions), chunks))
-        assigned = np.concatenate([p[0] for p in parts])
-        multi = np.concatenate([p[1] for p in parts])
-    else:
-        assigned, multi = _assign_chunk(lats, lons, layer.regions)
     return Assignment(
         index=assigned,
         regions=tuple(r.id for r in layer.regions),

@@ -6,11 +6,17 @@ attractiveness table, power-law fit, binned trend, residual ranking,
 scatter data, and seasonal window series, plus one residual correlation
 matrix across datasets and a manifest of input/output digests.
 
+Its stage functions, which the CLI subcommands call too, are the one
+place that decides stage tags and output file names: each writer computes
+and writes one output family, and a StatsError from a stage becomes a
+PipelineError carrying that stage's tag.
+
 All files are written into a temporary staging directory and moved into
-output_dir only when the whole run succeeds, so a failed run leaves no
-partial outputs behind.  Every file is deterministic: reruns with the
-same inputs are byte-identical, and wall-clock timestamps appear only in
-the manifest.
+output_dir only when the whole run succeeds.  Any old manifest is removed
+before the first file moves and the new one moves last, so a
+run_manifest.json in output_dir means every file it lists was published.
+Every file is deterministic: reruns with the same inputs are
+byte-identical, and wall-clock timestamps appear only in the manifest.
 """
 
 from __future__ import annotations
@@ -22,17 +28,22 @@ import os
 import re
 import shutil
 import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .events import IngestError, parse_events
-from .geo import LayerError, assign_events, load_layer
-from .home import accumulate_stats_seq, infer_all, origin_map, homes_to_csv
+from .events import EventTable, IngestError, IngestReport, parse_events
+from .geo import RegionLayer, assign_events, load_layer
+from .home import Homes, Origins, accumulate_stats_seq, infer_all, origin_map, homes_to_csv
 from .scaling import (
+    AttractivenessTable,
+    BinnedTrend,
+    ForeignCounts,
     ResidualScore,
+    ScalingFit,
     StatsError,
     binned_to_csv,
     compute_attractiveness,
@@ -41,13 +52,17 @@ from .scaling import (
     fit_to_json,
     foreign_counts,
     log_bin,
+    read_residuals_csv,
+    read_table_csv,
     residuals,
     residuals_to_csv,
     scatter_to_csv,
     table_to_csv,
 )
 from .output import dumps_stable, fmt_num, sha256_file, write_text
-from .temporal import window_exponents, windows_to_csv, windows_to_json
+from .temporal import WindowedExponents, window_exponents, windows_to_csv, windows_to_json
+
+MANIFEST = "run_manifest.json"
 
 VALID_FORMATS = ("csv", "jsonl")
 
@@ -143,28 +158,147 @@ def slug(s: str) -> str:
     return out or "x"
 
 
-def run_pipeline(config: PipelineConfig, threads: int = 1, strict: bool = False) -> dict:
+def output_name(stage: str, dataset: str, layer: str | None = None, ext: str = "csv") -> str:
+    """``stage__dataset.ext``, or ``stage__dataset__layer.ext`` for a layer output."""
+    parts = (stage, dataset) if layer is None else (stage, dataset, layer)
+    return "__".join(slug(p) for p in parts) + f".{ext}"
+
+
+@contextmanager
+def _stage(tag: str, dataset: str, layer: str):
+    """Re-raise a StatsError from the block as a PipelineError tagged ``tag``,
+    prefixed with the dataset and layer it concerns."""
+    try:
+        yield
+    except StatsError as exc:
+        raise PipelineError(tag, f"{slug(dataset)}__{slug(layer)}: {exc}") from exc
+
+
+def require_files(paths: Iterable[str]) -> None:
+    missing = [p for p in paths if not Path(p).is_file()]
+    if missing:
+        raise PipelineError("input-error", f"missing input files: {', '.join(missing)}")
+
+
+def read_layer(path: str) -> RegionLayer:
+    try:
+        return load_layer(path)
+    except (ValueError, OSError) as exc:  # LayerError, bad JSON or bad UTF-8
+        raise PipelineError("input-error", f"cannot load layer {path}: {exc}") from exc
+
+
+def read_events(
+    path: str, format: str, dataset_tag: str, strict: bool = False
+) -> tuple[EventTable, IngestReport]:
+    try:
+        events, report = parse_events(path, format=format, strict=strict)
+    except IngestError as exc:
+        raise PipelineError("ingest", f"{dataset_tag}: {exc}") from exc
+    if not events:
+        raise PipelineError("ingest", f"{dataset_tag}: no events accepted")
+    return events, report
+
+
+def read_table(path: str, dataset: str, layer: str) -> AttractivenessTable:
+    require_files([path])
+    try:
+        return read_table_csv(path, dataset_tag=dataset, layer=layer)
+    except ValueError as exc:  # StatsError on a bad header
+        raise PipelineError("input-error", f"cannot read table {path}: {exc}") from exc
+
+
+def read_residuals(path: str) -> list[ResidualScore]:
+    require_files([path])
+    try:
+        return read_residuals_csv(path)
+    except ValueError as exc:  # StatsError on a bad header
+        raise PipelineError("input-error", f"cannot read residuals {path}: {exc}") from exc
+
+
+def resolve_origins(
+    events: EventTable, country_layer: RegionLayer, min_events: int
+) -> tuple[Origins, Homes, int]:
+    """Country assignment, then the per-user tally, homes and origins;
+    also returns the number of events outside every country."""
+    stats, unresolved = accumulate_stats_seq(events, assign_events(events, country_layer))
+    homes = infer_all(stats, min_events=min_events)
+    return origin_map(events, homes), homes, unresolved
+
+
+def count_foreign(
+    events: EventTable, layer: RegionLayer, origins: Origins, target_country: str, dataset_tag: str
+) -> ForeignCounts:
+    """Assign the events to ``layer`` and count foreign visitors per region and month."""
+    assignment = assign_events(events, layer)
+    return foreign_counts(events, assignment, origins, layer, target_country, dataset_tag=dataset_tag)
+
+
+def fit_table(table: AttractivenessTable) -> ScalingFit:
+    with _stage("fit", table.dataset_tag, table.layer):
+        return fit_power_law(table)
+
+
+def write_ingest_report(out: Path, dataset_tag: str, report: IngestReport) -> None:
+    write_text(out / output_name("ingest", dataset_tag, ext="json"), report.to_json())
+
+
+def write_homes(out: Path, dataset_tag: str, homes: Homes) -> None:
+    write_text(out / output_name("homes", dataset_tag), homes_to_csv(homes))
+
+
+def write_attractiveness(out: Path, counts: ForeignCounts) -> AttractivenessTable:
+    with _stage("attractiveness", counts.dataset_tag, counts.layer.label):
+        table = compute_attractiveness(counts)
+    write_text(out / output_name("attractiveness", table.dataset_tag, table.layer), table_to_csv(table))
+    return table
+
+
+def write_fit(out: Path, table: AttractivenessTable) -> ScalingFit:
+    fit = fit_table(table)
+    write_text(
+        out / output_name("fit", table.dataset_tag, table.layer, "json"),
+        dumps_stable(fit_to_json(fit, table.dataset_tag, table.layer)),
+    )
+    return fit
+
+
+def write_binned(out: Path, table: AttractivenessTable, k: int) -> BinnedTrend:
+    with _stage("bin", table.dataset_tag, table.layer):
+        trend = log_bin(table, k=k)
+    write_text(out / output_name("binned", table.dataset_tag, table.layer), binned_to_csv(trend))
+    return trend
+
+
+def write_residuals(out: Path, table: AttractivenessTable, fit: ScalingFit) -> list[ResidualScore]:
+    """The residual ranking plus the scatter data behind it."""
+    scores = residuals(table, fit)
+    write_text(out / output_name("residuals", table.dataset_tag, table.layer), residuals_to_csv(scores))
+    write_text(out / output_name("scatter", table.dataset_tag, table.layer), scatter_to_csv(table, fit))
+    return scores
+
+
+def write_temporal(out: Path, counts: ForeignCounts) -> WindowedExponents:
+    with _stage("temporal", counts.dataset_tag, counts.layer.label):
+        windows = window_exponents(counts)
+    write_text(out / output_name("temporal", windows.dataset_tag, windows.layer), windows_to_csv(windows))
+    write_text(
+        out / output_name("temporal", windows.dataset_tag, windows.layer, "json"),
+        dumps_stable(windows_to_json(windows)),
+    )
+    return windows
+
+
+def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
     """Execute the full analysis; returns the manifest dict.
 
     Raises PipelineError with a stage tag on any failure; in that case no
     files are added to output_dir.
     """
     started = datetime.now(timezone.utc)
-    missing = [
-        p
-        for p in [s.path for s in config.event_sources]
-        + [config.country_layer_path]
-        + list(config.city_layer_paths)
-        if not Path(p).is_file()
-    ]
-    if missing:
-        raise PipelineError("input-error", f"missing input files: {', '.join(missing)}")
-
-    try:
-        country_layer = load_layer(config.country_layer_path)
-        city_layers = [load_layer(p) for p in config.city_layer_paths]
-    except (LayerError, OSError, json.JSONDecodeError) as exc:
-        raise PipelineError("input-error", f"cannot load layer: {exc}") from exc
+    paths = [s.path for s in config.event_sources] + [config.country_layer_path, *config.city_layer_paths]
+    require_files(paths)
+    country_layer = read_layer(config.country_layer_path)
+    city_layers = [read_layer(p) for p in config.city_layer_paths]
     labels = [layer.label for layer in city_layers]
     if len(set(slug(l) for l in labels)) != len(labels):
         raise PipelineError("input-error", f"city layer labels must be distinct, got {labels}")
@@ -172,95 +306,37 @@ def run_pipeline(config: PipelineConfig, threads: int = 1, strict: bool = False)
     out_dir = Path(config.output_dir)
     out_dir.parent.mkdir(parents=True, exist_ok=True)
     tmp = Path(tempfile.mkdtemp(prefix=".stage-", dir=out_dir.parent))
-    inputs = {
-        p: sha256_file(p)
-        for p in sorted(
-            {s.path for s in config.event_sources}
-            | {config.country_layer_path}
-            | set(config.city_layer_paths)
-        )
-    }
+    inputs = {p: sha256_file(p) for p in sorted(set(paths))}
     try:
         residual_lists: dict[tuple[str, str], list] = {}  # (tag, layer label) -> scores
         dataset_summaries: dict[str, dict] = {}
         for source in config.event_sources:
-            tag = slug(source.dataset_tag)
-            try:
-                events, report = parse_events(source.path, format=source.format, strict=strict)
-            except IngestError as exc:
-                raise PipelineError("ingest", f"{source.dataset_tag}: {exc}") from exc
-            if not events:
-                raise PipelineError("ingest", f"{source.dataset_tag}: no events accepted")
-            write_text(tmp / f"ingest__{tag}.json", report.to_json())
-
-            country_assign = assign_events(events, country_layer, threads=threads)
-            stats, unresolved = accumulate_stats_seq(events, country_assign)
-            homes = infer_all(stats, min_events=config.min_events)
-            write_text(tmp / f"homes__{tag}.csv", homes_to_csv(homes))
-            origins = origin_map(events, homes)
-            dataset_summaries[source.dataset_tag] = {
+            tag = source.dataset_tag
+            events, report = read_events(source.path, source.format, tag, strict)
+            write_ingest_report(tmp, tag, report)
+            origins, homes, unresolved = resolve_origins(events, country_layer, config.min_events)
+            write_homes(tmp, tag, homes)
+            dataset_summaries[tag] = {
                 "events": len(events),
                 "rejected": report.rejected,
                 "users": len(homes),
                 "events_outside_countries": unresolved,
             }
-
             for layer in city_layers:
-                lbl = slug(layer.label)
-                suffix = f"{tag}__{lbl}"
-                assignment = assign_events(events, layer, threads=threads)
-                try:
-                    counts = foreign_counts(
-                        events,
-                        assignment,
-                        origins,
-                        layer,
-                        config.target_country,
-                        dataset_tag=source.dataset_tag,
-                    )
-                    table = compute_attractiveness(counts)
-                except StatsError as exc:
-                    raise PipelineError("attractiveness", f"{suffix}: {exc}") from exc
-                write_text(tmp / f"attractiveness__{suffix}.csv", table_to_csv(table))
-                try:
-                    fit = fit_power_law(table)
-                except StatsError as exc:
-                    raise PipelineError("fit", f"{suffix}: {exc}") from exc
-                write_text(
-                    tmp / f"fit__{suffix}.json",
-                    dumps_stable(fit_to_json(fit, source.dataset_tag, layer.label)),
-                )
-                try:
-                    trend = log_bin(table, k=config.bins)
-                except StatsError as exc:
-                    raise PipelineError("bin", f"{suffix}: {exc}") from exc
-                write_text(tmp / f"binned__{suffix}.csv", binned_to_csv(trend))
-                scores = residuals(table, fit)
-                residual_lists[(source.dataset_tag, layer.label)] = scores
-                write_text(tmp / f"residuals__{suffix}.csv", residuals_to_csv(scores))
-                write_text(tmp / f"scatter__{suffix}.csv", scatter_to_csv(table, fit))
-                try:
-                    windows = window_exponents(counts)
-                except StatsError as exc:
-                    raise PipelineError("temporal", f"{suffix}: {exc}") from exc
-                write_text(tmp / f"temporal__{suffix}.csv", windows_to_csv(windows))
-                write_text(tmp / f"temporal__{suffix}.json", dumps_stable(windows_to_json(windows)))
+                counts = count_foreign(events, layer, origins, config.target_country, tag)
+                table = write_attractiveness(tmp, counts)
+                fit = write_fit(tmp, table)
+                write_binned(tmp, table, config.bins)
+                residual_lists[(tag, layer.label)] = write_residuals(tmp, table, fit)
+                write_temporal(tmp, counts)
 
-        write_text(
-            tmp / "correlations.csv",
-            correlations_csv(
-                [s.dataset_tag for s in config.event_sources],
-                [layer.label for layer in city_layers],
-                residual_lists,
-            ),
-        )
+        write_correlations(tmp, [s.dataset_tag for s in config.event_sources], labels, residual_lists)
 
         outputs = {f.name: sha256_file(f) for f in sorted(tmp.iterdir())}
         manifest = {
             "tool": "cityattract",
             "version": __version__,
             "config": config.to_dict(),
-            "threads": threads,
             "strict": strict,
             "datasets": dataset_summaries,
             "inputs": inputs,
@@ -268,27 +344,29 @@ def run_pipeline(config: PipelineConfig, threads: int = 1, strict: bool = False)
             "started_at": started.isoformat(),
             "finished_at": datetime.now(timezone.utc).isoformat(),
         }
-        write_text(tmp / "run_manifest.json", dumps_stable(manifest))
+        write_text(tmp / MANIFEST, dumps_stable(manifest))
 
         out_dir.mkdir(exist_ok=True)
-        for f in sorted(tmp.iterdir()):
-            os.replace(f, out_dir / f.name)
+        (out_dir / MANIFEST).unlink(missing_ok=True)
+        for name in [*outputs, MANIFEST]:
+            os.replace(tmp / name, out_dir / name)
         return manifest
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
 
-def correlations_csv(
+def write_correlations(
+    out: Path,
     tags: Sequence[str],
     layer_labels: Sequence[str],
     residual_lists: Mapping[tuple[str, str], Sequence[ResidualScore]],
     strict: bool = False,
-) -> str:
-    """Correlation matrix of residual rankings: rows are layers, columns
-    are dataset pairs in tag order.  ``residual_lists`` maps (tag, layer
-    label) to that dataset's residuals on that layer.  A pair sharing too
-    few regions to correlate gets a blank cell, or with ``strict`` raises
-    StatsError naming the pair."""
+) -> None:
+    """Write the correlation matrix of residual rankings: rows are layers,
+    columns are dataset pairs in tag order.  ``residual_lists`` maps (tag,
+    layer label) to that dataset's residuals on that layer.  A pair sharing
+    too few regions to correlate gets a blank cell, or with ``strict``
+    fails the correlate stage naming the pair."""
     tags = sorted(tags)
     pairs = [(a, b) for i, a in enumerate(tags) for b in tags[i + 1 :]]
     buf = io.StringIO()
@@ -302,7 +380,7 @@ def correlations_csv(
                 cells.append(fmt_num(result.r))
             except StatsError as exc:
                 if strict:
-                    raise StatsError(f"{a}|{b}: {exc}") from exc
+                    raise PipelineError("correlate", f"{a}|{b}: {exc}") from exc
                 cells.append("")
         writer.writerow(cells)
-    return buf.getvalue()
+    write_text(out / "correlations.csv", buf.getvalue())

@@ -27,6 +27,7 @@ import numpy as np
 from .events import EventTable
 from .geo import Assignment, RegionLayer
 from .home import Origins
+from .output import fmt_num
 from .special import t_two_sided_p
 
 
@@ -340,16 +341,12 @@ def fit_to_json(fit: ScalingFit, dataset: str, layer: str) -> dict:
     }
 
 
-def _num(x: float) -> str:
-    return format(x, ".12g")
-
-
 def table_to_csv(table: AttractivenessTable) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("region_id", "population", "events", "share"))
     for row in table.rows:
-        writer.writerow((row.region_id, row.population, row.events, _num(row.share)))
+        writer.writerow((row.region_id, row.population, row.events, fmt_num(row.share)))
     return buf.getvalue()
 
 
@@ -382,7 +379,7 @@ def residuals_to_csv(scores: Sequence[ResidualScore]) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("region_id", "res"))
     for s in scores:
-        writer.writerow((s.region_id, _num(s.res)))
+        writer.writerow((s.region_id, fmt_num(s.res)))
     return buf.getvalue()
 
 
@@ -405,7 +402,7 @@ def binned_to_csv(trend: BinnedTrend) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("p_center", "mean_A", "member_count"))
     for row in trend.bins:
-        writer.writerow((_num(row.p_center), _num(row.mean_A), row.member_count))
+        writer.writerow((fmt_num(row.p_center), fmt_num(row.mean_A), row.member_count))
     return buf.getvalue()
 
 
@@ -418,6 +415,6 @@ def scatter_to_csv(table: AttractivenessTable, fit: ScalingFit) -> str:
     for row in positive_rows(table):
         x = math.log10(row.population)
         writer.writerow(
-            (row.region_id, _num(x), _num(math.log10(row.share)), _num(fit.log_a + fit.b * x))
+            (row.region_id, fmt_num(x), fmt_num(math.log10(row.share)), fmt_num(fit.log_a + fit.b * x))
         )
     return buf.getvalue()

@@ -19,6 +19,7 @@ import io
 import math
 from dataclasses import dataclass
 
+from .output import fmt_num
 from .scaling import ForeignCounts, ScalingFit, StatsError, compute_attractiveness, fit_power_law
 
 _NUM_WINDOWS = 12
@@ -82,10 +83,6 @@ def window_exponents(counts: ForeignCounts) -> WindowedExponents:
     )
 
 
-def _num(x: float) -> str:
-    return format(x, ".12g")
-
-
 def windows_to_csv(we: WindowedExponents) -> str:
     """One row per window; unfittable windows keep empty numeric fields."""
     buf = io.StringIO()
@@ -98,11 +95,11 @@ def windows_to_csv(we: WindowedExponents) -> str:
             writer.writerow(
                 (
                     w.center_month,
-                    _num(w.fit.b),
-                    _num(we.normalized[w.center_month]),
+                    fmt_num(w.fit.b),
+                    fmt_num(we.normalized[w.center_month]),
                     w.fit.n,
-                    _num(w.fit.r2),
-                    _num(w.fit.p_value),
+                    fmt_num(w.fit.r2),
+                    fmt_num(w.fit.p_value),
                 )
             )
     return buf.getvalue()

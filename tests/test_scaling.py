@@ -12,6 +12,7 @@ from cityattract.rng import CounterRng
 from cityattract.scaling import (
     AttractRow,
     AttractivenessTable,
+    ResidualScore,
     StatsError,
     attractiveness_ratio,
     binned_to_csv,
@@ -362,6 +363,11 @@ def test_residuals_csv_round_trip(tmp_path):
         assert abs(a.res - b.res) < 1e-11  # 12 significant digits on disk
 
 
+def test_negative_zero_written_as_zero():
+    # every CSV writer formats numbers with output.fmt_num, which never writes -0
+    assert residuals_to_csv([ResidualScore("r", -0.0)]) == "region_id,res\nr,0\n"
+
+
 # --- correlation -----------------------------------------------------------------
 
 def test_pearson_extremes():
@@ -389,8 +395,6 @@ def test_pearson_errors():
 
 
 def test_correlate_residuals_alignment():
-    from cityattract.scaling import ResidualScore
-
     a = [ResidualScore("r1", 0.5), ResidualScore("r2", -0.2), ResidualScore("only_a", 1.0)]
     b = [ResidualScore("r2", -0.1), ResidualScore("r1", 0.4), ResidualScore("only_b", 2.0)]
     result = correlate_residuals(a, b)
