@@ -83,7 +83,7 @@ class EventTable:
     ``tag`` indexes ``tag_ids``, and ``origin`` indexes ``origin_ids``,
     with -1 where the event declares no origin.  ``seconds`` is the epoch
     second of each timestamp and ``month`` its UTC calendar month (1-12).
-    Iterating yields EventRecord rows.
+    The columns are read-only.  Iterating yields EventRecord rows.
     """
 
     user: np.ndarray
@@ -418,6 +418,8 @@ class _TableAccumulator:
             _sorted_codes(codes, provisional)
             for codes, provisional in zip(self.codes, (user, origin, tag))
         )
+        for column in (user, seconds, month, lat, lon, origin, tag):
+            column.setflags(write=False)
         return EventTable(user, user_ids, seconds, month, lat, lon, origin, origin_ids, tag, tag_ids)
 
 

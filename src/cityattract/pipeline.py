@@ -29,7 +29,7 @@ import re
 import shutil
 import tempfile
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -187,23 +187,39 @@ def read_layer(path: str) -> RegionLayer:
         raise PipelineError("input-error", f"cannot load layer {path}: {exc}") from exc
 
 
+# The last successful parse, keyed by the file's sha256, format and
+# strictness: (key, table, report).  The key holds no path or mtime, so a
+# file rewritten in place is parsed again, and one entry bounds what a
+# long-lived process keeps alive to one table.
+_last_parse: tuple[tuple[str, str, bool], EventTable, IngestReport] | None = None
+
+
 def read_events(
-    path: str, format: str, dataset_tag: str, strict: bool = False
+    path: str, format: str, dataset_tag: str, strict: bool = False, *, digest: str | None = None
 ) -> tuple[EventTable, IngestReport]:
-    try:
-        events, report = parse_events(path, format=format, strict=strict)
-    except IngestError as exc:
-        raise PipelineError("ingest", f"{dataset_tag}: {exc}") from exc
+    """Parse an event file, or return the table of the last parse when the
+    file's content, ``format`` and ``strict`` are the same.  ``digest`` is
+    the file's sha256 when the caller has it already.  Tables are
+    read-only, so a shared one is safe; the report is a fresh copy."""
+    global _last_parse
+    key = (digest or sha256_file(path), format, strict)
+    if _last_parse is None or _last_parse[0] != key:
+        try:
+            events, report = parse_events(path, format=format, strict=strict)
+        except (IngestError, UnicodeDecodeError) as exc:
+            raise PipelineError("ingest", f"{dataset_tag}: {exc}") from exc
+        _last_parse = (key, events, report)
+    _, events, report = _last_parse
     if not events:
         raise PipelineError("ingest", f"{dataset_tag}: no events accepted")
-    return events, report
+    return events, replace(report, rejection_reasons=dict(report.rejection_reasons))
 
 
 def read_table(path: str, dataset: str, layer: str) -> AttractivenessTable:
     require_files([path])
     try:
         return read_table_csv(path, dataset_tag=dataset, layer=layer)
-    except ValueError as exc:  # StatsError on a bad header
+    except ValueError as exc:  # StatsError on a bad header or a short row
         raise PipelineError("input-error", f"cannot read table {path}: {exc}") from exc
 
 
@@ -211,7 +227,7 @@ def read_residuals(path: str) -> list[ResidualScore]:
     require_files([path])
     try:
         return read_residuals_csv(path)
-    except ValueError as exc:  # StatsError on a bad header
+    except ValueError as exc:  # StatsError on a bad header or a short row
         raise PipelineError("input-error", f"cannot read residuals {path}: {exc}") from exc
 
 
@@ -312,7 +328,9 @@ def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
         dataset_summaries: dict[str, dict] = {}
         for source in config.event_sources:
             tag = source.dataset_tag
-            events, report = read_events(source.path, source.format, tag, strict)
+            events, report = read_events(
+                source.path, source.format, tag, strict, digest=inputs[source.path]
+            )
             write_ingest_report(tmp, tag, report)
             origins, homes, unresolved = resolve_origins(events, country_layer, config.min_events)
             write_homes(tmp, tag, homes)

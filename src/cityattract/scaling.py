@@ -362,6 +362,7 @@ def read_table_csv(
         for raw in reader:
             if not raw:
                 continue
+            _require_fields(raw, 4, reader.line_num, path)
             rows.append(AttractRow(raw[0], int(raw[1]), int(raw[2]), float(raw[3])))
     return AttractivenessTable(
         dataset_tag=dataset_tag,
@@ -393,8 +394,14 @@ def read_residuals_csv(path: str | Path) -> list[ResidualScore]:
         for raw in reader:
             if not raw:
                 continue
+            _require_fields(raw, 2, reader.line_num, path)
             out.append(ResidualScore(raw[0], float(raw[1])))
     return out
+
+
+def _require_fields(raw: list[str], n: int, line: int, path: str | Path) -> None:
+    if len(raw) < n:
+        raise StatsError(f"line {line} of {path} has {len(raw)} field(s), expected {n}")
 
 
 def binned_to_csv(trend: BinnedTrend) -> str:

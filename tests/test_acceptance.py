@@ -9,6 +9,7 @@ around the operation under test only, never around fixture setup.
 import csv
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import cityattract
 from cityattract.geo import assign_events, point_in_region
 from cityattract.home import accumulate_stats_seq, infer_all
 from cityattract.rng import CounterRng
@@ -67,11 +69,15 @@ def table_spec(**overrides) -> SyntheticSpec:
 # --- shared end-to-end world (criteria 8 and 11) -------------------------------
 
 def run_cli(args, cwd=None):
+    # the child imports the same package as this process
+    src = str(Path(cityattract.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "cityattract", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0, f"cityattract {' '.join(args)}\n{proc.stderr}"
     return proc

@@ -320,3 +320,35 @@ def test_non_finite_layer_exits_2(world, tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "error [input-error]: cannot load layer" in err and "non-finite coordinate" in err
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_undecodable_events_exit_1(tmp_path, capsys, strict):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(
+        b"user_id,timestamp,lat,lon,origin_country,dataset_tag\n"
+        b"\xff\xfe,2012-06-01T12:00:00Z,40.4,-3.7,,t\n"
+    )
+    argv = ["ingest", "--input", str(bad), "--tag", "t", "--out", str(tmp_path / "out")]
+    assert main(argv + ["--strict"] * strict) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]: t: ") and "decode" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["fit", "bin", "residuals"])
+def test_short_table_row_exits_2(tmp_path, capsys, command):
+    table = tmp_path / "table.csv"
+    table.write_text("region_id,population,events,share\nr1\n")
+    code = main([command, "--table", str(table), "--dataset", "d", "--layer", "l", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error [input-error]: cannot read table {table}")
+
+
+def test_short_residuals_row_exits_2(tmp_path, capsys):
+    (tmp_path / "a.csv").write_text("region_id,res\nr1,0.5\n")
+    (tmp_path / "b.csv").write_text("region_id,res\nr1\n")
+    code = main(["correlate", "--pair", f"a={tmp_path / 'a.csv'}", "--pair", f"b={tmp_path / 'b.csv'}",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error [input-error]: cannot read residuals {tmp_path / 'b.csv'}")

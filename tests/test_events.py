@@ -446,3 +446,13 @@ def test_user_ids_keep_trailing_nuls():
     assert [e.user_id for e in table] == users
     again, _ = parse_events(io.StringIO(events_to_csv(table)))
     assert [e.user_id for e in again] == users
+
+
+@pytest.mark.parametrize("build", ["parse", "from_records"])
+def test_table_columns_are_read_only(build):
+    table, _ = parse_events(csv_stream("u1,2012-06-01T12:00:00Z,40.4,-3.7,ES,t"))
+    if build == "from_records":
+        table = EventTable.from_records(table)
+    for name in ("user", "seconds", "month", "lat", "lon", "origin", "tag"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(table, name)[0] = 0

@@ -1,10 +1,13 @@
 """One stage path: the CLI subcommands and run_pipeline write the same
-files, and a failed publish never leaves a manifest behind."""
+files, a failed publish never leaves a manifest behind, and in-process
+readers of one event file share one parse."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -114,3 +117,114 @@ def test_manifest_moves_last(world, tmp_path, monkeypatch):
     manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
     assert sorted(manifest["outputs"]) == moved[:-1]
     assert "threads" not in manifest
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """Empty the parse memo and count the real parses from here on."""
+    monkeypatch.setattr(pipeline, "_last_parse", None)
+    calls = []
+    real_parse = pipeline.parse_events
+
+    def counting_parse(*args, **kwargs):
+        calls.append(args[0])
+        return real_parse(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "parse_events", counting_parse)
+    return calls
+
+
+ROWS = (
+    "user_id,timestamp,lat,lon,origin_country,dataset_tag\n"
+    "u1,2012-06-01T12:00:00Z,40.4,-3.7,,t\n"
+    "u2,2012-06-02T12:00:00Z,41.4,2.1,FR,t\n"
+    "u3,2012-06-03T12:00:00Z,91.0,2.1,,t\n"
+)
+
+
+def test_cli_chain_parses_the_events_once(world, tmp_path, parses):
+    events = ["--events", str(world / f"events__{TAG}.csv")]
+    countries = ["--countries", str(world / f"countries__{TAG}.geojson")]
+    layer = ["--layer", str(world / f"cities__{TAG}.geojson")]
+    out = ["--tag", TAG, "--out", str(tmp_path)]
+    _quiet(["ingest", "--input", str(world / f"events__{TAG}.csv"), *out])
+    assert len(parses) == 1
+    for argv in (
+        ["infer-home", *events, *countries, *out],
+        ["assign", *events, *layer, *out],
+        ["attractiveness", *events, *layer, *countries, *out],
+        ["temporal", *events, *layer, *countries, *out],
+    ):
+        _quiet(argv)
+    assert len(parses) == 1
+
+
+def test_rewritten_file_is_parsed_again(tmp_path, parses):
+    path = tmp_path / "events.csv"
+    path.write_text(ROWS)
+    before = os.stat(path)
+    events, _ = pipeline.read_events(str(path), "csv", "t")
+    assert events.user_ids == ("u1", "u2")
+    # same size, same mtime, other content
+    path.write_text(ROWS.replace("u2,", "v2,"))
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert os.stat(path).st_size == before.st_size
+    assert os.stat(path).st_mtime_ns == before.st_mtime_ns
+    again, _ = pipeline.read_events(str(path), "csv", "t")
+    assert len(parses) == 2
+    assert again.user_ids == ("u1", "v2")
+
+
+def test_memo_hit_returns_the_table_and_a_fresh_report(tmp_path, parses):
+    path = tmp_path / "events.csv"
+    path.write_text(ROWS)
+    events, report = pipeline.read_events(str(path), "csv", "t")
+    report.accepted = 0
+    report.rejection_reasons["edited"] = 9
+    again, fresh = pipeline.read_events(str(path), "csv", "t")
+    assert len(parses) == 1
+    assert again is events
+    assert (fresh.accepted, fresh.rejected, fresh.rejection_reasons) == (2, 1, {"lat out of range": 1})
+    # format and strictness are part of the key
+    with pytest.raises(pipeline.PipelineError, match="line 4: lat out of range"):
+        pipeline.read_events(str(path), "csv", "t", strict=True)
+    assert len(parses) == 2
+
+
+def test_ingest_errors_are_not_memoized(tmp_path, parses):
+    path = tmp_path / "events.csv"
+    # the undecodable bytes lie well past the first read of the text decoder
+    good_row = ROWS.splitlines(keepends=True)[1]
+    path.write_bytes((ROWS + good_row * 500).encode() + b"\xff\xfe,2012-06-01T12:00:00Z,40.4,-3.7,,t\n")
+    for _ in range(2):
+        # the bad row fails before the later undecodable bytes
+        with pytest.raises(pipeline.PipelineError, match="t: line 4: lat out of range") as exc:
+            pipeline.read_events(str(path), "csv", "t", strict=True)
+        assert exc.value.stage == "ingest"
+    assert len(parses) == 2
+    with pytest.raises(pipeline.PipelineError, match="t: .*can't decode") as exc:
+        pipeline.read_events(str(path), "csv", "t")
+    assert exc.value.stage == "ingest"
+    assert len(parses) == 3
+
+
+def test_manifest_digests_key_the_parse(world, tmp_path, monkeypatch, parses):
+    hashed = []
+    real_hash = pipeline.sha256_file
+
+    def counting_hash(path):
+        hashed.append(str(path))
+        return real_hash(path)
+
+    monkeypatch.setattr(pipeline, "sha256_file", counting_hash)
+    _run_pipeline(world, tmp_path / "run")
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    for path, digest in manifest["inputs"].items():
+        assert digest == hashlib.sha256(Path(path).read_bytes()).hexdigest(), path
+    events = str(world / f"events__{TAG}.csv")
+    assert hashed.count(events) == 1
+    assert parses == [events]
+    # a later reader of the same content hashes it but does not parse it
+    pipeline.read_events(events, "csv", TAG)
+    assert hashed.count(events) == 2
+    assert parses == [events]

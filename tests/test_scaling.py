@@ -363,6 +363,13 @@ def test_residuals_csv_round_trip(tmp_path):
         assert abs(a.res - b.res) < 1e-11  # 12 significant digits on disk
 
 
+def test_residuals_csv_short_row_is_stats_error(tmp_path):
+    path = tmp_path / "res.csv"
+    path.write_text("region_id,res\nr0,0.5\nr1\n")
+    with pytest.raises(StatsError, match="line 3 .* has 1 field"):
+        read_residuals_csv(path)
+
+
 def test_negative_zero_written_as_zero():
     # every CSV writer formats numbers with output.fmt_num, which never writes -0
     assert residuals_to_csv([ResidualScore("r", -0.0)]) == "region_id,res\nr,0\n"
@@ -507,6 +514,13 @@ def test_table_csv_round_trip(tmp_path):
                            target_country=table.target_country)
     assert [r.region_id for r in again.rows] == ["r00", "r01"]
     assert [r.population for r in again.rows] == [1000, 1000000]
+
+
+def test_table_csv_short_row_is_stats_error(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("region_id,population,events,share\nr1\n")
+    with pytest.raises(StatsError, match="line 2 .* has 1 field"):
+        read_table_csv(path)
 
 
 def test_scatter_csv_shape():
