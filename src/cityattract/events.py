@@ -11,6 +11,15 @@ input in bounded chunks and validates each chunk column by column; any
 row a column check flags is re-validated on its own by ``_make_record``,
 which alone decides rejection reasons, so the columnar checks only ever
 decide which rows need that second look.
+
+A CSV chunk whose lines hold no quote, carriage return or NUL, exactly
+the header's number of commas and no more characters than csv's field
+size limit is checked as one UTF-8 byte buffer: numpy finds the field
+bounds, and string fields stay fixed-width ``S`` arrays until the table
+codes them with one sort.  A row with a field that may carry padding
+``str.strip`` removes is flagged like any other.  From the first other
+chunk on, ``csv.reader`` reads the rest of the stream.  Either way the
+accepted rows, rejection reasons and line numbers are the same.
 """
 
 from __future__ import annotations
@@ -25,9 +34,10 @@ from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import IO, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .output import dumps_stable
 
@@ -247,17 +257,22 @@ def _seconds_of(dt: datetime) -> int:
 
 
 def _stamp_column(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """``_decode_stamps`` of string values: those of 20 ASCII characters
+    go to the decoder, the others come out unmasked."""
+    n = len(values)
+    fixed = (np.fromiter(map(len, values), np.intp, n) == _STAMP_WIDTH) & np.fromiter(map(str.isascii, values), bool, n)
+    text = "".join(compress(values, fixed.tolist()))
+    return _decode_stamps(fixed, np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _STAMP_WIDTH))
+
+
+def _decode_stamps(fixed: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of each value in the canonical YYYY-MM-DDTHH:MM:SSZ
     form, and the mask of values that are valid in that form.
 
-    Values in the other accepted forms come out unmasked, like invalid
-    ones, and are left to ``timestamp_seconds``.
+    ``raw`` holds the 20 bytes of each value that ``fixed`` marks, one row
+    per value.  Values in the other accepted forms come out unmasked, like
+    invalid ones, and are left to ``timestamp_seconds``.
     """
-    n = len(values)
-    seconds = np.zeros(n, dtype=np.int64)
-    fixed = (np.fromiter(map(len, values), np.intp, n) == _STAMP_WIDTH) & np.fromiter(map(str.isascii, values), bool, n)
-    text = "".join(compress(values, fixed.tolist()))
-    raw = np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _STAMP_WIDTH)
     digits = raw[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
     d = [digits[:, k] * 10 + digits[:, k + 1] for k in range(0, 14, 2)]
     fields = (d[0] * 100 + d[1], d[2], d[3], d[4], d[5], d[6])
@@ -266,8 +281,9 @@ def _stamp_column(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
         & (raw[:, _STAMP_SEPARATORS] == _STAMP_SEPARATOR_CODES).all(axis=1)
         & _valid_instant(*fields)
     )
+    seconds = np.zeros(len(fixed), dtype=np.int64)
     seconds[fixed] = _epoch_seconds(*fields)
-    ok = np.zeros(n, dtype=bool)
+    ok = np.zeros(len(fixed), dtype=bool)
     ok[fixed] = good
     return seconds, ok
 
@@ -381,54 +397,102 @@ def _origin_column(values: list) -> tuple[list, np.ndarray]:
 
 
 class _TableAccumulator:
-    """Accumulates validated chunks.  String fields get provisional codes,
-    one per distinct value, re-coded to sorted order at the end."""
+    """Accumulates validated chunks.  A string column arrives either as a
+    list, whose values get provisional codes, one per distinct value, or
+    as a UTF-8 ``S`` array from the byte path, with ``b""`` for a missing
+    value.  ``table`` codes both to sorted order."""
 
     def __init__(self) -> None:
         self.codes: tuple[dict, dict, dict] = ({}, {None: -1}, {})  # user, origin, tag
-        self.parts: list[tuple[np.ndarray, ...]] = []
+        self.strings: tuple[list, list, list] = ([], [], [])  # parts of the user, origin, tag columns
+        self.numbers: tuple[list, list, list, list] = ([], [], [], [])  # seconds, month, lat, lon
 
     @staticmethod
-    def _encode(values: list, codes: dict) -> np.ndarray:
+    def _encode(values: list | np.ndarray, codes: dict) -> np.ndarray:
+        if isinstance(values, np.ndarray):
+            return values
         codes.update(zip(set(values).difference(codes), count(len(codes))))
         return np.fromiter(map(codes.__getitem__, values), CODE, len(values))
 
     def append(self, users, seconds, lat, lon, origins, tags) -> None:
-        user_codes, origin_codes, tag_codes = self.codes
-        self.parts.append(
-            (
-                self._encode(users, user_codes),
-                seconds,
-                _civil_from_days(seconds // _DAY)[1].astype(np.int8),
-                lat,
-                lon,
-                self._encode(origins, origin_codes),
-                self._encode(tags, tag_codes),
-            )
-        )
+        for parts, values, codes in zip(self.strings, (users, origins, tags), self.codes):
+            parts.append(self._encode(values, codes))
+        month = _civil_from_days(seconds // _DAY)[1].astype(np.int8)
+        for parts, values in zip(self.numbers, (seconds, month, lat, lon)):
+            parts.append(values)
 
     def table(self) -> EventTable:
-        dtypes = (CODE, np.int64, np.int8, np.float64, np.float64, CODE, CODE)
-        user, seconds, month, lat, lon, origin, tag = (
-            np.concatenate([p[k] for p in self.parts]) if self.parts else np.zeros(0, dtype=dtype)
-            for k, dtype in enumerate(dtypes)
-        )
-        self.parts.clear()
-        (user_ids, user), (origin_ids, origin), (tag_ids, tag) = (
-            _sorted_codes(codes, provisional)
-            for codes, provisional in zip(self.codes, (user, origin, tag))
-        )
+        """The rows appended so far; each column's parts are released as
+        soon as they are joined, which bounds the peak memory."""
+        (user_ids, user), (origin_ids, origin), (tag_ids, tag) = map(_sorted_codes, self.strings, self.codes)
+        seconds, month, lat, lon = map(_joined, self.numbers, (np.int64, np.int8, np.float64, np.float64))
         for column in (user, seconds, month, lat, lon, origin, tag):
             column.setflags(write=False)
         return EventTable(user, user_ids, seconds, month, lat, lon, origin, origin_ids, tag, tag_ids)
 
 
-def _sorted_codes(codes: dict, provisional: np.ndarray) -> tuple[tuple[str, ...], np.ndarray]:
-    """Re-code values to their rank in sorted order; None keeps code -1."""
-    ids = sorted(v for v in codes if v is not None)
+def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """The parts as one array; empties ``parts``."""
+    column = np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+    parts.clear()
+    return column
+
+
+def _sorted_codes(parts: list[np.ndarray], codes: dict) -> tuple[tuple[str, ...], np.ndarray]:
+    """One string column's distinct values in sorted order, and each row's
+    rank among them, -1 where the value is missing; empties ``parts``.
+
+    ``S`` parts are coded here together; the other parts hold provisional
+    codes from ``codes``.
+    """
+    layout = [(p.dtype.kind == "S", len(p)) for p in parts]
+    text_parts = iter([p for p in parts if p.dtype.kind != "S"])
+    values = _joined([p for p in parts if p.dtype.kind == "S"], "S1")
+    parts.clear()
+    byte_ids, byte_codes = _byte_codes(values)
+    del values
+    text_ids = sorted(v for v in codes if v is not None)
     rank = np.full(max(codes.values(), default=-1) + 2, -1, dtype=CODE)  # last slot serves code -1
-    rank[[codes[v] for v in ids]] = np.arange(len(ids))
-    return tuple(ids), rank[provisional]
+    if text_ids and byte_ids:
+        ids = sorted({*text_ids, *byte_ids})
+        position = dict(zip(ids, count()))
+        rank[[codes[v] for v in text_ids]] = [position[v] for v in text_ids]
+        byte_codes = np.array([position[v] for v in byte_ids] + [-1], dtype=CODE)[byte_codes]
+    else:
+        ids = text_ids or byte_ids
+        rank[[codes[v] for v in text_ids]] = np.arange(len(text_ids))
+    columns, start = [], 0
+    for from_bytes, n in layout:
+        if from_bytes:
+            columns.append(byte_codes[start : start + n])
+            start += n
+        else:
+            columns.append(rank[next(text_parts)])
+    return tuple(ids), _joined(columns, CODE)
+
+
+def _byte_codes(values: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct values of a UTF-8 ``S`` array, decoded, in sorted order,
+    and each value's rank among them, -1 for ``b""``.
+
+    One stable argsort orders the values; UTF-8 byte order is the code
+    point order that Python sorts strings by.  The values hold no NUL,
+    which ``S`` arrays would drop from their ends.
+    """
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = ordered[1:] != ordered[:-1]
+    ids = [v.decode() for v in ordered[first].tolist()]
+    del ordered
+    rank = np.cumsum(first, dtype=CODE)
+    rank -= 1
+    if ids and not ids[0]:
+        ids.pop(0)
+        rank -= 1
+    codes = np.empty(len(values), dtype=CODE)
+    codes[order] = rank
+    return ids, codes
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +525,12 @@ def _raise_after(items: list, error: Exception) -> Iterator:
     raise error
 
 
-# A chunk is (line numbers, the six raw field columns in CANONICAL_COLUMNS
-# order, {row: reason} for rows rejected before field validation).
-Chunk = tuple[Sequence[int], list[list], dict[int, str]]
+# A chunk of input rows after the column checks: (line numbers; the users,
+# epoch seconds, lat, lon, declared origins and tags, a string column being
+# a list, or a UTF-8 ``S`` array on the CSV byte path; the mask of flagged
+# rows; ``settle``, which gives the ``_make_record`` outcome of flagged row
+# ``i``, or a rejection reason found before field validation).
+Chunk = tuple[Sequence[int], list, np.ndarray, Callable[[int], EventRecord | str]]
 
 
 def parse_events(
@@ -486,21 +553,47 @@ def parse_events(
         raise IngestError(f"unknown format: {format!r}")
     accumulator = _TableAccumulator()
     report = IngestReport()
-    for line_nos, fields, rejected in chunks(_text_lines(source)):
-        _validate_chunk(line_nos, fields, rejected, strict, report, accumulator)
+    for chunk in chunks(_text_lines(source)):
+        _commit(chunk, strict, report, accumulator)
     return accumulator.table(), report
 
 
-def _validate_chunk(
-    line_nos: Sequence[int],
-    fields: list[list],
-    rejected: dict[int, str],
-    strict: bool,
-    report: IngestReport,
-    accumulator: _TableAccumulator,
-) -> None:
-    """Check a chunk column by column, then settle each flagged row with
-    ``_make_record`` in row order."""
+def _commit(chunk: Chunk, strict: bool, report: IngestReport, accumulator: _TableAccumulator) -> None:
+    """Settle each flagged row of a chunk in row order, then append the
+    rows kept to the table."""
+    line_nos, columns, flagged, settle = chunk
+    users, seconds, lat, lon, origins, tags = columns
+    keep = ~flagged
+    for i in np.flatnonzero(flagged).tolist():
+        outcome = settle(i)
+        if isinstance(outcome, str):
+            if strict:
+                raise IngestError(outcome, line=line_nos[i])
+            report.reject(outcome)
+            continue
+        keep[i] = True
+        strings = (outcome.user_id, outcome.dataset_tag, outcome.origin_country)
+        users[i], tags[i], origins[i] = map(_utf8, strings) if isinstance(users, np.ndarray) else strings
+        seconds[i], lat[i], lon[i] = _seconds_of(outcome.timestamp), outcome.lat, outcome.lon
+    kept = keep.tolist()
+    report.accepted += sum(kept)
+    accumulator.append(
+        *(column[keep] if isinstance(column, np.ndarray) else list(compress(column, kept)) for column in columns)
+    )
+
+
+def _utf8(value: str | None) -> bytes:
+    return value.encode() if value else b""
+
+
+def _out_of_range(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Rows whose coordinates are NaN or outside the WGS84 ranges."""
+    return ~((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0))
+
+
+def _field_chunk(line_nos: Sequence[int], fields: list[list], rejected: dict[int, str]) -> Chunk:
+    """Check the six raw field columns of a chunk (CANONICAL_COLUMNS
+    order); ``rejected`` gives the rows rejected before field validation."""
     users, stamps, lats, lons, origins, tags = fields
     flagged = ~(_text_ok(users) & _text_ok(tags))
     flagged[list(rejected)] = True
@@ -509,45 +602,109 @@ def _validate_chunk(
         stamps = [v if ok else "" for v, ok in zip(stamps, stamp_text.tolist())]
     seconds, ok = _stamp_column(stamps)
     flagged |= ~ok
-    lat = _float_column(lats)
-    flagged |= ~((lat >= -90.0) & (lat <= 90.0))
-    lon = _float_column(lons)
-    flagged |= ~((lon >= -180.0) & (lon <= 180.0))
+    lat, lon = _float_column(lats), _float_column(lons)
+    flagged |= _out_of_range(lat, lon)
     declared, ok = _origin_column(origins)
     flagged |= ~ok
-
-    keep = ~flagged
-    for i in np.flatnonzero(flagged).tolist():
-        outcome = rejected.get(i) or _make_record(*(column[i] for column in fields))
-        if isinstance(outcome, str):
-            if strict:
-                raise IngestError(outcome, line=line_nos[i])
-            report.reject(outcome)
-            continue
-        keep[i] = True
-        users[i], tags[i], declared[i] = outcome.user_id, outcome.dataset_tag, outcome.origin_country
-        seconds[i], lat[i], lon[i] = _seconds_of(outcome.timestamp), outcome.lat, outcome.lon
-    kept = keep.tolist()
-    report.accepted += sum(kept)
-    accumulator.append(
-        list(compress(users, kept)),
-        seconds[keep],
-        lat[keep],
-        lon[keep],
-        list(compress(declared, kept)),
-        list(compress(tags, kept)),
+    return (
+        line_nos,
+        [users, seconds, lat, lon, declared, tags],
+        flagged,
+        lambda i: rejected.get(i) or _make_record(*(column[i] for column in fields)),
     )
+
+
+_UPPER = (np.arange(256) >= ord("A")) & (np.arange(256) <= ord("Z"))  # by byte value
+
+
+def _plain_chunk(block: list[str], first_line: int, columns: list[int], commas: int) -> Chunk | None:
+    """Check a chunk of CSV lines as one UTF-8 byte buffer, or None when a
+    line holds a quote, a carriage return, a NUL, more characters than
+    csv's field size limit or other than ``commas`` commas, or the text
+    does not encode.
+
+    Such lines split on commas exactly as ``csv.reader`` splits them.  A
+    row is flagged when a column check fails, or when a field's first or
+    last character may be whitespace that ``str.strip`` removes: a byte
+    up to the space (ASCII whitespace is among them), or a non-ASCII
+    character that is whitespace.  ``settle`` then validates that line's
+    stripped fields.
+    """
+    text = "".join(block)
+    if '"' in text or "\r" in text or "\0" in text or max(map(len, block)) > csv.field_size_limit():
+        return None
+    try:
+        data = (text if text.endswith("\n") else text + "\n").encode()
+    except UnicodeEncodeError:  # a lone surrogate in a text stream
+        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
+    n, width = len(block), commas + 1
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    # n newlines in all, so with one at the end of every width-th field,
+    # every line has ``commas`` commas
+    if len(ends) != n * width or (buf[ends[commas::width]] != ord("\n")).any():
+        return None
+    start = np.concatenate(([0], ends[:-1] + 1)).reshape(n, width)[:, columns]
+    end = ends.reshape(n, width)[:, columns]
+    length = end - start
+    first, last = buf[start], buf[end - 1]
+    flagged = ((length > 0) & ((first <= ord(" ")) | (last <= ord(" ")))).any(axis=1)
+    wide = (length > 0) & ((first | last) >= 0x80)  # an edge character beyond ASCII
+    for row, s, e in zip(np.nonzero(wide)[0].tolist(), start[wide].tolist(), end[wide].tolist()):
+        value = data[s:e].decode()
+        flagged[row] |= value[0].isspace() or value[-1].isspace()
+    flagged |= (length[:, 0] == 0) | (length[:, 5] == 0)
+
+    # every field fits a window of the padded buffer that starts at it
+    padded = np.concatenate((buf, np.zeros(max(int(length.max()), _STAMP_WIDTH), dtype=np.uint8)))
+    fixed = length[:, 1] == _STAMP_WIDTH
+    seconds, ok = _decode_stamps(fixed, sliding_window_view(padded, _STAMP_WIDTH)[start[fixed, 1]])
+    flagged |= ~ok
+    lat, lon = (_byte_floats(_field_bytes(padded, start[:, k], length[:, k])) for k in (2, 3))
+    flagged |= _out_of_range(lat, lon)
+    origin = start[:, 4]
+    flagged |= ~(
+        (length[:, 4] == 0)
+        | ((length[:, 4] == 2) & _UPPER[buf[origin]] & _UPPER[padded[origin + 1]])
+    )
+
+    def settle(i: int) -> EventRecord | str:
+        fields = block[i].split(",")
+        return _make_record(*(fields[c].strip() for c in columns))
+
+    users, origins, tags = (_field_bytes(padded, start[:, k], length[:, k]) for k in (0, 4, 5))
+    return range(first_line, first_line + n), [users, seconds, lat, lon, origins, tags], flagged, settle
+
+
+def _field_bytes(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The fields ``padded[start:start + length]`` as a fixed-width ``S``
+    array; ``padded`` extends at least the widest field past each start."""
+    width = max(int(length.max(initial=0)), 1)
+    chars = sliding_window_view(padded, width)[start]
+    chars *= np.less.outer(np.arange(width), length).T
+    return chars.view(f"S{width}").ravel()
+
+
+def _byte_floats(values: np.ndarray) -> np.ndarray:
+    """``float`` of each value of an ``S`` array, NaN where it raises.
+
+    numpy's cast parses each value as Python's ``float`` does, and raises
+    ValueError for the whole array at the first value it cannot parse,
+    non-ASCII ones included; the values are then parsed one by one.
+    """
+    try:
+        return values.astype(np.float64)
+    except ValueError:
+        return np.fromiter((_float_or_nan(v.decode()) for v in values.tolist()), np.float64, len(values))
 
 
 def _csv_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
     """Chunks of a CSV stream; line numbers count rows, as ``csv.reader``
     yields them.
 
-    While every line of a chunk holds as many commas as the header and
-    none holds a quote, a carriage return, a NUL or more characters than
-    csv's field size limit, the lines are split on commas, which is what
-    ``csv.reader`` does with them.  From the first other chunk on,
-    ``csv.reader`` reads the rest, so that a quoted field may span chunks.
+    Chunks whose lines ``_plain_chunk`` takes are checked as bytes.  From
+    the first other chunk on, ``csv.reader`` reads the rest, so that a
+    quoted field may span chunks.
     """
     reader = csv.reader(lines)
     line_no = 0
@@ -563,24 +720,14 @@ def _csv_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
         raise IngestError(f"header is missing column(s): {', '.join(missing)}", line=line_no)
     columns = [names.index(c) for c in CANONICAL_COLUMNS]
     width = max(columns) + 1
-    commas = len(header) - 1
     while True:
         block, error = _read_chunk(lines, UnicodeDecodeError)
-        text = "".join(block)
-        if (
-            error is not None
-            or not block
-            or '"' in text or "\r" in text or "\0" in text
-            or max(map(len, block)) > csv.field_size_limit()
-            or set(map(str.count, block, repeat(","))) != {commas}
-        ):
+        if not block and error is None:
+            return
+        chunk = None if error is not None else _plain_chunk(block, line_no + 1, columns, len(header) - 1)
+        if chunk is None:
             break
-        fields = text.replace("\n", ",").split(",")[: len(block) * len(header)]
-        yield (
-            range(line_no + 1, line_no + 1 + len(block)),
-            [list(map(str.strip, fields[c :: len(header)])) for c in columns],
-            {},
-        )
+        yield chunk
         line_no += len(block)
     reader = csv.reader(chain(block, lines) if error is None else _raise_after(block, error))
     while True:
@@ -589,7 +736,7 @@ def _csv_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
         line_no += len(rows)
         nonblank = [k for k, row in enumerate(rows) if row]
         if nonblank:
-            yield (
+            yield _field_chunk(
                 [line_nos[k] for k in nonblank],
                 *_row_fields([rows[k] for k in nonblank], columns, width),
             )
@@ -643,7 +790,7 @@ def _jsonl_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
             line_nos.append(line_no)
             objects.append(obj)
         if objects:
-            yield line_nos, [list(map(dict.get, objects, repeat(c))) for c in CANONICAL_COLUMNS], rejected
+            yield _field_chunk(line_nos, [list(map(dict.get, objects, repeat(c))) for c in CANONICAL_COLUMNS], rejected)
         if error is not None:
             raise error
         if len(block) < CHUNK_ROWS:

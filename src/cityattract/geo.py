@@ -160,7 +160,9 @@ def load_layer(source: str | Path | IO[bytes] | IO[str] | dict, label: str | Non
         layer_tag = str(props.get("layer", ""))
         population = props.get("population")
         if population is not None:
-            if isinstance(population, bool) or not isinstance(population, (int, float)) or population != int(population):
+            # json reads Infinity, 1e400 and NaN as floats that int() refuses
+            integral = isinstance(population, float) and math.isfinite(population) and population.is_integer()
+            if isinstance(population, bool) or not (isinstance(population, int) or integral):
                 raise LayerError(f"{where}: population must be an integer")
             population = int(population)
             if population < 1:

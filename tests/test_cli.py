@@ -322,6 +322,21 @@ def test_non_finite_layer_exits_2(world, tmp_path, capsys):
     assert "error [input-error]: cannot load layer" in err and "non-finite coordinate" in err
 
 
+@pytest.mark.parametrize("population", ["Infinity", "1e400", "NaN"])
+def test_non_finite_population_exits_2(world, tmp_path, capsys, population):
+    doc = json.loads((world / "cities__demo.geojson").read_text())
+    assert "population" in doc["features"][0]["properties"]
+    doc["features"][0]["properties"]["population"] = "POPULATION"
+    layer = tmp_path / "population.geojson"
+    layer.write_text(json.dumps(doc).replace('"POPULATION"', population))
+    code = main(["assign", "--events", str(world / "events__demo.csv"), "--layer", str(layer),
+                 "--tag", "demo", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error [input-error]: cannot load layer" in err and "population must be an integer" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("strict", [False, True])
 def test_undecodable_events_exit_1(tmp_path, capsys, strict):
     bad = tmp_path / "bad.csv"

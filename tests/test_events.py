@@ -311,7 +311,10 @@ def test_format_timestamp_round_trip():
 
 # --- columnar ingest against the row-by-row reference ---------------------------
 
-USERS = st.sampled_from(["u1", "u2", "u\x00", "u", "u\x00\x00", " u3 ", "", "ü", "u,4", 'u"5', "u6\r"])
+# edge cases of the CSV byte path: multi-byte characters at field edges,
+# and padding that str.strip removes but an ASCII whitespace test misses
+EDGES = ["é", "ué", "\x1cu7", "u8\x85", " u9", "u\u3000"]
+USERS = st.sampled_from(["u1", "u2", "u\x00", "u", "u\x00\x00", " u3 ", "", "ü", "u,4", 'u"5', "u6\r", *EDGES])
 STAMPS = st.one_of(
     st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)).map(
         lambda dt: dt.strftime("%Y-%m-%dT%H:%M:%SZ").rjust(20, "0")
@@ -324,10 +327,13 @@ STAMPS = st.one_of(
 )
 NUMBERS = st.one_of(
     st.floats(min_value=-200, max_value=200).map(repr),
-    st.sampled_from(["nan", "inf", "-0.0", "1e400", "abc", "", " 1.5", "1_0", "91", "-180", "0x10"]),
+    st.sampled_from([
+        "nan", "inf", "-0.0", "1e400", "abc", "", " 1.5", "1_0", "91", "-180", "0x10",
+        "+.5e-3", "5.", ".5", "1e-400", "00012", "1e", "-",
+    ]),
 )
 ORIGINS = st.sampled_from(["", "ES", "FR", "es", "E1", "ESP", " DE "])
-TAGS = st.sampled_from(["t", "photo", "", " t"])
+TAGS = st.sampled_from(["t", "photo", "", " t", *EDGES])
 CSV_ROWS = st.lists(
     st.one_of(
         st.tuples(USERS, STAMPS, NUMBERS, NUMBERS, ORIGINS, TAGS).map(list),
@@ -430,6 +436,35 @@ def test_quoted_and_plain_chunks_parse_alike(monkeypatch):
     for last in ("u9,2012-06-01T12:00:00Z,1.5,2.5,,t", '"u9",2012-06-01T12:00:00Z,1.5,2.5,,t'):
         table, _ = parse_events(io.StringIO(HEADER + "\n" + last))
         assert [(e.user_id, e.dataset_tag) for e in table] == [("u9", "t")]
+
+
+def test_clean_utf8_csv_stays_on_the_byte_path(monkeypatch):
+    # chunks without quotes, carriage returns or NULs never reach csv.reader,
+    # whatever their padding or non-ASCII text: falling off the byte path
+    # changes no output, so only this test would show it
+    clean = ["u1", "2012-06-01T12:00:00Z", "40.5", "-3.7", "", "t"]
+    variants = [  # per column, values to put in an otherwise clean row
+        ["é", "ué", "用户", " u3 ", "\x1cu7", "u8\x85", "u\u3000"],
+        [" 2012-06-02T00:00:00Z", "2012-06-03", "2012-06-01T12:00Z\u3000"],
+        [" 41", "\u30001e-3", "95", "-0.0", "１.5"],
+        ["2.1 ", "-"],
+        [" DE ", "es", "ES\x85", "FR"],
+        [" photo", "t\u3000", "é", "\x1ft"],
+    ]
+    rows = [",".join(clean[:k] + [value] + clean[k + 1 :]) for k, values in enumerate(variants) for value in values]
+    text = HEADER + "\n" + "\n".join(rows) + "\n"
+    want = oracles.parse_events(text)
+    assert want[1].accepted and want[1].rejected
+    real_reader = csv.reader
+    calls = []
+    monkeypatch.setattr(events_module.csv, "reader", lambda *a, **k: calls.append(a) or real_reader(*a, **k))
+    monkeypatch.setattr(events_module, "CHUNK_ROWS", 4)  # 7 chunks
+    for source in (io.StringIO(text), io.BytesIO(text.encode())):
+        calls.clear()
+        table, report = parse_events(source)
+        assert len(calls) == 1  # the header
+        assert (list(table), report) == want
+        assert list(table.user_ids) == sorted({r.user_id for r in want[0]})
 
 
 def test_user_ids_keep_trailing_nuls():

@@ -86,6 +86,21 @@ def test_bad_population_rejected():
         layer_of(square_feature("sq", 0, 0, 1, population=0))
 
 
+@pytest.mark.parametrize("value", ["Infinity", "1e400", "NaN", "-Infinity", "2.5", "true", '"7"'])
+def test_non_integer_population_rejected(value):
+    # Python's json reads Infinity, 1e400 and NaN as floats, which int()
+    # refuses with OverflowError or ValueError
+    feature = json.dumps(square_feature("sq", 0, 0, 1, population=0)).replace('"population": 0', f'"population": {value}')
+    doc = '{"type": "FeatureCollection", "features": [%s]}' % feature
+    with pytest.raises(LayerError, match="feature 0: population must be an integer"):
+        load_layer(io.BytesIO(doc.encode()))
+
+
+def test_integral_float_population_accepted():
+    (region,) = layer_of(square_feature("sq", 0, 0, 1, population=12.0)).regions
+    assert region.population == 12 and type(region.population) is int
+
+
 @pytest.mark.parametrize(
     "bad", [float("nan"), float("inf"), float("-inf"), 10**400], ids=["nan", "inf", "-inf", "huge-int"]
 )
