@@ -15,11 +15,14 @@ decide which rows need that second look.
 A CSV chunk whose lines hold no quote, carriage return or NUL, exactly
 the header's number of commas and no more characters than csv's field
 size limit is checked as one UTF-8 byte buffer: numpy finds the field
-bounds, and string fields stay fixed-width ``S`` arrays until the table
-codes them with one sort.  A row with a field that may carry padding
-``str.strip`` removes is flagged like any other.  From the first other
-chunk on, ``csv.reader`` reads the rest of the stream.  Either way the
-accepted rows, rejection reasons and line numbers are the same.
+bounds, and user and tag fields stay fixed-width ``S`` arrays until the
+table codes them with one sort.  That suits short ids and tags; a
+chunk's column with a field wider than 64 bytes is read as Python
+strings instead, so memory stays proportional to the text.  A row with
+a field that may carry padding ``str.strip`` removes is flagged like any
+other.  From the first other chunk on, ``csv.reader`` reads the rest of
+the stream.  Either way the accepted rows, rejection reasons and line
+numbers are the same.
 """
 
 from __future__ import annotations
@@ -572,8 +575,8 @@ def _commit(chunk: Chunk, strict: bool, report: IngestReport, accumulator: _Tabl
             report.reject(outcome)
             continue
         keep[i] = True
-        strings = (outcome.user_id, outcome.dataset_tag, outcome.origin_country)
-        users[i], tags[i], origins[i] = map(_utf8, strings) if isinstance(users, np.ndarray) else strings
+        for column, value in zip((users, origins, tags), (outcome.user_id, outcome.origin_country, outcome.dataset_tag)):
+            column[i] = _utf8(value) if isinstance(column, np.ndarray) else value
         seconds[i], lat[i], lon[i] = _seconds_of(outcome.timestamp), outcome.lat, outcome.lon
     kept = keep.tolist()
     report.accepted += sum(kept)
@@ -616,6 +619,11 @@ def _field_chunk(line_nos: Sequence[int], fields: list[list], rejected: dict[int
 
 _UPPER = (np.arange(256) >= ord("A")) & (np.arange(256) <= ord("Z"))  # by byte value
 
+# the widest user, tag or coordinate field that a chunk keeps as fixed-width
+# bytes; a column with a wider field is read as Python strings, so a chunk's
+# memory stays proportional to its text
+_BYTE_WIDTH = 64
+
 
 def _plain_chunk(block: list[str], first_line: int, columns: list[int], commas: int) -> Chunk | None:
     """Check a chunk of CSV lines as one UTF-8 byte buffer, or None when a
@@ -655,43 +663,56 @@ def _plain_chunk(block: list[str], first_line: int, columns: list[int], commas: 
         flagged[row] |= value[0].isspace() or value[-1].isspace()
     flagged |= (length[:, 0] == 0) | (length[:, 5] == 0)
 
-    # every field fits a window of the padded buffer that starts at it
-    padded = np.concatenate((buf, np.zeros(max(int(length.max()), _STAMP_WIDTH), dtype=np.uint8)))
+    # every field read as bytes fits a window of the padded buffer that
+    # starts at it
+    pad = max(min(int(length.max()), _BYTE_WIDTH), _STAMP_WIDTH)
+    padded = np.concatenate((buf, np.zeros(pad, dtype=np.uint8)))
     fixed = length[:, 1] == _STAMP_WIDTH
     seconds, ok = _decode_stamps(fixed, sliding_window_view(padded, _STAMP_WIDTH)[start[fixed, 1]])
     flagged |= ~ok
-    lat, lon = (_byte_floats(_field_bytes(padded, start[:, k], length[:, k])) for k in (2, 3))
+    lat, lon = (_byte_floats(_field_bytes(data, padded, start[:, k], length[:, k])) for k in (2, 3))
     flagged |= _out_of_range(lat, lon)
-    origin = start[:, 4]
-    flagged |= ~(
-        (length[:, 4] == 0)
-        | ((length[:, 4] == 2) & _UPPER[buf[origin]] & _UPPER[padded[origin + 1]])
-    )
+    # an origin is empty or two bytes; any other one is flagged, and a
+    # flagged row's accepted origin fits the two bytes kept (one byte, b"",
+    # when every origin of the chunk is empty)
+    pair = np.stack((buf[start[:, 4]], padded[start[:, 4] + 1]), axis=1)
+    two = length[:, 4] == 2
+    flagged |= ~((length[:, 4] == 0) | (two & _UPPER[pair].all(axis=1)))
+    pair[~two] = 0
 
     def settle(i: int) -> EventRecord | str:
         fields = block[i].split(",")
         return _make_record(*(fields[c].strip() for c in columns))
 
-    users, origins, tags = (_field_bytes(padded, start[:, k], length[:, k]) for k in (0, 4, 5))
+    users, tags = (_field_bytes(data, padded, start[:, k], length[:, k]) for k in (0, 5))
+    origins = pair.view("S2").ravel() if length[:, 4].any() else np.zeros(n, dtype="S1")
     return range(first_line, first_line + n), [users, seconds, lat, lon, origins, tags], flagged, settle
 
 
-def _field_bytes(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The fields ``padded[start:start + length]`` as a fixed-width ``S``
-    array; ``padded`` extends at least the widest field past each start."""
-    width = max(int(length.max(initial=0)), 1)
+def _field_bytes(data: bytes, padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | list[str]:
+    """The fields ``data[start:start + length]`` as a fixed-width ``S``
+    array, or as a list of str when one is wider than _BYTE_WIDTH bytes;
+    ``padded`` is ``data`` followed by zero bytes, at least as many as the
+    widest field up to _BYTE_WIDTH."""
+    width = int(length.max(initial=0))
+    if width > _BYTE_WIDTH:
+        return [data[s:e].decode() for s, e in zip(start.tolist(), (start + length).tolist())]
+    width = max(width, 1)
     chars = sliding_window_view(padded, width)[start]
     chars *= np.less.outer(np.arange(width), length).T
     return chars.view(f"S{width}").ravel()
 
 
-def _byte_floats(values: np.ndarray) -> np.ndarray:
-    """``float`` of each value of an ``S`` array, NaN where it raises.
+def _byte_floats(values: np.ndarray | list[str]) -> np.ndarray:
+    """``float`` of each value of an ``S`` array or list, NaN where it
+    raises.
 
     numpy's cast parses each value as Python's ``float`` does, and raises
     ValueError for the whole array at the first value it cannot parse,
     non-ASCII ones included; the values are then parsed one by one.
     """
+    if isinstance(values, list):
+        return _float_column(values)
     try:
         return values.astype(np.float64)
     except ValueError:

@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import math
+import tracemalloc
 from datetime import datetime, timezone
 
 import pytest
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 import cityattract.events as events_module
@@ -325,13 +328,11 @@ STAMPS = st.one_of(
         "２０１２-06-01T12:00:00Z", "2012-06-01T12:0a:00Z", "not-a-time", "", "2012-06-01T12Z",
     ]),
 )
-NUMBERS = st.one_of(
-    st.floats(min_value=-200, max_value=200).map(repr),
-    st.sampled_from([
-        "nan", "inf", "-0.0", "1e400", "abc", "", " 1.5", "1_0", "91", "-180", "0x10",
-        "+.5e-3", "5.", ".5", "1e-400", "00012", "1e", "-",
-    ]),
-)
+NUMBER_EDGES = [
+    "nan", "inf", "-0.0", "1e400", "abc", "", " 1.5", "1_0", "91", "-180", "0x10",
+    "+.5e-3", "5.", ".5", "1e-400", "00012", "1e", "-",
+]
+NUMBERS = st.one_of(st.floats(min_value=-200, max_value=200).map(repr), st.sampled_from(NUMBER_EDGES))
 ORIGINS = st.sampled_from(["", "ES", "FR", "es", "E1", "ESP", " DE "])
 TAGS = st.sampled_from(["t", "photo", "", " t", *EDGES])
 CSV_ROWS = st.lists(
@@ -465,6 +466,71 @@ def test_clean_utf8_csv_stays_on_the_byte_path(monkeypatch):
         assert len(calls) == 1  # the header
         assert (list(table), report) == want
         assert list(table.user_ids) == sorted({r.user_id for r in want[0]})
+
+
+def _outcome(parse, value):
+    try:
+        return parse(value)
+    except ValueError:
+        return "ValueError"
+
+
+@pytest.mark.parametrize(
+    "value",
+    NUMBER_EDGES + [
+        "17.453165111961056", "5e-324", "1.7976931348623157e+308", "-nan", "Infinity", "1__0", "_1",
+        "1_", "0b1", "1e+", ".", "e5", "1.5 ", "\t2", "1.5j", "１.5", "½",
+    ],
+)
+def test_numpy_byte_cast_parses_as_float(value):
+    # the byte path casts coordinate columns with numpy and trusts every value
+    # the cast accepts, so the cast may reject more strings than float but
+    # must never accept one float rejects, nor read one differently (a NUL,
+    # which S arrays drop from the end, never takes that path)
+    got = _outcome(lambda v: np.array([v.encode()], dtype="S").astype(np.float64)[0], value)
+    if got != "ValueError":
+        want = _outcome(float, value)
+        assert want != "ValueError"
+        assert math.isnan(got) and math.isnan(want) or got == want and math.copysign(1, got) == math.copysign(1, want)
+
+
+def test_wide_fields_keep_chunk_memory_in_proportion_to_the_text(monkeypatch):
+    # a field wider than the fixed-width columns allow is read as a Python
+    # string: memory follows the text, not rows times the widest field, and
+    # the chunk stays on the byte path
+    wide = 100_000
+    clean = ["u1", "2012-06-01T12:00:00Z", "40.5", "-3.7", "", "t"]
+    long_values = [  # one per chunk: column, value
+        (0, "v" * wide),  # accepted user
+        (4, "X" * wide),  # rejected origin
+        (5, " " + "g" * wide),  # accepted padded tag
+        (2, "1." + "0" * wide),  # accepted coordinate
+        (4, "ES" + " " * wide),  # accepted padded origin
+        (3, "9" * wide),  # coordinate out of range
+    ]
+    chunk_rows = 256
+    rows = [",".join(clean)] * (chunk_rows * len(long_values))
+    for k, (column, value) in enumerate(long_values):
+        fields = list(clean)
+        fields[column] = value
+        rows[k * chunk_rows + 7] = ",".join(fields)
+    text = HEADER + "\n" + "\n".join(rows) + "\n"
+    want = oracles.parse_events(text)
+    assert want[1].rejection_reasons == {"bad origin country": 1, "lon out of range": 1}
+    real_reader = csv.reader
+    calls = []
+    monkeypatch.setattr(events_module.csv, "reader", lambda *a, **k: calls.append(a) or real_reader(*a, **k))
+    monkeypatch.setattr(events_module, "CHUNK_ROWS", chunk_rows)
+    source = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        table, report = parse_events(source)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(calls) == 1  # the header
+    assert (list(table), report) == want
+    assert peak < 40 * wide  # about 1.1 MB; rows times the widest field would be 25.6 MB a column
 
 
 def test_user_ids_keep_trailing_nuls():
