@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__, pipeline
 from .events import EventTable, write_events_csv
-from .geo import assign_events, write_assignments_csv, write_layer_geojson
+from .geo import write_assignments_csv, write_layer_geojson
 from .output import dumps_stable, write_text
 from .pipeline import PipelineError
 from .scaling import table_to_csv
@@ -73,7 +73,7 @@ def _cmd_infer_home(args) -> int:
 
 def _cmd_assign(args) -> int:
     events, (layer,) = _inputs(args, args.layer)
-    assignment = assign_events(events, layer)
+    assignment = pipeline.assign_layer(events, layer)
     out = _out_dir(args)
     path = out / pipeline.output_name("assign", args.tag, layer.label)
     write_assignments_csv(assignment, path)

@@ -42,7 +42,7 @@ from typing import IO, Callable, Iterable, Iterator, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .output import dumps_stable
+from .output import coded_column, csv_blocks, dumps_stable, write_text
 
 CANONICAL_COLUMNS = ("user_id", "timestamp", "lat", "lon", "origin_country", "dataset_tag")
 
@@ -58,7 +58,6 @@ _STAMP_WIDTH = 20
 _STAMP_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
 _STAMP_SEPARATORS = np.array([4, 7, 10, 13, 16, 19])
 _STAMP_SEPARATOR_CODES = np.frombuffer(b"--T::Z", dtype=np.uint8)
-_DAYS_IN_MONTH = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31, 0])
 
 
 class IngestError(ValueError):
@@ -185,7 +184,9 @@ class IngestReport:
 def _valid_instant(year, month, day, hour, minute, second):
     """Whether the fields name a real UTC instant in years 1-9999."""
     leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    month_days = _DAYS_IN_MONTH[np.clip(month, 0, 13)] + ((month == 2) & leap)
+    february = month == 2
+    # 31 days in odd months up to July and even ones from August, else 30
+    month_days = 30 + (month + (month >= 8)) % 2 - 2 * february + (february & leap)
     return (
         (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
         & (hour <= 23) & (minute <= 59) & (second <= 59)
@@ -821,26 +822,28 @@ def _jsonl_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
 # ---------------------------------------------------------------------------
 # writing
 
-def events_to_csv(table: EventTable) -> str:
-    """Serialize events to the canonical CSV format (round-trip safe)."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CANONICAL_COLUMNS)
+def events_csv_blocks(table: EventTable) -> Iterator[str]:
+    """The canonical CSV text of the events (round-trip safe), in row blocks."""
     # repr keeps the shortest exact representation: re-parsing must
     # reproduce the events bit-for-bit
-    writer.writerows(
-        zip(
-            labels_of(table.user_ids, table.user),
-            _format_seconds(table.seconds),
-            map(repr, table.lat.tolist()),
-            map(repr, table.lon.tolist()),
-            labels_of(table.origin_ids, table.origin, ""),
-            labels_of(table.tag_ids, table.tag),
-        )
+    return csv_blocks(
+        CANONICAL_COLUMNS,
+        len(table),
+        (
+            coded_column(table.user_ids, table.user),
+            lambda start, stop: _format_seconds(table.seconds[start:stop]),
+            lambda start, stop: map(repr, table.lat[start:stop].tolist()),
+            lambda start, stop: map(repr, table.lon[start:stop].tolist()),
+            coded_column(table.origin_ids, table.origin),
+            coded_column(table.tag_ids, table.tag),
+        ),
     )
-    return buf.getvalue()
+
+
+def events_to_csv(table: EventTable) -> str:
+    """Serialize events to the canonical CSV format (round-trip safe)."""
+    return "".join(events_csv_blocks(table))
 
 
 def write_events_csv(table: EventTable, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(events_to_csv(table))
+    write_text(path, events_csv_blocks(table))

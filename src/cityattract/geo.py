@@ -18,17 +18,16 @@ Conventions, fixed for determinism:
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Sequence
+from typing import IO, Iterator, Sequence
 
 import numpy as np
 
 from .events import EventTable, labels_of
+from .output import coded_column, csv_blocks, write_text
 
 Ring = tuple[tuple[float, float], ...]  # (lat, lon) vertices, not closed
 PolygonRings = tuple[Ring, tuple[Ring, ...]]  # outer ring + hole rings
@@ -395,14 +394,21 @@ def assign_events(events: EventTable, layer: RegionLayer) -> Assignment:
     )
 
 
+def assignments_csv_blocks(assignment: Assignment) -> Iterator[str]:
+    """One ``event_index,region_id`` row per event, in row blocks."""
+    return csv_blocks(
+        ("event_index", "region_id"),
+        assignment.index.shape[0],
+        (
+            lambda start, stop: map(str, range(start, stop)),
+            coded_column(assignment.regions, assignment.index),
+        ),
+    )
+
+
 def assignments_to_csv(assignment: Assignment) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("event_index", "region_id"))
-    writer.writerows(enumerate(labels_of(assignment.regions, assignment.index, "")))
-    return buf.getvalue()
+    return "".join(assignments_csv_blocks(assignment))
 
 
 def write_assignments_csv(assignment: Assignment, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(assignments_to_csv(assignment))
+    write_text(path, assignments_csv_blocks(assignment))

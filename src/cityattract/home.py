@@ -17,8 +17,6 @@ with its sorted ``user_ids``.
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -27,8 +25,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .events import EventTable, labels_of
+from .events import EventTable
 from .geo import Assignment
+from .output import coded_column, csv_blocks, csv_fields, write_text
 
 UNDETERMINED = "UNDETERMINED"
 
@@ -125,13 +124,11 @@ class Origins(Mapping):
         return ~np.isin(self.code, local)
 
 
-def _group_starts(*keys: np.ndarray) -> np.ndarray:
-    """Start positions of the runs of equal key tuples in sorted keys."""
-    n = keys[0].shape[0]
-    change = np.zeros(n, dtype=bool)
+def _group_starts(key: np.ndarray) -> np.ndarray:
+    """Start positions of the runs of equal values in a sorted key."""
+    change = np.empty(key.shape[0], dtype=bool)
     change[:1] = True
-    for key in keys:
-        change[1:] |= key[1:] != key[:-1]
+    np.not_equal(key[1:], key[:-1], out=change[1:])
     return np.flatnonzero(change)
 
 
@@ -144,30 +141,37 @@ def accumulate_stats_seq(events: EventTable, countries: Assignment) -> tuple[Cou
     if countries.index.shape[0] != len(events):
         raise ValueError(f"{countries.index.shape[0]} countries for {len(events)} events")
     order = sorted(range(len(countries.regions)), key=countries.regions.__getitem__)
-    rank = np.empty(len(order), dtype=np.int64)
+    n_countries = max(len(order), 1)
+    # one int64 key per event orders by (user, country rank); the last
+    # rank slot, for events in no country, sorts them after every pair
+    rank = np.empty(len(order) + 1, dtype=np.int64)
     rank[order] = np.arange(len(order))
-    located = countries.index >= 0
-    user = events.user[located]
-    country = rank[countries.index[located]]
-    seconds = events.seconds[located]
-    by_pair = np.lexsort((country, user))
-    user, country, seconds = user[by_pair], country[by_pair], seconds[by_pair]
-    starts = _group_starts(user, country)
+    rank[-1] = len(events.user_ids) * n_countries
+    key = events.user.astype(np.int64)
+    key *= n_countries
+    key += rank[countries.index]
+    located = int(np.count_nonzero(countries.index >= 0))
+    by_pair = np.argsort(key)[:located]
+    key = key[by_pair]
+    seconds = events.seconds[by_pair]
+    del by_pair
+    starts = _group_starts(key)
     if starts.shape[0]:
         first = np.minimum.reduceat(seconds, starts)
         last = np.maximum.reduceat(seconds, starts)
     else:
         first = last = seconds
+    user, country = np.divmod(key[starts], n_countries)
     stats = CountryStats(
         user_ids=events.user_ids,
         countries=tuple(countries.regions[i] for i in order),
-        user=user[starts],
-        country=country[starts],
-        count=np.diff(np.append(starts, user.shape[0])),
+        user=user,
+        country=country,
+        count=np.diff(np.append(starts, key.shape[0])),
         first=first,
         last=last,
     )
-    return stats, int(located.shape[0] - user.shape[0])
+    return stats, len(events) - located
 
 
 def infer_all(stats: CountryStats, min_events: int = 1) -> Homes:
@@ -213,22 +217,25 @@ def origin_map(events: EventTable, homes: Homes) -> Origins:
     return Origins(events.user_ids, tuple(names), code)
 
 
+def homes_csv_blocks(homes: Homes) -> Iterator[str]:
+    """One row per user, sorted by user id, in row blocks."""
+    users = csv_fields(homes.user_ids)
+    return csv_blocks(
+        ("user_id", "country", "event_count", "timespan_seconds"),
+        len(homes),
+        (
+            lambda start, stop: users[start:stop],
+            coded_column(homes.countries, homes.country, UNDETERMINED),
+            lambda start, stop: map(str, homes.event_count[start:stop].tolist()),
+            lambda start, stop: map(str, homes.timespan_seconds[start:stop].tolist()),
+        ),
+    )
+
+
 def homes_to_csv(homes: Homes) -> str:
     """One row per user, sorted by user id."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("user_id", "country", "event_count", "timespan_seconds"))
-    writer.writerows(
-        zip(
-            homes.user_ids,
-            labels_of(homes.countries, homes.country, UNDETERMINED),
-            homes.event_count.tolist(),
-            homes.timespan_seconds.tolist(),
-        )
-    )
-    return buf.getvalue()
+    return "".join(homes_csv_blocks(homes))
 
 
 def write_homes_csv(homes: Homes, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(homes_to_csv(homes))
+    write_text(path, homes_csv_blocks(homes))

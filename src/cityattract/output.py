@@ -1,14 +1,26 @@
-"""Shared output helpers: fixed-precision number formatting and stable file writing.
+"""Shared output helpers: fixed-precision number formatting, per-row CSV
+rendering and stable file writing.
 
 Every numeric value leaving the package is serialized with 12 significant
-digits so that repeated runs produce byte-identical files.
+digits so that repeated runs produce byte-identical files.  Per-row CSV
+files (events, homes, assignments) are rendered in blocks of BLOCK_ROWS
+rows, so writing one holds at most one block of text.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 from pathlib import Path
+from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
+
+BLOCK_ROWS = 1 << 13  # rows rendered together; bounds a CSV writer's text in memory
+
+# a column of csv_blocks: the rendered fields of the rows [start, stop)
+Column = Callable[[int, int], Iterable[str]]
 
 
 def fmt_num(x: float | int) -> str:
@@ -59,10 +71,48 @@ def _encode(obj, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write UTF-8 text with fixed '\\n' line endings."""
+class _Echo:
+    """A file whose write returns the line, which csv.writer's writerow
+    then returns."""
+
+    def write(self, line: str) -> str:
+        return line
+
+
+def csv_fields(values: Iterable[str]) -> list[str]:
+    """Each value as csv.writer writes it as one field of a row of several:
+    QUOTE_MINIMAL, by the csv module's own rule."""
+    values = list(values)
+    writer = csv.writer(_Echo(), lineterminator="\n")
+    # quoting only ever adds characters, so an unchanged row quoted nothing
+    if writer.writerow((*values, "")) == ",".join(values) + ",\n":
+        return values
+    return [writer.writerow((value, ""))[:-2] for value in values]
+
+
+def coded_column(ids: Sequence[str], codes: np.ndarray, missing: str = "") -> Column:
+    """The column of labels ``ids[c]`` for the codes ``c``, ``missing``
+    where ``c`` is -1; each distinct label is rendered once."""
+    labels = np.array(csv_fields((*ids, missing)), dtype=object)
+    return lambda start, stop: labels[codes[start:stop]].tolist()
+
+
+def csv_blocks(header: Sequence[str], n: int, columns: Sequence[Column]) -> Iterator[str]:
+    """CSV text of ``header`` and ``n`` rows, rows joined from ``columns``:
+    the header line first, then blocks of at most BLOCK_ROWS lines."""
+    yield ",".join(csv_fields(header)) + "\n"
+    for start in range(0, n, BLOCK_ROWS):
+        stop = min(start + BLOCK_ROWS, n)
+        yield "\n".join(map(",".join, zip(*(column(start, stop) for column in columns)))) + "\n"
+
+
+def write_text(path: str | Path, text: str | Iterable[str]) -> None:
+    """Write UTF-8 text, or its blocks in order, with fixed '\\n' line endings."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
 
 
 def sha256_file(path: str | Path) -> str:

@@ -32,12 +32,14 @@ from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+
+import numpy as np
 
 from . import __version__
 from .events import EventTable, IngestError, IngestReport, parse_events
-from .geo import RegionLayer, assign_events, load_layer
-from .home import Homes, Origins, accumulate_stats_seq, infer_all, origin_map, homes_to_csv
+from .geo import Assignment, RegionLayer, assign_events, load_layer
+from .home import Homes, Origins, accumulate_stats_seq, homes_csv_blocks, infer_all, origin_map
 from .scaling import (
     AttractivenessTable,
     BinnedTrend,
@@ -65,6 +67,8 @@ from .temporal import WindowedExponents, window_exponents, windows_to_csv, windo
 MANIFEST = "run_manifest.json"
 
 VALID_FORMATS = ("csv", "jsonl")
+
+T = TypeVar("T")
 
 
 class PipelineError(Exception):
@@ -188,10 +192,12 @@ def read_layer(path: str) -> RegionLayer:
 
 
 # The last successful parse, keyed by the file's sha256, format and
-# strictness: (key, table, report).  The key holds no path or mtime, so a
-# file rewritten in place is parsed again, and one entry bounds what a
-# long-lived process keeps alive to one table.
-_last_parse: tuple[tuple[str, str, bool], EventTable, IngestReport] | None = None
+# strictness: (key, table, report, stages).  The key holds no path or
+# mtime, so a file rewritten in place is parsed again, and one entry bounds
+# what a long-lived process keeps alive to one table.  ``stages`` maps a
+# stage name to (key, result): that stage's latest result on this table,
+# keyed by the content of its other inputs.
+_last_parse: tuple[tuple[str, str, bool], EventTable, IngestReport, dict] | None = None
 
 
 def read_events(
@@ -208,11 +214,35 @@ def read_events(
             events, report = parse_events(path, format=format, strict=strict)
         except (IngestError, UnicodeDecodeError) as exc:
             raise PipelineError("ingest", f"{dataset_tag}: {exc}") from exc
-        _last_parse = (key, events, report)
-    _, events, report = _last_parse
+        _last_parse = (key, events, report, {})
+    _, events, report, _ = _last_parse
     if not events:
         raise PipelineError("ingest", f"{dataset_tag}: no events accepted")
     return events, replace(report, rejection_reasons=dict(report.rejection_reasons))
+
+
+def _reuse(events: EventTable, stage: str, key, compute: Callable[[], T]) -> T:
+    """``compute()``, or the result it gave before when ``events`` is the
+    memoized table and ``key`` is the same.  Only the stage's latest result
+    is kept, and only for that table."""
+    if _last_parse is None or _last_parse[1] is not events:
+        return compute()
+    stages = _last_parse[3]
+    held = stages.pop(stage, None)
+    if held is None or held[0] != key:
+        held = (key, compute())
+    stages[stage] = held
+    return held[1]
+
+
+def _layer_key(layer: RegionLayer) -> tuple:
+    """The content assignment depends on: region ids and geometry, in order."""
+    return tuple((region.id, region.polygons) for region in layer.regions)
+
+
+def _read_only(*arrays: np.ndarray) -> None:
+    for array in arrays:
+        array.setflags(write=False)
 
 
 def read_table(path: str, dataset: str, layer: str) -> AttractivenessTable:
@@ -231,21 +261,41 @@ def read_residuals(path: str) -> list[ResidualScore]:
         raise PipelineError("input-error", f"cannot read residuals {path}: {exc}") from exc
 
 
+def assign_layer(events: EventTable, layer: RegionLayer) -> Assignment:
+    """The events' assignment to ``layer``; a process reuses it for the
+    memoized table and a layer of the same regions and geometry."""
+
+    def compute() -> Assignment:
+        assignment = assign_events(events, layer)
+        _read_only(assignment.index)
+        return assignment
+
+    return _reuse(events, "assign", _layer_key(layer), compute)
+
+
 def resolve_origins(
     events: EventTable, country_layer: RegionLayer, min_events: int
 ) -> tuple[Origins, Homes, int]:
     """Country assignment, then the per-user tally, homes and origins;
-    also returns the number of events outside every country."""
-    stats, unresolved = accumulate_stats_seq(events, assign_events(events, country_layer))
-    homes = infer_all(stats, min_events=min_events)
-    return origin_map(events, homes), homes, unresolved
+    also returns the number of events outside every country.  A process
+    reuses the result for the memoized table, a country layer of the same
+    regions and geometry, and the same ``min_events``."""
+
+    def compute() -> tuple[Origins, Homes, int]:
+        stats, unresolved = accumulate_stats_seq(events, assign_events(events, country_layer))
+        homes = infer_all(stats, min_events=min_events)
+        origins = origin_map(events, homes)
+        _read_only(homes.country, homes.event_count, homes.timespan_seconds, origins.code)
+        return origins, homes, unresolved
+
+    return _reuse(events, "origins", (_layer_key(country_layer), min_events), compute)
 
 
 def count_foreign(
     events: EventTable, layer: RegionLayer, origins: Origins, target_country: str, dataset_tag: str
 ) -> ForeignCounts:
     """Assign the events to ``layer`` and count foreign visitors per region and month."""
-    assignment = assign_events(events, layer)
+    assignment = assign_layer(events, layer)
     return foreign_counts(events, assignment, origins, layer, target_country, dataset_tag=dataset_tag)
 
 
@@ -259,7 +309,7 @@ def write_ingest_report(out: Path, dataset_tag: str, report: IngestReport) -> No
 
 
 def write_homes(out: Path, dataset_tag: str, homes: Homes) -> None:
-    write_text(out / output_name("homes", dataset_tag), homes_to_csv(homes))
+    write_text(out / output_name("homes", dataset_tag), homes_csv_blocks(homes))
 
 
 def write_attractiveness(out: Path, counts: ForeignCounts) -> AttractivenessTable:

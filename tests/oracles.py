@@ -157,6 +157,16 @@ def read_assignments_csv(path) -> list:
         return [row[1] or None for row in reader if row]
 
 
+def rows_to_csv(header, rows) -> str:
+    """csv.writer's text of a header and rows: the per-row CSV writer the
+    block renderer replaced."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 def read_homes_csv(path) -> dict:
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)

@@ -1,11 +1,13 @@
 """Ingestion: field validation, rejection accounting, round-trips."""
 
+import calendar
 import csv
 import io
 import json
 import math
 import tracemalloc
 from datetime import datetime, timezone
+from itertools import compress
 
 import pytest
 import numpy as np
@@ -194,6 +196,25 @@ def test_timestamp_rejects_offsets_and_bare_times():
         row = {"user_id": "u1", "timestamp": bad, "lat": 40.4, "lon": -3.7, "dataset_tag": "t"}
         records, report = parse_events(io.StringIO(json.dumps(row)), format="jsonl")
         assert len(records) == 0 and report.rejection_reasons == {"bad timestamp": 1}, bad
+
+
+@pytest.mark.parametrize("year", [1, 4, 100, 400, 1900, 2000, 2012, 2013, 9999])
+def test_month_lengths_follow_the_calendar(year):
+    # the date-only form takes the scalar check on ints, the canonical form
+    # the column check on arrays; both use the same calendar expressions
+    dates = [f"{year:04d}-{month:02d}-{day:02d}" for month in range(14) for day in range(33)]
+    valid = [
+        1 <= int(d[5:7]) <= 12 and 1 <= int(d[8:]) <= calendar.monthrange(year, int(d[5:7]))[1]
+        for d in dates
+    ]
+    for date, ok in zip(dates, valid):
+        try:
+            timestamp_seconds(date)
+            assert ok, date
+        except ValueError:
+            assert not ok, date
+    records, _ = parse_events(csv_stream(*(f"u1,{d}T00:00:00Z,0,0,,t" for d in dates)))
+    assert [format_timestamp(r.timestamp)[:10] for r in records] == list(compress(dates, valid))
 
 
 @settings(max_examples=300, deadline=None)

@@ -1,12 +1,15 @@
 """One stage path: the CLI subcommands and run_pipeline write the same
 files, a failed publish never leaves a manifest behind, and in-process
-readers of one event file share one parse."""
+readers of one event file share one parse and the stage results on it."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
 import os
+import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -228,3 +231,126 @@ def test_manifest_digests_key_the_parse(world, tmp_path, monkeypatch, parses):
     pipeline.read_events(events, "csv", TAG)
     assert hashed.count(events) == 2
     assert parses == [events]
+
+
+@pytest.fixture
+def stages(monkeypatch, parses):
+    """Count the real country and city assignments and home tallies from
+    an empty memo on: (layer label, ...) per assignment, min_events per
+    home inference."""
+    calls = {"assign": [], "infer": []}
+    real_assign, real_infer = pipeline.assign_events, pipeline.infer_all
+
+    def counting_assign(events, layer):
+        calls["assign"].append(layer.label)
+        return real_assign(events, layer)
+
+    def counting_infer(stats, min_events=1):
+        calls["infer"].append(min_events)
+        return real_infer(stats, min_events=min_events)
+
+    monkeypatch.setattr(pipeline, "assign_events", counting_assign)
+    monkeypatch.setattr(pipeline, "infer_all", counting_infer)
+    return calls
+
+
+def _layer_args(world, tmp_path, cities=None):
+    events = ["--events", str(world / f"events__{TAG}.csv")]
+    countries = ["--countries", str(world / f"countries__{TAG}.geojson")]
+    layer = ["--layer", str(cities or world / f"cities__{TAG}.geojson")]
+    return events, countries, layer, ["--tag", TAG, "--out", str(tmp_path)]
+
+
+def test_cli_chain_runs_each_stage_once(world, tmp_path, stages):
+    events, countries, layer, out = _layer_args(world, tmp_path)
+    for argv in (
+        ["ingest", "--input", str(world / f"events__{TAG}.csv"), *out],
+        ["infer-home", *events, *countries, *out],
+        ["assign", *events, *layer, *out],
+        ["attractiveness", *events, *layer, *countries, *out],
+        ["temporal", *events, *layer, *countries, *out],
+    ):
+        _quiet(argv)
+    assert stages == {"assign": ["countries", "cities"], "infer": [1]}
+
+
+def test_changed_inputs_recompute_the_stages(world, tmp_path, stages):
+    events, countries, layer, out = _layer_args(world, tmp_path)
+    _quiet(["attractiveness", *events, *layer, *countries, *out])
+    assert stages == {"assign": ["countries", "cities"], "infer": [1]}
+    # another min_events reruns the home stage only
+    _quiet(["attractiveness", *events, *layer, *countries, *out, "--min-events", "2"])
+    assert stages == {"assign": ["countries", "cities", "countries"], "infer": [1, 2]}
+
+    doc = json.loads((world / f"cities__{TAG}.geojson").read_text())
+    # the same regions under another path, with other populations: no rerun
+    for feature in doc["features"]:
+        feature["properties"]["population"] += 1
+    repopulated = tmp_path / "repopulated.geojson"
+    repopulated.write_text(json.dumps(doc))
+    _, _, layer, _ = _layer_args(world, tmp_path, repopulated)
+    _quiet(["assign", *events, *layer, *out])
+    assert stages["assign"] == ["countries", "cities", "countries"]
+    # a moved vertex reruns the city assignment
+    ring = doc["features"][0]["geometry"]["coordinates"][0]
+    ring[1][0] += 1e-6
+    moved = tmp_path / "moved.geojson"
+    moved.write_text(json.dumps(doc))
+    _, _, layer, _ = _layer_args(world, tmp_path, moved)
+    _quiet(["assign", *events, *layer, *out])
+    assert stages == {"assign": ["countries", "cities", "countries", "cities"], "infer": [1, 2]}
+
+
+def test_repopulated_layer_counts_with_its_own_populations(world, tmp_path, parses):
+    events, countries, layer, out = _layer_args(world, tmp_path)
+    _quiet(["attractiveness", *events, *layer, *countries, *out])
+    name = f"attractiveness__{TAG}__cities.csv"
+    before = (tmp_path / name).read_text().splitlines()
+    doc = json.loads((world / f"cities__{TAG}.geojson").read_text())
+    for feature in doc["features"]:
+        feature["properties"]["population"] *= 2
+    repopulated = tmp_path / "repopulated.geojson"
+    repopulated.write_text(json.dumps(doc))
+    _, _, layer, _ = _layer_args(world, tmp_path, repopulated)
+    _quiet(["attractiveness", *events, *layer, *countries, *out])
+    after = (tmp_path / name).read_text().splitlines()
+    assert [row.split(",")[1] for row in after[1:]] == [
+        str(2 * int(row.split(",")[1])) for row in before[1:]
+    ]
+
+
+def test_shared_stage_results_are_read_only(world, tmp_path, parses):
+    events, _ = pipeline.read_events(str(world / f"events__{TAG}.csv"), "csv", TAG)
+    country_layer = pipeline.read_layer(str(world / f"countries__{TAG}.geojson"))
+    city_layer = pipeline.read_layer(str(world / f"cities__{TAG}.geojson"))
+    origins, homes, _ = pipeline.resolve_origins(events, country_layer, 1)
+    assignment = pipeline.assign_layer(events, city_layer)
+    # a later caller gets the very same objects
+    assert pipeline.resolve_origins(events, country_layer, 1)[0] is origins
+    assert pipeline.assign_layer(events, city_layer) is assignment
+    for array in (assignment.index, origins.code, homes.country, homes.event_count, homes.timespan_seconds):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+
+
+def test_stages_of_other_tables_are_not_kept(world, tmp_path, stages):
+    path = tmp_path / "events.csv"
+    path.write_text(ROWS)
+    events, _ = pipeline.read_events(str(path), "csv", "t")
+    country_layer = pipeline.read_layer(str(world / f"countries__{TAG}.geojson"))
+    held = weakref.ref(pipeline.resolve_origins(events, country_layer, 1)[1])
+    # an equal table that is not the memoized one is computed afresh
+    pipeline.resolve_origins(replace(events), country_layer, 1)
+    assert stages["infer"] == [1, 1]
+    pipeline.resolve_origins(events, country_layer, 1)
+    assert stages["infer"] == [1, 1]
+    assert held() is not None
+    # a new parse drops the old table's results
+    path.write_text(ROWS.replace("u2,", "v2,"))
+    del events
+    again, _ = pipeline.read_events(str(path), "csv", "t")
+    gc.collect()
+    assert held() is None
+    pipeline.resolve_origins(again, country_layer, 1)
+    assert stages["infer"] == [1, 1, 1]
