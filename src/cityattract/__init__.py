@@ -20,7 +20,7 @@ from .home import (
     infer_all,
     origin_map,
 )
-from .geo import Assignment, Region, RegionLayer, assign_events, load_layer, point_in_region
+from .geo import Assignment, Region, RegionLayer, assign_events, load_layer
 from .scaling import (
     AttractivenessTable,
     BinnedTrend,
@@ -54,7 +54,6 @@ __all__ = [
     "Region",
     "RegionLayer",
     "load_layer",
-    "point_in_region",
     "assign_events",
     "AttractivenessTable",
     "ForeignCounts",

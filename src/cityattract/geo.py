@@ -10,10 +10,14 @@ loading (RFC 7946 section 3.1.9).
 Conventions, fixed for determinism:
   - a point exactly on any ring edge is inside;
   - the crossing ray is cast northward (increasing latitude); whenever the
-    ray meridian coincides with a ring vertex longitude it is shifted by
-    +1e-12 degrees until it does not, so vertex hits never need tie rules;
+    ray meridian coincides with a vertex longitude of a polygon (outer ring
+    or holes) it is shifted by +1e-12 degrees until it does not, polygon
+    by polygon, so vertex hits never need tie rules;
   - a per-region bounding-box test may short-circuit to False but never
     changes an answer.
+
+region_contains_bulk is the one containment path: it tests arrays of
+points, ray shift included, with no per-point branch.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterator, Sequence
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -49,7 +53,7 @@ class Region:
     population: int | None
     polygons: tuple[PolygonRings, ...]
     bbox: tuple[float, float, float, float]  # min_lat, min_lon, max_lat, max_lon
-    _arrays: dict | None = field(default=None, repr=False, compare=False)
+    _arrays: list | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -225,90 +229,28 @@ def write_layer_geojson(layer: RegionLayer, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # point-in-polygon
 
-def _on_ring_edge(lat: float, lon: float, ring: Ring) -> bool:
-    n = len(ring)
-    yj, xj = ring[n - 1]
-    for i in range(n):
-        yi, xi = ring[i]
-        if (yi if yi < yj else yj) <= lat <= (yi if yi > yj else yj) and (
-            xi if xi < xj else xj
-        ) <= lon <= (xi if xi > xj else xj):
-            cross = (xj - xi) * (lat - yi) - (yj - yi) * (lon - xi)
-            if cross == 0.0:
-                return True
-        yj, xj = yi, xi
-    return False
-
-
-def _ray_meridian(lon: float, rings: Sequence[Ring]) -> float:
-    """Shift the ray meridian off any vertex longitude it coincides with."""
-    rx = lon
-    vlons = {x for ring in rings for _, x in ring}
-    while rx in vlons:
-        rx += _RAY_SHIFT
-    return rx
-
-
-def _inside_ring(lat: float, rx: float, ring: Ring) -> bool:
-    """Even-odd test against a northward ray at meridian ``rx``.
-
-    ``rx`` must not equal any vertex longitude of ``ring``.
-    """
-    inside = False
-    n = len(ring)
-    yj, xj = ring[n - 1]
-    for i in range(n):
-        yi, xi = ring[i]
-        if (xi > rx) != (xj > rx):
-            cross_lat = yi + (rx - xi) * (yj - yi) / (xj - xi)
-            if cross_lat > lat:
-                inside = not inside
-        yj, xj = yi, xi
-    return inside
-
-
-def point_in_region(lat: float, lon: float, region: Region, use_bbox: bool = True) -> bool:
-    """True iff the point is inside (or on the boundary of) the region."""
-    if use_bbox:
-        b = region.bbox
-        if not (b[0] <= lat <= b[2] and b[1] <= lon <= b[3]):
-            return False
-    for outer, holes in region.polygons:
-        if _on_ring_edge(lat, lon, outer) or any(_on_ring_edge(lat, lon, h) for h in holes):
-            return True
-    for outer, holes in region.polygons:
-        rings = (outer, *holes)
-        rx = _ray_meridian(lon, rings)
-        if _inside_ring(lat, rx, outer) and not any(_inside_ring(lat, rx, h) for h in holes):
-            return True
-    return False
-
-
-def _region_arrays(region: Region) -> dict:
+def _region_arrays(region: Region) -> list[tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]]:
+    """Per polygon: its rings as (lats, lons) arrays, outer ring first,
+    and the sorted unique longitudes of all its vertices."""
     cache = region._arrays
     if cache is None:
-        polys = []
-        vlons: list[np.ndarray] = []
+        cache = []
         for outer, holes in region.polygons:
-            rings = []
-            for ring in (outer, *holes):
-                arr = np.asarray(ring, dtype=np.float64)
-                rings.append((arr[:, 0], arr[:, 1]))
-                vlons.append(arr[:, 1])
-            polys.append(rings)
-        cache = {"polys": polys, "vlons": np.unique(np.concatenate(vlons))}
+            rings = [np.asarray(ring, dtype=np.float64) for ring in (outer, *holes)]
+            vlons = np.unique(np.concatenate([ring[:, 1] for ring in rings]))
+            cache.append(([(ring[:, 0], ring[:, 1]) for ring in rings], vlons))
         region._arrays = cache
     return cache
 
 
 def _ring_masks_bulk(
-    plats: np.ndarray, plons: np.ndarray, rlats: np.ndarray, rlons: np.ndarray
+    plats: np.ndarray, plons: np.ndarray, rx: np.ndarray, rlats: np.ndarray, rlons: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized on-edge and even-odd interior masks for one ring.
+    """On-edge and even-odd interior masks for one ring.
 
-    Mirrors _on_ring_edge/_inside_ring expression-for-expression so scalar
-    and bulk paths return bit-identical answers.  Caller guarantees no
-    point longitude coincides with a ring vertex longitude.
+    The on-edge test takes the points' own longitudes ``plons``; the
+    crossing test casts each point's ray at meridian ``rx``, which must
+    not equal any vertex longitude of the ring.
     """
     npts = plats.shape[0]
     on_edge = np.zeros(npts, dtype=bool)
@@ -323,17 +265,17 @@ def _ring_masks_bulk(
         if near.any():
             cross = (xj - xi) * (plats - yi) - (yj - yi) * (plons - xi)
             on_edge |= near & (cross == 0.0)
-        straddle = (xi > plons) != (xj > plons)
+        straddle = (xi > rx) != (xj > rx)
         if straddle.any():
             with np.errstate(divide="ignore", invalid="ignore"):
-                cross_lat = yi + (plons - xi) * (yj - yi) / (xj - xi)
+                cross_lat = yi + (rx - xi) * (yj - yi) / (xj - xi)
             inside ^= straddle & (cross_lat > plats)
         yj, xj = yi, xi
     return on_edge, inside
 
 
 def region_contains_bulk(region: Region, plats: np.ndarray, plons: np.ndarray) -> np.ndarray:
-    """Vectorized point_in_region over arrays of points."""
+    """True where a point is inside (or on the boundary of) the region."""
     plats = np.asarray(plats, dtype=np.float64)
     plons = np.asarray(plons, dtype=np.float64)
     out = np.zeros(plats.shape[0], dtype=bool)
@@ -342,28 +284,24 @@ def region_contains_bulk(region: Region, plats: np.ndarray, plons: np.ndarray) -
     if not mask.any():
         return out
     idx = np.nonzero(mask)[0]
-    sl, so = plats[idx], plons[idx]
-    cache = _region_arrays(region)
-    # points sharing a longitude with a vertex take the scalar path, which
-    # owns the ray-shift rule
-    needs_shift = np.isin(so, cache["vlons"])
-    for k in np.nonzero(needs_shift)[0]:
-        out[idx[k]] = point_in_region(float(sl[k]), float(so[k]), region, use_bbox=False)
-    rest = ~needs_shift
-    if rest.any():
-        rl, ro = sl[rest], so[rest]
-        contained = np.zeros(rl.shape[0], dtype=bool)
-        on_any = np.zeros(rl.shape[0], dtype=bool)
-        for rings in cache["polys"]:
-            outer_edge, outer_in = _ring_masks_bulk(rl, ro, *rings[0])
-            on_any |= outer_edge
-            in_hole = np.zeros(rl.shape[0], dtype=bool)
-            for hole in rings[1:]:
-                hole_edge, hole_in = _ring_masks_bulk(rl, ro, *hole)
-                on_any |= hole_edge
-                in_hole |= hole_in
-            contained |= outer_in & ~in_hole
-        out[idx[rest]] = on_any | contained
+    lats, lons = plats[idx], plons[idx]
+    on_edge = np.zeros(idx.shape[0], dtype=bool)
+    contained = np.zeros(idx.shape[0], dtype=bool)
+    for rings, vlons in _region_arrays(region):
+        # step the ray meridian off this polygon's vertex longitudes
+        rx = lons
+        hit = np.isin(rx, vlons)
+        while hit.any():
+            rx = np.where(hit, rx + _RAY_SHIFT, rx)
+            hit = np.isin(rx, vlons)
+        edge, inside = _ring_masks_bulk(lats, lons, rx, *rings[0])
+        on_edge |= edge
+        for hole in rings[1:]:
+            edge, in_hole = _ring_masks_bulk(lats, lons, rx, *hole)
+            on_edge |= edge
+            inside &= ~in_hole
+        contained |= inside
+    out[idx] = on_edge | contained
     return out
 
 

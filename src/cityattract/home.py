@@ -20,14 +20,13 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Mapping
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .events import EventTable
 from .geo import Assignment
-from .output import coded_column, csv_blocks, csv_fields, write_text
+from .output import coded_column, csv_blocks, csv_fields
 
 UNDETERMINED = "UNDETERMINED"
 
@@ -231,11 +230,3 @@ def homes_csv_blocks(homes: Homes) -> Iterator[str]:
         ),
     )
 
-
-def homes_to_csv(homes: Homes) -> str:
-    """One row per user, sorted by user id."""
-    return "".join(homes_csv_blocks(homes))
-
-
-def write_homes_csv(homes: Homes, path: str | Path) -> None:
-    write_text(path, homes_csv_blocks(homes))

@@ -9,15 +9,16 @@ rows, so writing one holds at most one block of text.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
+import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 BLOCK_ROWS = 1 << 13  # rows rendered together; bounds a CSV writer's text in memory
+_NEEDS_QUOTES = re.compile('[",\r\n]')
 
 # a column of csv_blocks: the rendered fields of the rows [start, stop)
 Column = Callable[[int, int], Iterable[str]]
@@ -71,23 +72,17 @@ def _encode(obj, indent: int) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-class _Echo:
-    """A file whose write returns the line, which csv.writer's writerow
-    then returns."""
-
-    def write(self, line: str) -> str:
-        return line
-
-
 def csv_fields(values: Iterable[str]) -> list[str]:
-    """Each value as csv.writer writes it as one field of a row of several:
-    QUOTE_MINIMAL, by the csv module's own rule."""
+    """Each value as one field of a CSV row of several: a value holding a
+    comma, a double quote, '\\r' or '\\n' is quoted, its quotes doubled.
+
+    This is csv.writer's QUOTE_MINIMAL with '\\r\\n' line ends, spelled out
+    so that the bytes do not depend on the csv module's version.
+    """
     values = list(values)
-    writer = csv.writer(_Echo(), lineterminator="\n")
-    # quoting only ever adds characters, so an unchanged row quoted nothing
-    if writer.writerow((*values, "")) == ",".join(values) + ",\n":
+    if not _NEEDS_QUOTES.search("".join(values)):
         return values
-    return [writer.writerow((value, ""))[:-2] for value in values]
+    return ['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v for v in values]
 
 
 def coded_column(ids: Sequence[str], codes: np.ndarray, missing: str = "") -> Column:

@@ -25,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 _MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_MUL1 = 0xBF58476D1CE4E5B9
@@ -41,13 +39,6 @@ def mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_MUL1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_MUL2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-def _mix64_array(z: np.ndarray) -> np.ndarray:
-    # same arithmetic as mix64, vectorized on uint64 (wrapping is native)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_MUL1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_MUL2)
-    return z ^ (z >> np.uint64(31))
 
 
 @dataclass(frozen=True)
@@ -77,17 +68,3 @@ class CounterRng:
         u2 = self.uniform(2 * i + 1)
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(_TWO_PI * u2)
 
-    # --- bulk variants (identical values, vectorized) ---
-
-    def u64_array(self, start: int, n: int) -> np.ndarray:
-        counters = np.arange(start, start + n, dtype=np.uint64)
-        state = np.uint64(self.seed & _MASK64) + (counters + np.uint64(1)) * np.uint64(GOLDEN_GAMMA)
-        return _mix64_array(state)
-
-    def uniform_array(self, start: int, n: int) -> np.ndarray:
-        return ((self.u64_array(start, n) >> np.uint64(11)).astype(np.float64) + 1.0) * _TWO_POW_MINUS53
-
-    def normal_array(self, start: int, n: int) -> np.ndarray:
-        u = self.uniform_array(2 * start, 2 * n)
-        u1, u2 = u[0::2], u[1::2]
-        return np.sqrt(-2.0 * np.log(u1)) * np.cos(_TWO_PI * u2)

@@ -87,6 +87,14 @@ def polygon_feature(rid: str, rings_latlon, population=None, layer="test"):
     return {"type": "Feature", "properties": props, "geometry": {"type": "Polygon", "coordinates": coords}}
 
 
+def multipolygon_feature(rid: str, polygons, layer="test"):
+    """Feature from polygons, each a list of open (lat, lon) rings."""
+    feature = polygon_feature(rid, polygons[0], layer=layer)
+    coords = [polygon_feature(rid, rings)["geometry"]["coordinates"] for rings in polygons]
+    feature["geometry"] = {"type": "MultiPolygon", "coordinates": coords}
+    return feature
+
+
 # three shapes exercising distinct containment branches: plain convex,
 # concave with a notch, and an outer ring with a hole
 CONVEX_RING = [(0.0, 0.0), (0.2, 1.1), (1.0, 1.4), (1.7, 0.6), (1.1, -0.4)]

@@ -6,10 +6,13 @@ pnpoly casts a horizontal ray (production casts northward), the OLS
 oracle is a brute-force grid search, and pearson_direct uses the
 textbook covariance/sigma form.
 
-The per-row references further down are the package's earlier scalar
-implementations, kept as the oracles of the columnar code that replaced
-them: row-by-row parsing, dict-based home tallies with a tuple tie-break,
-and per-event filter-and-count attractiveness tables and windows.
+point_in_region is the package's earlier scalar point-in-polygon code,
+the reference of the vectorized kernel: the same float expressions and
+the same ray-shift rule, one point at a time.  The per-row references
+further down are the package's earlier scalar implementations, kept as
+the oracles of the columnar code that replaced them: row-by-row parsing,
+dict-based home tallies with a tuple tie-break, and per-event
+filter-and-count attractiveness tables and windows.
 """
 
 from __future__ import annotations
@@ -18,16 +21,77 @@ import csv
 import io
 import json
 import math
+from typing import Sequence
 
 import numpy as np
 
 from cityattract.events import CANONICAL_COLUMNS, EventRecord, IngestError, IngestReport, _make_record
-from cityattract.geo import point_in_region
+from cityattract.geo import Region, Ring
 from cityattract.home import UNDETERMINED, HomeRecord
 from cityattract.scaling import AttractivenessTable, AttractRow, StatsError, fit_xy
 from cityattract.temporal import window_months
 
 GRID_STEP = 1e-4  # degrees; rasterization oracle resolution
+_RAY_SHIFT = 1e-12
+
+
+def _on_ring_edge(lat: float, lon: float, ring: Ring) -> bool:
+    n = len(ring)
+    yj, xj = ring[n - 1]
+    for i in range(n):
+        yi, xi = ring[i]
+        if (yi if yi < yj else yj) <= lat <= (yi if yi > yj else yj) and (
+            xi if xi < xj else xj
+        ) <= lon <= (xi if xi > xj else xj):
+            cross = (xj - xi) * (lat - yi) - (yj - yi) * (lon - xi)
+            if cross == 0.0:
+                return True
+        yj, xj = yi, xi
+    return False
+
+
+def _ray_meridian(lon: float, rings: Sequence[Ring]) -> float:
+    """Shift the ray meridian off any vertex longitude it coincides with."""
+    rx = lon
+    vlons = {x for ring in rings for _, x in ring}
+    while rx in vlons:
+        rx += _RAY_SHIFT
+    return rx
+
+
+def _inside_ring(lat: float, rx: float, ring: Ring) -> bool:
+    """Even-odd test against a northward ray at meridian ``rx``.
+
+    ``rx`` must not equal any vertex longitude of ``ring``.
+    """
+    inside = False
+    n = len(ring)
+    yj, xj = ring[n - 1]
+    for i in range(n):
+        yi, xi = ring[i]
+        if (xi > rx) != (xj > rx):
+            cross_lat = yi + (rx - xi) * (yj - yi) / (xj - xi)
+            if cross_lat > lat:
+                inside = not inside
+        yj, xj = yi, xi
+    return inside
+
+
+def point_in_region(lat: float, lon: float, region: Region, use_bbox: bool = True) -> bool:
+    """True iff the point is inside (or on the boundary of) the region."""
+    if use_bbox:
+        b = region.bbox
+        if not (b[0] <= lat <= b[2] and b[1] <= lon <= b[3]):
+            return False
+    for outer, holes in region.polygons:
+        if _on_ring_edge(lat, lon, outer) or any(_on_ring_edge(lat, lon, h) for h in holes):
+            return True
+    for outer, holes in region.polygons:
+        rings = (outer, *holes)
+        rx = _ray_meridian(lon, rings)
+        if _inside_ring(lat, rx, outer) and not any(_inside_ring(lat, rx, h) for h in holes):
+            return True
+    return False
 
 
 def pnpoly(lat: float, lon: float, ring) -> bool:
@@ -157,14 +221,23 @@ def read_assignments_csv(path) -> list:
         return [row[1] or None for row in reader if row]
 
 
+class _LfRows(list):
+    """A file that keeps each row csv.writer writes, its '\\r\\n' line end
+    turned into '\\n'."""
+
+    def write(self, line: str) -> None:
+        self.append(line[:-2] + "\n")
+
+
 def rows_to_csv(header, rows) -> str:
-    """csv.writer's text of a header and rows: the per-row CSV writer the
-    block renderer replaced."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """csv.writer's text of a header and rows, the per-row CSV writer the
+    block renderer replaced.  With '\\r\\n' line ends the writer quotes
+    every field holding '\\r' or '\\n'; each row then ends in '\\n'."""
+    lines = _LfRows()
+    writer = csv.writer(lines, lineterminator="\r\n")
     writer.writerow(header)
     writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(lines)
 
 
 def read_homes_csv(path) -> dict:

@@ -14,15 +14,15 @@ from cityattract.geo import (
     assignments_to_csv,
     layer_to_geojson,
     load_layer,
-    point_in_region,
     region_contains_bulk,
     write_layer_geojson,
 )
 
-from conftest import ev, layer_of, polygon_feature, shape_regions, square_feature, table_of
+from conftest import ev, layer_of, multipolygon_feature, polygon_feature, shape_regions, square_feature, table_of
 from oracles import (
     distance_to_boundary,
     pnpoly_region,
+    point_in_region,
     raster_oracle,
     read_assignments_csv,
     region_lookup,
@@ -142,40 +142,98 @@ def test_geojson_round_trip(tmp_path):
 
 # --- containment -----------------------------------------------------------
 
+def contains_bulk(lat: float, lon: float, region) -> bool:
+    return bool(region_contains_bulk(region, np.array([lat]), np.array([lon]))[0])
+
+
+# the production path, and the scalar oracle it must agree with
+CONTAINS = (contains_bulk, point_in_region)
+
+
+def multi_holed_region():
+    """A holed square and a triangle above it, each with vertex longitudes
+    inside the other's longitude span."""
+    outer = [(0.0, 0.0), (0.0, 2.0), (2.0, 2.0), (2.0, 0.0)]
+    hole = [(0.5, 0.5), (0.5, 1.5), (1.5, 1.5), (1.5, 0.5)]
+    triangle = [(2.5, 0.25), (4.0, 1.0), (2.5, 2.5)]
+    return layer_of(multipolygon_feature("multi", [[outer, hole], [triangle]])).regions[0]
+
+
 def test_unit_square_examples(unit_square_layer):
     sq = unit_square_layer.regions[0]
-    assert point_in_region(0.5, 0.5, sq) is True
-    assert point_in_region(2.0, 2.0, sq) is False
+    for contains in CONTAINS:
+        assert contains(0.5, 0.5, sq) is True
+        assert contains(2.0, 2.0, sq) is False
 
 
 def test_boundary_counts_as_inside(unit_square_layer):
     sq = unit_square_layer.regions[0]
-    for lat, lon in [(0.0, 0.5), (0.5, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0)]:
-        assert point_in_region(lat, lon, sq) is True
+    for contains in CONTAINS:
+        for lat, lon in [(0.0, 0.5), (0.5, 0.0), (1.0, 0.5), (0.5, 1.0), (0.0, 0.0), (1.0, 1.0)]:
+            assert contains(lat, lon, sq) is True
 
 
 def test_hole_semantics():
     region = shape_regions()["holed"]
-    assert point_in_region(0.5, 0.5, region) is True
-    assert point_in_region(1.5, 1.5, region) is False
-    # the hole's edge is still region boundary, so it reports inside
-    assert point_in_region(1.0, 1.5, region) is True
+    for contains in CONTAINS:
+        assert contains(0.5, 0.5, region) is True
+        assert contains(1.5, 1.5, region) is False
+        # the hole's edge is still region boundary, so it reports inside
+        assert contains(1.0, 1.5, region) is True
 
 
 def test_concave_notch():
     # C-shape: notch cut from lon 0.8 to 2.0 across lat 0.8..1.2
     region = shape_regions()["concave"]
-    assert point_in_region(0.4, 1.0, region) is True  # below the notch
-    assert point_in_region(1.0, 1.5, region) is False  # in the notch
-    assert point_in_region(1.0, 0.4, region) is True  # left of the notch
-    assert point_in_region(1.6, 1.0, region) is True  # above the notch
+    for contains in CONTAINS:
+        assert contains(0.4, 1.0, region) is True  # below the notch
+        assert contains(1.0, 1.5, region) is False  # in the notch
+        assert contains(1.0, 0.4, region) is True  # left of the notch
+        assert contains(1.6, 1.0, region) is True  # above the notch
 
 
 def test_point_above_vertex_longitude():
     # ray leaving straight through a vertex: perturbation keeps parity right
     region = shape_regions()["convex"]
-    assert point_in_region(0.5, 1.1, region) is True
-    assert point_in_region(-0.5, 1.1, region) is False
+    for contains in CONTAINS:
+        assert contains(0.5, 1.1, region) is True
+        assert contains(-0.5, 1.1, region) is False
+
+
+def test_multipolygon_at_vertex_longitudes():
+    # each point's longitude is a vertex longitude of one polygon only
+    region = multi_holed_region()
+    for contains in CONTAINS:
+        assert contains(3.0, 1.5, region) is True  # in the triangle, on a hole vertex line
+        assert contains(3.75, 1.5, region) is False  # above the triangle
+        assert contains(1.0, 1.0, region) is False  # in the hole, on the triangle's vertex line
+        assert contains(2.25, 1.0, region) is False  # between the two polygons
+        assert contains(1.5, 1.0, region) is True  # on the hole's edge
+        assert contains(1.0, 2.0, region) is True  # on the square's edge
+
+
+def test_ray_shift_is_per_polygon_on_steep_edges():
+    # edges so steep that moving the ray 1e-12 degrees east moves their
+    # crossings 1e-6 degrees north; lon 1.0 is a vertex longitude of the
+    # first polygon only, so only its ray shifts
+    needle = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (0.0, 1.0 + 1e-6)]
+    wedge = [(3.0, 1.0 - 1e-6), (5.0, 1.0 + 1e-6), (5.0, 0.0)]
+    region = layer_of(multipolygon_feature("n", [[needle], [wedge]])).regions[0]
+    for contains in CONTAINS:
+        assert contains(1.0 - 1e-7, 1.0, region) is False  # above the shifted crossing
+        assert contains(1.0 - 2e-6, 1.0, region) is True
+        assert contains(4.0 + 5e-7, 1.0, region) is True  # above the unshifted crossing
+        assert contains(4.0 - 5e-7, 1.0, region) is False
+
+
+def test_ray_shift_repeats_until_off_every_vertex():
+    # vertex longitudes 1.0 and 1.0 + 1e-12: a ray at lon 1.0 shifts twice,
+    # past the second vertex, before it crosses the steep edge east of it
+    ring = [(0.0, 0.0), (2.0, 0.0), (1.0, 1.0), (0.5, 1.0 + 1e-12), (0.0, 1.0 + 1e-6)]
+    region = layer_of(polygon_feature("ladder", [ring])).regions[0]
+    for contains in CONTAINS:
+        assert contains(0.5 - 2e-7, 1.0, region) is False  # above the twice-shifted crossing
+        assert contains(0.5 - 8e-7, 1.0, region) is True
 
 
 def test_matches_raster_oracle_sample():
@@ -192,7 +250,8 @@ def test_matches_raster_oracle_sample():
             verdict = raster_oracle(lat, lon, polys)
             if verdict is None:
                 continue
-            assert point_in_region(lat, lon, region) == verdict, (region.id, lat, lon)
+            for contains in CONTAINS:
+                assert contains(lat, lon, region) == verdict, (region.id, lat, lon)
             checked += 1
         assert checked > 300
 
@@ -210,15 +269,25 @@ def test_bulk_matches_scalar_on_tricky_points():
         assert bulk[i] == point_in_region(lat, lon, region), (lat, lon)
 
 
-@given(
-    st.floats(min_value=-2.0, max_value=4.0),
-    st.floats(min_value=-2.0, max_value=4.0),
-)
-def test_bbox_prefilter_soundness(lat, lon):
-    for region in shape_regions().values():
-        assert point_in_region(lat, lon, region, use_bbox=True) == point_in_region(
-            lat, lon, region, use_bbox=False
-        )
+PROPERTY_REGIONS = (*shape_regions().values(), multi_holed_region())
+VERTEX_LATS = sorted({y for r in PROPERTY_REGIONS for o, h in r.polygons for ring in (o, *h) for y, _ in ring})
+VERTEX_LONS = sorted({x for r in PROPERTY_REGIONS for o, h in r.polygons for ring in (o, *h) for _, x in ring})
+# half the coordinates sit on a vertex line, or a ray shift off one
+AXIS = st.floats(min_value=-2.0, max_value=5.0)
+LATS = st.one_of(AXIS, st.sampled_from(VERTEX_LATS))
+LONS = st.one_of(AXIS, st.sampled_from(VERTEX_LONS).flatmap(lambda x: st.sampled_from([x, x + 1e-12])))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(LATS, LONS), min_size=1, max_size=16))
+def test_bbox_prefilter_soundness(points):
+    # the bulk path, bbox filter and ray shift included, agrees with the
+    # scalar oracle run without its bbox test
+    plats = np.array([lat for lat, _ in points])
+    plons = np.array([lon for _, lon in points])
+    for region in PROPERTY_REGIONS:
+        expected = [point_in_region(lat, lon, region, use_bbox=False) for lat, lon in points]
+        assert region_contains_bulk(region, plats, plons).tolist() == expected, region.id
 
 
 # dyadic lattice keeps the float translation exact, so the geometric
@@ -242,7 +311,8 @@ def test_translation_consistency(lat8, lon8, dlat4, dlon4):
     base = layer_of(polygon_feature("c", [DYADIC_RING])).regions[0]
     moved_ring = [(a + dlat, b + dlon) for a, b in DYADIC_RING]
     moved = layer_of(polygon_feature("c", [moved_ring])).regions[0]
-    assert point_in_region(lat, lon, base) == point_in_region(lat + dlat, lon + dlon, moved)
+    for contains in CONTAINS:
+        assert contains(lat, lon, base) == contains(lat + dlat, lon + dlon, moved)
 
 
 # --- assignment ------------------------------------------------------------

@@ -11,10 +11,11 @@ from cityattract.home import (
     UNDETERMINED,
     Homes,
     accumulate_stats_seq,
+    homes_csv_blocks,
     infer_all,
     origin_map,
-    write_homes_csv,
 )
+from cityattract.output import write_text
 
 import oracles
 from conftest import T0, assignment_of, ev, home_of, table_of
@@ -241,7 +242,7 @@ def test_homes_csv_round_trip(tmp_path):
         timespan_seconds=np.array([86400, 0]),
     )
     path = tmp_path / "homes.csv"
-    write_homes_csv(homes, path)
+    write_text(path, homes_csv_blocks(homes))
     text = path.read_text()
     lines = text.splitlines()
     assert lines[0] == "user_id,country,event_count,timespan_seconds"

@@ -1,6 +1,7 @@
 """The block CSV renderer against csv.writer, through each per-row writer:
 labels that need quoting, and row counts around the block size."""
 
+import json
 import tracemalloc
 from unittest import mock
 
@@ -9,9 +10,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cityattract import output
-from cityattract.events import CANONICAL_COLUMNS, EventTable, events_to_csv, write_events_csv
+from cityattract.events import CANONICAL_COLUMNS, EventTable, events_to_csv, parse_events, write_events_csv
 from cityattract.geo import Assignment, assignments_to_csv
-from cityattract.home import Homes, homes_to_csv
+from cityattract.home import Homes, homes_csv_blocks
 from cityattract.output import BLOCK_ROWS, csv_fields
 
 import oracles
@@ -68,6 +69,10 @@ def _homes(labels, countries, n, seed) -> Homes:
     )
 
 
+def homes_to_csv(homes: Homes) -> str:
+    return "".join(homes_csv_blocks(homes))
+
+
 def _expected_homes(homes: Homes) -> str:
     rows = ((h.user_id, h.country, h.event_count, h.timespan_seconds) for h in homes.values())
     return oracles.rows_to_csv(("user_id", "country", "event_count", "timespan_seconds"), rows)
@@ -120,6 +125,21 @@ def test_writers_match_csv_writer_at_the_block_size(n):
     assert homes_to_csv(homes) == _expected_homes(homes)
     assignment = _assignment(SPECIAL, n, n)
     assert assignments_to_csv(assignment) == _expected_assignments(assignment)
+
+
+@pytest.mark.parametrize("user", ["a\rb", "a\nb", "a\r\nb", 'a"b', "a,b"])
+def test_events_csv_round_trips_line_breaks_in_values(tmp_path, user):
+    # a bare '\r' is a line break to the reader, so it must be quoted too
+    row = {"timestamp": "2012-06-01T12:00:00Z", "lat": 0.5, "lon": 0.5, "dataset_tag": "t"}
+    jsonl = tmp_path / "events.jsonl"
+    jsonl.write_text("".join(json.dumps({"user_id": u, **row}) + "\n" for u in (user, "c")), encoding="utf-8")
+    table, report = parse_events(jsonl, format="jsonl")
+    assert table.user_ids == (user, "c") and report.rejected == 0
+    written = tmp_path / "events.csv"
+    write_events_csv(table, written)
+    again, report = parse_events(written)
+    assert again.user_ids == (user, "c")
+    assert report.rejected == 0 and report.accepted == 2
 
 
 def test_writing_holds_one_block_of_text(tmp_path):

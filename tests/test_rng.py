@@ -68,28 +68,6 @@ def test_normal_moments():
     assert abs(vals.std() - 1.0) < 0.03
 
 
-def test_bulk_equals_scalar():
-    rng = CounterRng(2024).stream(3)
-    np.testing.assert_array_equal(
-        rng.u64_array(0, 513),
-        np.array([rng.u64(i) for i in range(513)], dtype=np.uint64),
-    )
-    np.testing.assert_array_equal(
-        rng.uniform_array(0, 513), np.array([rng.uniform(i) for i in range(513)])
-    )
-    np.testing.assert_array_equal(
-        rng.normal_array(0, 100), np.array([rng.normal(i) for i in range(100)])
-    )
-    # nonzero start must address the same counters as the scalar path
-    np.testing.assert_array_equal(
-        rng.u64_array(1_000_000, 7),
-        np.array([rng.u64(1_000_000 + i) for i in range(7)], dtype=np.uint64),
-    )
-    np.testing.assert_array_equal(
-        rng.normal_array(41, 5), np.array([rng.normal(41 + i) for i in range(5)])
-    )
-
-
 @given(st.integers(min_value=0, max_value=2**64 - 1), st.integers(min_value=0, max_value=10**9))
 def test_u64_is_deterministic_and_bounded(seed, counter):
     rng = CounterRng(seed)

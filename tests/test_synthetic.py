@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from cityattract.geo import assign_events, point_in_region
+from cityattract.geo import assign_events
 from cityattract.scaling import fit_power_law
 from cityattract.synthetic import (
     SyntheticSpec,
@@ -20,6 +20,7 @@ from cityattract.synthetic import (
 )
 
 from conftest import table_of
+from oracles import point_in_region
 
 
 def base_spec(**overrides):
