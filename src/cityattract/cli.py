@@ -151,15 +151,8 @@ def _cmd_correlate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    seasonal = None
-    if args.seasonal:
-        parts = args.seasonal.split(",")
-        if len(parts) != 12:
-            raise PipelineError(
-                "input-error", f"--seasonal needs 12 comma-separated exponents, got {len(parts)}"
-            )
-        seasonal = tuple(float(p) for p in parts)
     try:
+        seasonal = tuple(float(p) for p in args.seasonal.split(",")) if args.seasonal else None
         spec = SyntheticSpec(
             n_regions=args.regions,
             p_min=args.p_min,

@@ -221,9 +221,7 @@ def layer_to_geojson(layer: RegionLayer) -> dict:
 
 
 def write_layer_geojson(layer: RegionLayer, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(layer_to_geojson(layer), fh, separators=(",", ":"), sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(layer_to_geojson(layer), separators=(",", ":"), sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
-"""Shared output helpers: fixed-precision number formatting, per-row CSV
+"""Shared output helpers: fixed-precision number formatting, CSV
 rendering and stable file writing.
 
 Every numeric value leaving the package is serialized with 12 significant
-digits so that repeated runs produce byte-identical files.  Per-row CSV
-files (events, homes, assignments) are rendered in blocks of BLOCK_ROWS
-rows, so writing one holds at most one block of text.
+digits so that repeated runs produce byte-identical files.  Every CSV file
+the package writes quotes its fields by the one rule of csv_fields.
+Per-row CSV files (events, homes, assignments) are rendered in blocks of
+BLOCK_ROWS rows, so writing one holds at most one block of text.
 """
 
 from __future__ import annotations
@@ -85,6 +86,13 @@ def csv_fields(values: Iterable[str]) -> list[str]:
     return ['"' + v.replace('"', '""') + '"' if _NEEDS_QUOTES.search(v) else v for v in values]
 
 
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """CSV text of ``header`` and ``rows``, each value as str() gives it and
+    each line ended by '\\n'.  A row of one empty field is written '""', as
+    csv.writer does, so that it does not read back as a blank line."""
+    return "".join((",".join(csv_fields(map(str, row))) or '""') + "\n" for row in (header, *rows))
+
+
 def coded_column(ids: Sequence[str], codes: np.ndarray, missing: str = "") -> Column:
     """The column of labels ``ids[c]`` for the codes ``c``, ``missing``
     where ``c`` is -1; each distinct label is rendered once."""
@@ -95,7 +103,7 @@ def coded_column(ids: Sequence[str], codes: np.ndarray, missing: str = "") -> Co
 def csv_blocks(header: Sequence[str], n: int, columns: Sequence[Column]) -> Iterator[str]:
     """CSV text of ``header`` and ``n`` rows, rows joined from ``columns``:
     the header line first, then blocks of at most BLOCK_ROWS lines."""
-    yield ",".join(csv_fields(header)) + "\n"
+    yield csv_text(header, ())
     for start in range(0, n, BLOCK_ROWS):
         stop = min(start + BLOCK_ROWS, n)
         yield "\n".join(map(",".join, zip(*(column(start, stop) for column in columns)))) + "\n"

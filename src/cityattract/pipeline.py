@@ -21,8 +21,6 @@ byte-identical, and wall-clock timestamps appear only in the manifest.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import os
 import re
@@ -61,7 +59,7 @@ from .scaling import (
     scatter_to_csv,
     table_to_csv,
 )
-from .output import dumps_stable, fmt_num, sha256_file, write_text
+from .output import csv_text, dumps_stable, fmt_num, sha256_file, write_text
 from .temporal import WindowedExponents, window_exponents, windows_to_csv, windows_to_json
 
 MANIFEST = "run_manifest.json"
@@ -249,7 +247,7 @@ def read_table(path: str, dataset: str, layer: str) -> AttractivenessTable:
     require_files([path])
     try:
         return read_table_csv(path, dataset_tag=dataset, layer=layer)
-    except ValueError as exc:  # StatsError on a bad header or a short row
+    except ValueError as exc:  # StatsError on a bad header or row, or undecodable text
         raise PipelineError("input-error", f"cannot read table {path}: {exc}") from exc
 
 
@@ -257,7 +255,7 @@ def read_residuals(path: str) -> list[ResidualScore]:
     require_files([path])
     try:
         return read_residuals_csv(path)
-    except ValueError as exc:  # StatsError on a bad header or a short row
+    except ValueError as exc:  # StatsError on a bad header or row, or undecodable text
         raise PipelineError("input-error", f"cannot read residuals {path}: {exc}") from exc
 
 
@@ -437,9 +435,7 @@ def write_correlations(
     fails the correlate stage naming the pair."""
     tags = sorted(tags)
     pairs = [(a, b) for i, a in enumerate(tags) for b in tags[i + 1 :]]
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["layer"] + [f"{a}|{b}" for a, b in pairs])
+    rows = []
     for label in layer_labels:
         cells: list[str] = [label]
         for a, b in pairs:
@@ -450,5 +446,5 @@ def write_correlations(
                 if strict:
                     raise PipelineError("correlate", f"{a}|{b}: {exc}") from exc
                 cells.append("")
-        writer.writerow(cells)
-    write_text(out / "correlations.csv", buf.getvalue())
+        rows.append(cells)
+    write_text(out / "correlations.csv", csv_text(["layer"] + [f"{a}|{b}" for a, b in pairs], rows))

@@ -15,20 +15,24 @@ which is exactly rounded and therefore independent of summation order.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .events import EventTable
 from .geo import Assignment, RegionLayer
 from .home import Origins
-from .output import fmt_num
+from .output import csv_text, fmt_num
 from .special import t_two_sided_p
+
+
+T = TypeVar("T")
+_TABLE_HEADER = ("region_id", "population", "events", "share")
+_RESIDUALS_HEADER = ("region_id", "res")
 
 
 class StatsError(ValueError):
@@ -342,28 +346,23 @@ def fit_to_json(fit: ScalingFit, dataset: str, layer: str) -> dict:
 
 
 def table_to_csv(table: AttractivenessTable) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("region_id", "population", "events", "share"))
-    for row in table.rows:
-        writer.writerow((row.region_id, row.population, row.events, fmt_num(row.share)))
-    return buf.getvalue()
+    return csv_text(
+        _TABLE_HEADER,
+        ((row.region_id, row.population, row.events, fmt_num(row.share)) for row in table.rows),
+    )
+
+
+def _table_row(raw: list[str]) -> AttractRow:
+    row = AttractRow(raw[0], int(raw[1]), int(raw[2]), float(raw[3]))
+    if row.population < 1 or row.events < 0 or not 0.0 <= row.share < math.inf:
+        raise ValueError(f"need population >= 1, events >= 0 and a finite share >= 0, got {raw[1:4]}")
+    return row
 
 
 def read_table_csv(
     path: str | Path, dataset_tag: str = "", layer: str = "", target_country: str = ""
 ) -> AttractivenessTable:
-    rows: list[AttractRow] = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["region_id", "population", "events", "share"]:
-            raise StatsError(f"empty table: bad attractiveness header in {path}")
-        for raw in reader:
-            if not raw:
-                continue
-            _require_fields(raw, 4, reader.line_num, path)
-            rows.append(AttractRow(raw[0], int(raw[1]), int(raw[2]), float(raw[3])))
+    rows = _read_csv(path, _TABLE_HEADER, "attractiveness", _table_row)
     return AttractivenessTable(
         dataset_tag=dataset_tag,
         layer=layer,
@@ -376,52 +375,53 @@ def read_table_csv(
 
 
 def residuals_to_csv(scores: Sequence[ResidualScore]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("region_id", "res"))
-    for s in scores:
-        writer.writerow((s.region_id, fmt_num(s.res)))
-    return buf.getvalue()
+    return csv_text(_RESIDUALS_HEADER, ((s.region_id, fmt_num(s.res)) for s in scores))
+
+
+def _residual(raw: list[str]) -> ResidualScore:
+    score = ResidualScore(raw[0], float(raw[1]))
+    if not math.isfinite(score.res):
+        raise ValueError(f"res must be finite, got {raw[1]!r}")
+    return score
 
 
 def read_residuals_csv(path: str | Path) -> list[ResidualScore]:
-    out: list[ResidualScore] = []
+    return _read_csv(path, _RESIDUALS_HEADER, "residuals", _residual)
+
+
+def _read_csv(path: str | Path, header: Sequence[str], what: str, parse: Callable[[list[str]], T]) -> list[T]:
+    """The rows of a CSV file under ``header``, each parsed by ``parse``.
+    A wrong header, a short row or a row ``parse`` rejects with a
+    ValueError is a StatsError naming the line."""
+    out: list[T] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["region_id", "res"]:
-            raise StatsError(f"empty table: bad residuals header in {path}")
+        if next(reader, None) != list(header):
+            raise StatsError(f"empty table: bad {what} header in {path}")
         for raw in reader:
             if not raw:
                 continue
-            _require_fields(raw, 2, reader.line_num, path)
-            out.append(ResidualScore(raw[0], float(raw[1])))
+            try:
+                if len(raw) < len(header):
+                    raise ValueError(f"row has {len(raw)} field(s), expected {len(header)}")
+                out.append(parse(raw))
+            except ValueError as exc:
+                raise StatsError(f"line {reader.line_num} of {path}: {exc}") from exc
     return out
 
 
-def _require_fields(raw: list[str], n: int, line: int, path: str | Path) -> None:
-    if len(raw) < n:
-        raise StatsError(f"line {line} of {path} has {len(raw)} field(s), expected {n}")
-
-
 def binned_to_csv(trend: BinnedTrend) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("p_center", "mean_A", "member_count"))
-    for row in trend.bins:
-        writer.writerow((fmt_num(row.p_center), fmt_num(row.mean_A), row.member_count))
-    return buf.getvalue()
+    return csv_text(
+        ("p_center", "mean_A", "member_count"),
+        ((fmt_num(row.p_center), fmt_num(row.mean_A), row.member_count) for row in trend.bins),
+    )
 
 
 def scatter_to_csv(table: AttractivenessTable, fit: ScalingFit) -> str:
     """Figure-ready per-region points: observed log-log pair plus the
     fitted line's value at the same abscissa."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("region_id", "log10_p", "log10_A", "fit_log10_A"))
-    for row in positive_rows(table):
+    def point(row: AttractRow) -> tuple[str, ...]:
         x = math.log10(row.population)
-        writer.writerow(
-            (row.region_id, fmt_num(x), fmt_num(math.log10(row.share)), fmt_num(fit.log_a + fit.b * x))
-        )
-    return buf.getvalue()
+        return (row.region_id, fmt_num(x), fmt_num(math.log10(row.share)), fmt_num(fit.log_a + fit.b * x))
+
+    return csv_text(("region_id", "log10_p", "log10_A", "fit_log10_A"), map(point, positive_rows(table)))

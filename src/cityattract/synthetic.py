@@ -56,6 +56,11 @@ class SyntheticSpec:
     foreign_countries: tuple[str, ...] = ("DE", "FR", "GB", "IT", "NL", "US")
 
     def __post_init__(self) -> None:
+        for name in ("p_min", "p_max", "b_true", "noise_sigma", "events_per_unit"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.seasonal_b is not None and not all(map(math.isfinite, self.seasonal_b)):
+            raise ValueError(f"seasonal_b entries must be finite, got {self.seasonal_b}")
         if self.n_regions < 3:
             raise ValueError(f"n_regions must be >= 3, got {self.n_regions}")
         if self.p_min < 1:

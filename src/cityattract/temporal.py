@@ -14,12 +14,10 @@ but stay out of the normalization mean.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
-from .output import fmt_num
+from .output import csv_text, fmt_num
 from .scaling import ForeignCounts, ScalingFit, StatsError, compute_attractiveness, fit_power_law
 
 _NUM_WINDOWS = 12
@@ -85,24 +83,20 @@ def window_exponents(counts: ForeignCounts) -> WindowedExponents:
 
 def windows_to_csv(we: WindowedExponents) -> str:
     """One row per window; unfittable windows keep empty numeric fields."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("center_month", "b", "b_normalized", "n", "r2", "p_value"))
-    for w in we.windows:
-        if w.fit is None:
-            writer.writerow((w.center_month, "", "", "", "", ""))
-        else:
-            writer.writerow(
-                (
-                    w.center_month,
-                    fmt_num(w.fit.b),
-                    fmt_num(we.normalized[w.center_month]),
-                    w.fit.n,
-                    fmt_num(w.fit.r2),
-                    fmt_num(w.fit.p_value),
-                )
-            )
-    return buf.getvalue()
+    rows = [
+        (w.center_month, "", "", "", "", "")
+        if w.fit is None
+        else (
+            w.center_month,
+            fmt_num(w.fit.b),
+            fmt_num(we.normalized[w.center_month]),
+            w.fit.n,
+            fmt_num(w.fit.r2),
+            fmt_num(w.fit.p_value),
+        )
+        for w in we.windows
+    ]
+    return csv_text(("center_month", "b", "b_normalized", "n", "r2", "p_value"), rows)
 
 
 def windows_to_json(we: WindowedExponents) -> dict:

@@ -367,3 +367,51 @@ def test_short_residuals_row_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error [input-error]: cannot read residuals {tmp_path / 'b.csv'}")
+
+
+@pytest.mark.parametrize(
+    "row", ["r4,0,1,0.25", "r4,1000,-1,0.25", "r4,1000,1,inf", "r4,1000,1,nan", "r4,1000,1,-0.25"]
+)
+@pytest.mark.parametrize("command", ["fit", "bin", "residuals"])
+def test_bad_table_value_exits_2(tmp_path, capsys, command, row):
+    # population < 1, negative events, a non-finite or negative share
+    table = tmp_path / "table.csv"
+    table.write_text(f"region_id,population,events,share\nr1,1000,1,0.25\nr2,2000,1,0.25\nr3,4000,1,0.25\n{row}\n")
+    code = main([command, "--table", str(table), "--dataset", "d", "--layer", "l", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [input-error]: cannot read table {table}: line 5 of {table}: ")
+
+
+@pytest.mark.parametrize("res", ["inf", "-inf", "nan"])
+def test_non_finite_residual_exits_2(tmp_path, capsys, res):
+    (tmp_path / "a.csv").write_text("region_id,res\nr1,0.5\nr2,-0.5\nr3,0\n")
+    (tmp_path / "b.csv").write_text(f"region_id,res\nr1,0.25\nr2,{res}\nr3,0\n")
+    code = main(["correlate", "--pair", f"a={tmp_path / 'a.csv'}", "--pair", f"b={tmp_path / 'b.csv'}",
+                 "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [input-error]: cannot read residuals {tmp_path / 'b.csv'}: line 3 ")
+    assert not (tmp_path / "correlations.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["--b", "nan"],
+        ["--b", "inf"],
+        ["--sigma", "nan"],
+        ["--p-max", "inf"],
+        ["--events-per-unit", "nan"],
+        ["--seasonal", "x" + ",1.5" * 11],
+        ["--seasonal", "nan" + ",1.5" * 11],
+        ["--seasonal", "1.5" + ",1.5" * 10],
+    ],
+    ids=" ".join,
+)
+@pytest.mark.parametrize("table", [False, True])
+def test_synth_bad_number_exits_2(tmp_path, capsys, option, table):
+    code = main(["synth", "--out", str(tmp_path), "--regions", "5", *option] + ["--table"] * table)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error [input-error]: ")
+    assert list(tmp_path.iterdir()) == []
