@@ -167,17 +167,21 @@ def _cmd_synth(args) -> int:
         )
         if args.events_total is not None:
             spec = events_per_unit_for_total(spec, args.events_total)
+        if args.table:
+            table, truth = generate_table(spec, dataset_tag=args.tag)
+        else:
+            bundle = generate_events(spec, year=args.year, dataset_tag=args.tag)
     except ValueError as exc:
         raise PipelineError("input-error", str(exc)) from exc
+    except OverflowError as exc:  # finite parameters whose weights exceed a float
+        raise PipelineError("input-error", f"parameters out of range: {exc}") from exc
     out = _out_dir(args)
     tag = pipeline.slug(args.tag)
     if args.table:
-        table, truth = generate_table(spec, dataset_tag=args.tag)
         write_text(out / f"table__{tag}.csv", table_to_csv(table))
         write_text(out / f"truth__{tag}.json", dumps_stable(truth))
         print(f"{len(table.rows)} regions -> {out / f'table__{tag}.csv'}")
     else:
-        bundle = generate_events(spec, year=args.year, dataset_tag=args.tag)
         write_events_csv(EventTable.from_records(bundle.events), out / f"events__{tag}.csv")
         write_layer_geojson(bundle.city_layer, out / f"cities__{tag}.geojson")
         write_layer_geojson(bundle.country_layer, out / f"countries__{tag}.geojson")

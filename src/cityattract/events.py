@@ -7,22 +7,27 @@ required) or JSONL with the same field names; malformed rows are counted
 and skipped unless strict mode is on.
 
 Parsed events live in one EventTable of numpy columns.  Ingest reads the
-input in bounded chunks and validates each chunk column by column; any
-row a column check flags is re-validated on its own by ``_make_record``,
-which alone decides rejection reasons, so the columnar checks only ever
-decide which rows need that second look.
+input as raw byte blocks of about BLOCK_BYTES, each cut at its last
+newline (a text stream is encoded one read at a time), and validates it
+in bounded chunks column by column; any row a column check flags is
+re-validated on its own by ``_make_record``, which alone decides
+rejection reasons, so the columnar checks only ever decide which rows
+need that second look.
 
-A CSV chunk whose lines hold no quote, carriage return or NUL, exactly
-the header's number of commas and no more characters than csv's field
-size limit is checked as one UTF-8 byte buffer: numpy finds the field
-bounds, and user and tag fields stay fixed-width ``S`` arrays until the
-table codes them with one sort.  That suits short ids and tags; a
-chunk's column with a field wider than 64 bytes is read as Python
-strings instead, so memory stays proportional to the text.  A row with
-a field that may carry padding ``str.strip`` removes is flagged like any
-other.  From the first other chunk on, ``csv.reader`` reads the rest of
-the stream.  Either way the accepted rows, rejection reasons and line
-numbers are the same.
+A CSV block holding no quote, carriage return or NUL, no line longer
+than csv's field size limit, exactly the header's number of commas on
+every line and only UTF-8 is checked as one byte buffer, with no Python
+string per line: numpy finds the field bounds, and user and tag fields
+stay fixed-width ``S`` arrays until the table codes them with one sort.
+That suits short ids and tags; a block's column with a field wider than
+64 bytes is read as Python strings instead, so memory stays proportional
+to the text.  A row with a field that may carry padding ``str.strip``
+removes is flagged like any other, and only a flagged row's line is
+decoded.  From the first other block on, ``csv.reader`` reads the rest
+of the stream, decoded block by block.  Either way the accepted rows,
+rejection reasons and line numbers are the same, and a
+UnicodeDecodeError is raised only after the rows before the undecodable
+bytes have settled.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ from .output import coded_column, csv_blocks, dumps_stable, write_text
 
 CANONICAL_COLUMNS = ("user_id", "timestamp", "lat", "lon", "origin_country", "dataset_tag")
 
-CHUNK_ROWS = 1 << 13  # input rows validated together; bounds the per-chunk memory
+CHUNK_ROWS = 1 << 13  # JSONL lines or csv.reader rows validated together; bounds the per-chunk memory
+BLOCK_BYTES = 1 << 19  # input bytes read at a time; a CSV block of plain lines is validated together
 
 CODE = np.int32  # dtype of the string-field codes
 
@@ -451,10 +457,9 @@ def _sorted_codes(parts: list[np.ndarray], codes: dict) -> tuple[tuple[str, ...]
     """
     layout = [(p.dtype.kind == "S", len(p)) for p in parts]
     text_parts = iter([p for p in parts if p.dtype.kind != "S"])
-    values = _joined([p for p in parts if p.dtype.kind == "S"], "S1")
+    byte_parts = [p for p in parts if p.dtype.kind == "S"]
     parts.clear()
-    byte_ids, byte_codes = _byte_codes(values)
-    del values
+    byte_ids, byte_codes = _byte_codes(byte_parts)
     text_ids = sorted(v for v in codes if v is not None)
     rank = np.full(max(codes.values(), default=-1) + 2, -1, dtype=CODE)  # last slot serves code -1
     if text_ids and byte_ids:
@@ -475,26 +480,32 @@ def _sorted_codes(parts: list[np.ndarray], codes: dict) -> tuple[tuple[str, ...]
     return tuple(ids), _joined(columns, CODE)
 
 
-def _byte_codes(values: np.ndarray) -> tuple[list[str], np.ndarray]:
-    """The distinct values of a UTF-8 ``S`` array, decoded, in sorted order,
-    and each value's rank among them, -1 for ``b""``.
+def _byte_codes(parts: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
+    """The distinct values of UTF-8 ``S`` arrays, decoded, in sorted order,
+    and each value's rank among them, -1 for ``b""``; empties ``parts``.
 
     One stable argsort orders the values; UTF-8 byte order is the code
     point order that Python sorts strings by.  The values hold no NUL,
-    which ``S`` arrays would drop from their ends.
+    which ``S`` arrays would drop from their ends.  Neighbours in that
+    order are compared, and distinct values decoded, CHUNK_ROWS at a time,
+    so no sorted copy of the values is held.
     """
+    values = _joined(parts, "S1")
     order = np.argsort(values, kind="stable")
-    ordered = values[order]
     first = np.ones(len(values), dtype=bool)
-    first[1:] = ordered[1:] != ordered[:-1]
-    ids = [v.decode() for v in ordered[first].tolist()]
-    del ordered
+    for start in range(1, len(values), CHUNK_ROWS):
+        run = values[order[start - 1 : start + CHUNK_ROWS]]
+        first[start : start + CHUNK_ROWS] = run[1:] != run[:-1]
+    distinct = values[order[first]]
+    del values
+    ids = [v.decode() for start in range(0, len(distinct), CHUNK_ROWS) for v in distinct[start : start + CHUNK_ROWS].tolist()]
+    del distinct
     rank = np.cumsum(first, dtype=CODE)
     rank -= 1
     if ids and not ids[0]:
         ids.pop(0)
         rank -= 1
-    codes = np.empty(len(values), dtype=CODE)
+    codes = np.empty(len(rank), dtype=CODE)
     codes[order] = rank
     return ids, codes
 
@@ -502,14 +513,42 @@ def _byte_codes(values: np.ndarray) -> tuple[list[str], np.ndarray]:
 # ---------------------------------------------------------------------------
 # parsing
 
-def _text_lines(source) -> Iterator[str]:
+def _blocks(source) -> Iterator[bytes]:
+    """The stream as UTF-8 bytes in blocks of about BLOCK_BYTES, each ending
+    at a newline save perhaps the last.  A text stream is encoded one read
+    at a time, a lone surrogate passed through for ``_lines`` to restore."""
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            yield from fh
+        with open(source, "rb") as fh:
+            yield from _blocks(fh)
         return
-    if not isinstance(source, io.TextIOBase):  # byte stream
-        source = io.TextIOWrapper(source, encoding="utf-8", newline="")
-    yield from source
+    read = source.read
+    if isinstance(source, io.TextIOBase):
+        read = lambda n: source.read(n).encode("utf-8", "surrogatepass")  # noqa: E731
+    rest: list[bytes] = []
+    while data := read(BLOCK_BYTES):
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            yield b"".join((*rest, data[:cut]))
+            rest.clear()
+        rest.append(data[cut:])
+    if any(rest):
+        yield b"".join(rest)
+
+
+def _lines(blocks: Iterable[bytes], text: bool) -> Iterator[str]:
+    """The text lines of the blocks, split as a text stream's iteration
+    splits them (``text``) or as a file opened with ``newline=""`` does.
+    Before raising a UnicodeDecodeError it yields every whole line in front
+    of the undecodable bytes."""
+    errors, newline = ("surrogatepass", "\n") if text else ("strict", "")
+    for data in blocks:
+        try:
+            decoded = data.decode("utf-8", errors)
+        except UnicodeDecodeError as exc:
+            head = data[: exc.start]
+            yield from io.StringIO(head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode(), newline=newline)
+            raise
+        yield from io.StringIO(decoded, newline=newline)
 
 
 def _read_chunk(items: Iterator, errors: type[Exception] | tuple[type[Exception], ...]) -> tuple[list, Exception | None]:
@@ -522,11 +561,6 @@ def _read_chunk(items: Iterator, errors: type[Exception] | tuple[type[Exception]
     except errors as exc:
         return chunk, exc
     return chunk, None
-
-
-def _raise_after(items: list, error: Exception) -> Iterator:
-    yield from items
-    raise error
 
 
 # A chunk of input rows after the column checks: (line numbers; the users,
@@ -549,15 +583,12 @@ def parse_events(
     Non-strict mode counts and skips malformed rows; strict mode raises
     IngestError at the first one.  Blank lines are ignored.
     """
-    if format == "csv":
-        chunks = _csv_chunks
-    elif format == "jsonl":
-        chunks = _jsonl_chunks
-    else:
+    chunks = {"csv": _csv_chunks, "jsonl": _jsonl_chunks}.get(format)
+    if chunks is None:
         raise IngestError(f"unknown format: {format!r}")
     accumulator = _TableAccumulator()
     report = IngestReport()
-    for chunk in chunks(_text_lines(source)):
+    for chunk in chunks(_blocks(source), isinstance(source, io.TextIOBase)):
         _commit(chunk, strict, report, accumulator)
     return accumulator.table(), report
 
@@ -626,34 +657,33 @@ _UPPER = (np.arange(256) >= ord("A")) & (np.arange(256) <= ord("Z"))  # by byte 
 _BYTE_WIDTH = 64
 
 
-def _plain_chunk(block: list[str], first_line: int, columns: list[int], commas: int) -> Chunk | None:
-    """Check a chunk of CSV lines as one UTF-8 byte buffer, or None when a
-    line holds a quote, a carriage return, a NUL, more characters than
-    csv's field size limit or other than ``commas`` commas, or the text
-    does not encode.
+def _plain_chunk(data: bytes, first_line: int, columns: list[int], commas: int) -> Chunk | None:
+    """Check a block of CSV lines as one UTF-8 byte buffer, or None when it
+    holds a quote, a carriage return, a NUL, a line longer than csv's field
+    size limit or with other than ``commas`` commas, or is not UTF-8.
 
     Such lines split on commas exactly as ``csv.reader`` splits them.  A
     row is flagged when a column check fails, or when a field's first or
     last character may be whitespace that ``str.strip`` removes: a byte
     up to the space (ASCII whitespace is among them), or a non-ASCII
-    character that is whitespace.  ``settle`` then validates that line's
-    stripped fields.
+    character that is whitespace.  ``settle`` then decodes that line and
+    validates its stripped fields.
     """
-    text = "".join(block)
-    if '"' in text or "\r" in text or "\0" in text or max(map(len, block)) > csv.field_size_limit():
+    if b'"' in data or b"\r" in data or b"\0" in data or not _is_utf8(data):
         return None
-    try:
-        data = (text if text.endswith("\n") else text + "\n").encode()
-    except UnicodeEncodeError:  # a lone surrogate in a text stream
-        return None
+    if not data.endswith(b"\n"):
+        data += b"\n"
     buf = np.frombuffer(data, dtype=np.uint8)
-    n, width = len(block), commas + 1
+    n, width = data.count(b"\n"), commas + 1
     ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
     # n newlines in all, so with one at the end of every width-th field,
     # every line has ``commas`` commas
     if len(ends) != n * width or (buf[ends[commas::width]] != ord("\n")).any():
         return None
-    start = np.concatenate(([0], ends[:-1] + 1)).reshape(n, width)[:, columns]
+    starts = np.concatenate(([0], ends[:-1] + 1)).reshape(n, width)
+    if (ends[commas::width] - starts[:, 0] >= csv.field_size_limit()).any():
+        return None
+    start = starts[:, columns]
     end = ends.reshape(n, width)[:, columns]
     length = end - start
     first, last = buf[start], buf[end - 1]
@@ -682,7 +712,7 @@ def _plain_chunk(block: list[str], first_line: int, columns: list[int], commas: 
     pair[~two] = 0
 
     def settle(i: int) -> EventRecord | str:
-        fields = block[i].split(",")
+        fields = data[starts[i, 0] : ends[i * width + commas]].decode().split(",")
         return _make_record(*(fields[c].strip() for c in columns))
 
     users, tags = (_field_bytes(data, padded, start[:, k], length[:, k]) for k in (0, 5))
@@ -720,38 +750,56 @@ def _byte_floats(values: np.ndarray | list[str]) -> np.ndarray:
         return np.fromiter((_float_or_nan(v.decode()) for v in values.tolist()), np.float64, len(values))
 
 
-def _csv_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
+def _is_utf8(data: bytes) -> bool:
+    try:
+        data.isascii() or data.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _csv_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
     """Chunks of a CSV stream; line numbers count rows, as ``csv.reader``
     yields them.
 
-    Chunks whose lines ``_plain_chunk`` takes are checked as bytes.  From
-    the first other chunk on, ``csv.reader`` reads the rest, so that a
-    quoted field may span chunks.
+    Blocks whose lines ``_plain_chunk`` takes, after a header line without
+    quotes or carriage returns, are checked as bytes.  From the first other
+    block on, ``csv.reader`` reads the rest, so that a quoted field may span
+    lines.
     """
-    reader = csv.reader(lines)
-    line_no = 0
-    for header in reader:
-        line_no += 1
-        if header:
-            break
-    else:
-        return
-    names = [c.strip() for c in header]
-    missing = [c for c in CANONICAL_COLUMNS if c not in names]
-    if missing:
-        raise IngestError(f"header is missing column(s): {', '.join(missing)}", line=line_no)
-    columns = [names.index(c) for c in CANONICAL_COLUMNS]
-    width = max(columns) + 1
-    while True:
-        block, error = _read_chunk(lines, UnicodeDecodeError)
-        if not block and error is None:
-            return
-        chunk = None if error is not None else _plain_chunk(block, line_no + 1, columns, len(header) - 1)
+    line_no, columns = 0, None
+    for data in blocks:
+        if columns is None:
+            start = len(data) - len(data.lstrip(b"\n"))  # blank lines before the header
+            end = data.find(b"\n", start) + 1 or len(data)
+            head = data[start:end].rstrip(b"\n")
+            if not head:
+                line_no += start
+                continue
+            if b'"' in head or b"\r" in head or len(head) >= csv.field_size_limit() or not _is_utf8(head):
+                break
+            line_no += start + 1
+            columns, commas = _header_columns(head.decode().split(","), line_no)
+            data = data[end:]
+            if not data:
+                continue
+        chunk = _plain_chunk(data, line_no + 1, columns, commas)
         if chunk is None:
             break
         yield chunk
-        line_no += len(block)
-    reader = csv.reader(chain(block, lines) if error is None else _raise_after(block, error))
+        line_no += len(chunk[0])
+    else:
+        return
+    reader = csv.reader(_lines(chain((data,), blocks), text))
+    if columns is None:
+        for header in reader:
+            line_no += 1
+            if header:
+                break
+        else:
+            return
+        columns, _ = _header_columns(header, line_no)
+    width = max(columns) + 1
     while True:
         rows, error = _read_chunk(reader, (csv.Error, UnicodeDecodeError))
         line_nos: Sequence[int] = range(line_no + 1, line_no + 1 + len(rows))
@@ -766,6 +814,16 @@ def _csv_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
             raise error
         if len(rows) < CHUNK_ROWS:
             return
+
+
+def _header_columns(header: list[str], line_no: int) -> tuple[list[int], int]:
+    """The positions of CANONICAL_COLUMNS in a header row, and its number
+    of commas."""
+    names = [c.strip() for c in header]
+    missing = [c for c in CANONICAL_COLUMNS if c not in names]
+    if missing:
+        raise IngestError(f"header is missing column(s): {', '.join(missing)}", line=line_no)
+    return [names.index(c) for c in CANONICAL_COLUMNS], len(header) - 1
 
 
 def _row_fields(rows: list[list[str]], columns: list[int], width: int) -> tuple[list[list], dict[int, str]]:
@@ -790,7 +848,8 @@ _JSON_PLACEHOLDER = {"lat": 0.0, "lon": 0.0}
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
-def _jsonl_chunks(lines: Iterator[str]) -> Iterator[Chunk]:
+def _jsonl_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
+    lines = _lines(blocks, text)
     line_no = 0
     while True:
         block, error = _read_chunk(lines, UnicodeDecodeError)

@@ -5,7 +5,8 @@ city and country layers alike.  That is the GeoJSON reading of a polygon
 (RFC 7946 section 3.1.1: an edge is a straight line in the coordinate
 space), so no projection is involved at any scale.  Every coordinate
 must be finite, and a ring crossing the antimeridian must be split before
-loading (RFC 7946 section 3.1.9).
+loading (RFC 7946 section 3.1.9): a ring whose longitudes span more than
+180 degrees is rejected.
 
 Conventions, fixed for determinism:
   - a point exactly on any ring edge is inside;
@@ -16,8 +17,10 @@ Conventions, fixed for determinism:
   - a per-region bounding-box test may short-circuit to False but never
     changes an answer.
 
-region_contains_bulk is the one containment path: it tests arrays of
-points, ray shift included, with no per-point branch.
+_polygons_contain is the one containment kernel: it tests arrays of
+points, ray shift included, with no per-point branch.  region_contains_bulk
+and assign_events run it on the points in a region's bounding box, at most
+SLICE at a time.
 """
 
 from __future__ import annotations
@@ -37,6 +40,8 @@ Ring = tuple[tuple[float, float], ...]  # (lat, lon) vertices, not closed
 PolygonRings = tuple[Ring, tuple[Ring, ...]]  # outer ring + hole rings
 
 _RAY_SHIFT = 1e-12
+
+SLICE = 1 << 16  # most points of one region's bbox that a containment test copies at once
 
 
 class LayerError(ValueError):
@@ -111,6 +116,9 @@ def _as_ring(coords, where: str) -> Ring:
         pts.pop()  # GeoJSON rings close on themselves; store open
     if len({p for p in pts}) < 3:
         raise LayerError(f"{where}: ring with < 3 distinct vertices")
+    lons = [lon for _, lon in pts]
+    if max(lons) - min(lons) > 180.0:  # an unsplit antimeridian crossing reads as the long way round
+        raise LayerError(f"{where}: ring spans more than 180 degrees of longitude; split it at the antimeridian")
     return tuple(pts)
 
 
@@ -272,19 +280,21 @@ def _ring_masks_bulk(
     return on_edge, inside
 
 
-def region_contains_bulk(region: Region, plats: np.ndarray, plons: np.ndarray) -> np.ndarray:
-    """True where a point is inside (or on the boundary of) the region."""
-    plats = np.asarray(plats, dtype=np.float64)
-    plons = np.asarray(plons, dtype=np.float64)
-    out = np.zeros(plats.shape[0], dtype=bool)
+def _region_hits(region: Region, plats: np.ndarray, plons: np.ndarray) -> Iterator[np.ndarray]:
+    """Ascending indices of the points inside (or on the boundary of) the
+    region, in parts: the points in its bbox are tested SLICE at a time."""
     b = region.bbox
-    mask = (plats >= b[0]) & (plats <= b[2]) & (plons >= b[1]) & (plons <= b[3])
-    if not mask.any():
-        return out
-    idx = np.nonzero(mask)[0]
-    lats, lons = plats[idx], plons[idx]
-    on_edge = np.zeros(idx.shape[0], dtype=bool)
-    contained = np.zeros(idx.shape[0], dtype=bool)
+    candidates = np.flatnonzero((plats >= b[0]) & (plats <= b[2]) & (plons >= b[1]) & (plons <= b[3]))
+    for start in range(0, candidates.shape[0], SLICE):
+        idx = candidates[start : start + SLICE]
+        yield idx[_polygons_contain(region, plats[idx], plons[idx])]
+
+
+def _polygons_contain(region: Region, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:
+    """The containment kernel: True where a point is on a ring edge or
+    inside one of the region's polygons, holes excluded."""
+    on_edge = np.zeros(lats.shape[0], dtype=bool)
+    contained = np.zeros(lats.shape[0], dtype=bool)
     for rings, vlons in _region_arrays(region):
         # step the ray meridian off this polygon's vertex longitudes
         rx = lons
@@ -299,7 +309,16 @@ def region_contains_bulk(region: Region, plats: np.ndarray, plons: np.ndarray) -
             on_edge |= edge
             inside &= ~in_hole
         contained |= inside
-    out[idx] = on_edge | contained
+    return on_edge | contained
+
+
+def region_contains_bulk(region: Region, plats: np.ndarray, plons: np.ndarray) -> np.ndarray:
+    """True where a point is inside (or on the boundary of) the region."""
+    plats = np.asarray(plats, dtype=np.float64)
+    plons = np.asarray(plons, dtype=np.float64)
+    out = np.zeros(plats.shape[0], dtype=bool)
+    for hits in _region_hits(region, plats, plons):
+        out[hits] = True
     return out
 
 
@@ -311,17 +330,17 @@ def assign_events(events: EventTable, layer: RegionLayer) -> Assignment:
 
     Events contained by more than one region are assigned to the earliest
     region and counted in ``overlap_events``.  The result is independent of
-    event order.
+    event order.  Each region tests only the events in its bounding box,
+    at most SLICE of them at a time, so the work memory of a region that
+    covers most events stays bounded.
     """
-    assigned = np.full(len(events), -1, dtype=np.int64)
+    assigned = np.full(len(events), -1, dtype=np.int32)
     multi = np.zeros(len(events), dtype=bool)
     for ri, region in enumerate(layer.regions):
-        hits = np.nonzero(region_contains_bulk(region, events.lat, events.lon))[0]
-        if hits.shape[0] == 0:
-            continue
-        already = assigned[hits] >= 0
-        multi[hits[already]] = True
-        assigned[hits[~already]] = ri
+        for hits in _region_hits(region, events.lat, events.lon):
+            already = assigned[hits] >= 0
+            multi[hits[already]] = True
+            assigned[hits[~already]] = ri
     return Assignment(
         index=assigned,
         regions=tuple(r.id for r in layer.regions),

@@ -141,14 +141,16 @@ def accumulate_stats_seq(events: EventTable, countries: Assignment) -> tuple[Cou
         raise ValueError(f"{countries.index.shape[0]} countries for {len(events)} events")
     order = sorted(range(len(countries.regions)), key=countries.regions.__getitem__)
     n_countries = max(len(order), 1)
-    # one int64 key per event orders by (user, country rank); the last
-    # rank slot, for events in no country, sorts them after every pair
-    rank = np.empty(len(order) + 1, dtype=np.int64)
+    n_users = len(events.user_ids)
+    # one key per event orders by (user, country rank); events in no
+    # country get key users × countries, after every pair
+    dtype = np.int32 if (n_users + 1) * n_countries < 2**31 else np.int64
+    rank = np.zeros(len(order) + 1, dtype=dtype)  # the last slot serves index -1
     rank[order] = np.arange(len(order))
-    rank[-1] = len(events.user_ids) * n_countries
-    key = events.user.astype(np.int64)
+    key = events.user.astype(dtype)
     key *= n_countries
     key += rank[countries.index]
+    key[countries.index < 0] = n_users * n_countries
     located = int(np.count_nonzero(countries.index >= 0))
     by_pair = np.argsort(key)[:located]
     key = key[by_pair]

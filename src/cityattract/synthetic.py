@@ -229,14 +229,21 @@ def make_city_layer(spec: SyntheticSpec, label: str = "cities") -> RegionLayer:
 def make_country_layer(spec: SyntheticSpec, label: str = "countries") -> RegionLayer:
     """The target country containing every city, plus far-away foreign squares."""
     span = spec.n_regions * (_CITY_SIDE + _CITY_GAP) + 1.0
+    # rings at most 180 degrees wide, as load_layer requires: one up to 593 regions
+    cuts = [-1.0]
+    while span - cuts[-1] > 180.0:
+        cuts.append(cuts[-1] + 180.0)
+    cuts.append(span)
+    pieces = [[[[w, 38.0], [e, 38.0], [e, 44.0], [w, 44.0], [w, 38.0]]] for w, e in zip(cuts, cuts[1:])]
     features = [
         {
             "type": "Feature",
             "properties": {"id": spec.target_country, "name": spec.target_country, "layer": label},
-            "geometry": {
-                "type": "Polygon",
-                "coordinates": [[[-1.0, 38.0], [span, 38.0], [span, 44.0], [-1.0, 44.0], [-1.0, 38.0]]],
-            },
+            "geometry": (
+                {"type": "Polygon", "coordinates": pieces[0]}
+                if len(pieces) == 1
+                else {"type": "MultiPolygon", "coordinates": pieces}
+            ),
         }
     ]
     for j, code in enumerate(spec.foreign_countries):

@@ -415,3 +415,16 @@ def test_synth_bad_number_exits_2(tmp_path, capsys, option, table):
     assert code == 2
     assert capsys.readouterr().err.startswith("error [input-error]: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "option",
+    [["--b", "400"], ["--p-max", "1e308"], ["--events-per-unit", "1e300"]],
+    ids=" ".join,
+)
+def test_synth_overflowing_number_exits_2(tmp_path, capsys, option):
+    # finite, but the generator's float weights overflow
+    code = main(["synth", "--out", str(tmp_path), "--regions", "5", *option])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error [input-error]: parameters out of range: ")
+    assert list(tmp_path.iterdir()) == []

@@ -411,39 +411,40 @@ def _same_outcome(text: str, format: str, strict: bool) -> None:
     CSV_ROWS,
     st.permutations(CANONICAL_COLUMNS),
     st.booleans(),
-    st.sampled_from([1, 3, 1 << 13]),
+    st.sampled_from([(1, 1), (3, 100), (1 << 13, 1 << 19)]),
     st.booleans(),
 )
-def test_csv_ingest_matches_row_reference(rows, header, strict, chunk_rows, final_newline):
+def test_csv_ingest_matches_row_reference(rows, header, strict, sizes, final_newline):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     order = [CANONICAL_COLUMNS.index(c) for c in header]
     writer.writerows([row[i] for i in order] if len(row) == 6 else row for row in rows)
     text = buf.getvalue() if final_newline else buf.getvalue()[:-1]
-    saved = events_module.CHUNK_ROWS
-    events_module.CHUNK_ROWS = chunk_rows
+    saved = events_module.CHUNK_ROWS, events_module.BLOCK_BYTES
+    events_module.CHUNK_ROWS, events_module.BLOCK_BYTES = sizes  # rows csv.reader splits, bytes per block
     try:
         _same_outcome(text, "csv", strict)
     finally:
-        events_module.CHUNK_ROWS = saved
+        events_module.CHUNK_ROWS, events_module.BLOCK_BYTES = saved
 
 
 @settings(max_examples=300, deadline=None)
-@given(JSON_LINES, st.booleans(), st.sampled_from([1, 3, 1 << 13]), st.sampled_from(["", "\n"]))
-def test_jsonl_ingest_matches_row_reference(lines, strict, chunk_rows, end):
-    saved = events_module.CHUNK_ROWS
-    events_module.CHUNK_ROWS = chunk_rows
+@given(JSON_LINES, st.booleans(), st.sampled_from([(1, 1), (3, 100), (1 << 13, 1 << 19)]), st.sampled_from(["", "\n"]))
+def test_jsonl_ingest_matches_row_reference(lines, strict, sizes, end):
+    saved = events_module.CHUNK_ROWS, events_module.BLOCK_BYTES
+    events_module.CHUNK_ROWS, events_module.BLOCK_BYTES = sizes  # lines per chunk, bytes per block
     try:
         _same_outcome("\n".join(lines) + end, "jsonl", strict)
     finally:
-        events_module.CHUNK_ROWS = saved
+        events_module.CHUNK_ROWS, events_module.BLOCK_BYTES = saved
 
 
 def test_quoted_and_plain_chunks_parse_alike(monkeypatch):
-    # plain chunks are split on commas; from the first chunk with a quote on,
+    # plain blocks are split on commas; from the first block with a quote on,
     # csv.reader takes over, and a quoted field may span lines
     monkeypatch.setattr(events_module, "CHUNK_ROWS", 2)
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 64)  # one or two rows
     rows = [f"u{i},2012-06-01T12:00:00Z,1.5,2.5,,t" for i in range(5)]
     rows[3] = '"u,3",2012-06-01T12:00:00Z,1.5,2.5,,"t\nx"'
     text = HEADER + "\n" + "\n".join(rows) + "\n\nshort,row\n"
@@ -480,11 +481,11 @@ def test_clean_utf8_csv_stays_on_the_byte_path(monkeypatch):
     real_reader = csv.reader
     calls = []
     monkeypatch.setattr(events_module.csv, "reader", lambda *a, **k: calls.append(a) or real_reader(*a, **k))
-    monkeypatch.setattr(events_module, "CHUNK_ROWS", 4)  # 7 chunks
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 128)  # blocks of two to four rows
     for source in (io.StringIO(text), io.BytesIO(text.encode())):
         calls.clear()
         table, report = parse_events(source)
-        assert len(calls) == 1  # the header
+        assert not calls  # not even for the header
         assert (list(table), report) == want
         assert list(table.user_ids) == sorted({r.user_id for r in want[0]})
 
@@ -518,10 +519,10 @@ def test_numpy_byte_cast_parses_as_float(value):
 def test_wide_fields_keep_chunk_memory_in_proportion_to_the_text(monkeypatch):
     # a field wider than the fixed-width columns allow is read as a Python
     # string: memory follows the text, not rows times the widest field, and
-    # the chunk stays on the byte path
+    # the block stays on the byte path
     wide = 100_000
     clean = ["u1", "2012-06-01T12:00:00Z", "40.5", "-3.7", "", "t"]
-    long_values = [  # one per chunk: column, value
+    long_values = [  # one per block: column, value
         (0, "v" * wide),  # accepted user
         (4, "X" * wide),  # rejected origin
         (5, " " + "g" * wide),  # accepted padded tag
@@ -529,19 +530,19 @@ def test_wide_fields_keep_chunk_memory_in_proportion_to_the_text(monkeypatch):
         (4, "ES" + " " * wide),  # accepted padded origin
         (3, "9" * wide),  # coordinate out of range
     ]
-    chunk_rows = 256
-    rows = [",".join(clean)] * (chunk_rows * len(long_values))
+    spacing = 256  # rows from one wide value to the next, more than a block holds
+    rows = [",".join(clean)] * (spacing * len(long_values))
     for k, (column, value) in enumerate(long_values):
         fields = list(clean)
         fields[column] = value
-        rows[k * chunk_rows + 7] = ",".join(fields)
+        rows[k * spacing + 7] = ",".join(fields)
     text = HEADER + "\n" + "\n".join(rows) + "\n"
     want = oracles.parse_events(text)
     assert want[1].rejection_reasons == {"bad origin country": 1, "lon out of range": 1}
     real_reader = csv.reader
     calls = []
     monkeypatch.setattr(events_module.csv, "reader", lambda *a, **k: calls.append(a) or real_reader(*a, **k))
-    monkeypatch.setattr(events_module, "CHUNK_ROWS", chunk_rows)
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 8192)  # about 230 rows
     source = io.StringIO(text)
     tracemalloc.start()
     try:
@@ -549,7 +550,7 @@ def test_wide_fields_keep_chunk_memory_in_proportion_to_the_text(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(calls) == 1  # the header
+    assert not calls
     assert (list(table), report) == want
     assert peak < 40 * wide  # about 1.1 MB; rows times the widest field would be 25.6 MB a column
 
@@ -578,3 +579,78 @@ def test_table_columns_are_read_only(build):
     for name in ("user", "seconds", "month", "lat", "lon", "origin", "tag"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(table, name)[0] = 0
+
+
+# --- the CSV block reader against csv.reader alone ----------------------------
+
+GOOD = "u{},2012-06-01T12:00:00Z,40.5,-3.7,,t"
+BAD = "u9,2012-06-01T12:00:00Z,200.0,-3.7,,t"  # lat out of range
+# each case holds one bad row, so strict mode's line number is compared too
+BLOCK_CASES = {
+    "plain block, then a quoted field": "\n".join(
+        [HEADER] + [GOOD.format(i) for i in range(8)] + ['"u,8",2012-06-01T12:00:00Z,40.5,-3.7,,"t\nx"', BAD, GOOD.format(9)]
+    ) + "\n",
+    "multi-byte characters at block cuts": "\n".join(
+        [HEADER] + [GOOD.format("é" * (i % 3) + "用" * (i % 2)) for i in range(12)] + [BAD.replace("u9", "ü9"), GOOD.format("ß")]
+    ) + "\n",
+    "no trailing newline": "\n".join([HEADER] + [GOOD.format(i) for i in range(6)] + [BAD, GOOD.format(7)]),
+    "CRLF lines after LF lines": "\n".join([HEADER] + [GOOD.format(i) for i in range(6)]) + "\n"
+    + "\r\n".join([GOOD.format(6), BAD, GOOD.format(7)]) + "\r\n",
+    "CRLF header": "\r\n".join([HEADER, GOOD.format(1), BAD]) + "\r\n",
+    "blank lines": "\n\n\n" + "\n".join([HEADER, "", GOOD.format(1)] + [""] * 5 + [GOOD.format(2), BAD, "", ""]) + "\n\n",
+}
+SOURCES = {  # ours, then the stream csv.reader alone reads
+    "path": (lambda data, path: path, lambda data, path: open(path, encoding="utf-8", newline="")),
+    "bytes": (lambda data, path: io.BytesIO(data), lambda data, path: io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")),
+    "text": (lambda data, path: io.StringIO(data.decode()), lambda data, path: io.StringIO(data.decode())),
+}
+
+
+def _outcome_of(parse, source, strict):
+    try:
+        table, report = parse(source, strict=strict)
+    except IngestError as exc:
+        return exc.line, exc.reason
+    return list(table), report
+
+
+@pytest.mark.parametrize("block_bytes", [1, 7, 16, 23, 40, 64, 1 << 19])
+@pytest.mark.parametrize("source", SOURCES)
+@pytest.mark.parametrize("case", BLOCK_CASES)
+def test_block_reader_matches_csv_reader(tmp_path, monkeypatch, case, source, block_bytes):
+    data = BLOCK_CASES[case].encode()
+    path = tmp_path / "events.csv"
+    path.write_bytes(data)
+    ours, reference = SOURCES[source]
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", block_bytes)
+    for strict in (False, True):
+        with reference(data, path) as stream:
+            want = _outcome_of(oracles.parse_events, stream, strict)
+        got = _outcome_of(parse_events, ours(data, path), strict)
+        assert got == want
+    assert isinstance(want[0], int)  # strict mode stopped at the bad row
+
+
+@pytest.mark.parametrize("source", SOURCES)
+def test_bad_row_fails_before_undecodable_bytes_in_a_later_block(tmp_path, monkeypatch, source):
+    # the bad row is settled from its own block before the block holding
+    # the undecodable bytes is read; a text stream raises on its read
+    rows = [HEADER, GOOD.format(1), BAD] + [GOOD.format(2)] * 500
+    data = ("\n".join(rows) + "\n").encode() + b"u\xff\xfe,2012-06-01T12:00:00Z,40.5,-3.7,,t\n"
+    path = tmp_path / "events.csv"
+    path.write_bytes(data)
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 256)
+
+    def parse(strict):
+        stream = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") if source == "text" else SOURCES[source][0](data, path)
+        return parse_events(stream, strict=strict)
+
+    with pytest.raises(IngestError) as exc:
+        parse(strict=True)
+    assert (exc.value.line, exc.value.reason) == (3, "lat out of range")
+    with pytest.raises(UnicodeDecodeError):
+        parse(strict=False)
+    # csv.reader alone agrees: the bytes lie past its text decoder's first read
+    with pytest.raises(IngestError) as exc:
+        oracles.parse_events(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), strict=True)
+    assert exc.value.line == 3

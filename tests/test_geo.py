@@ -3,13 +3,19 @@
 import io
 import json
 import random
+import tracemalloc
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cityattract.geo as geo
+from cityattract.events import EventTable
 from cityattract.geo import (
     LayerError,
+    RegionLayer,
     assign_events,
     assignments_to_csv,
     layer_to_geojson,
@@ -110,6 +116,21 @@ def test_non_finite_coordinate_rejected(bad, axis):
     feature["geometry"]["coordinates"][0][2][axis] = bad
     with pytest.raises(LayerError, match="non-finite coordinate"):
         layer_of(feature)
+
+
+@pytest.mark.parametrize("span_ok", [True, False])
+def test_ring_spanning_more_than_180_degrees_rejected(span_ok):
+    # a ring running lon 178 -> -179 that is not split at the antimeridian
+    # would read as the long way round: containing lon 0, missing lon 179.5
+    west = -2.0 if span_ok else -179.0
+    ring = [[178.0, 10.0], [west, 10.0], [west, 11.0], [178.0, 11.0], [178.0, 10.0]]
+    feature = {"type": "Feature", "properties": {"id": "a", "name": "a", "layer": "L"},
+               "geometry": {"type": "Polygon", "coordinates": [ring]}}
+    if span_ok:  # exactly 180 degrees
+        assert layer_of(feature).regions[0].bbox == (10.0, -2.0, 11.0, 178.0)
+    else:
+        with pytest.raises(LayerError, match="feature 0: ring spans more than 180 degrees of longitude"):
+            layer_of(feature)
 
 
 def test_label_precedence():
@@ -381,3 +402,53 @@ def test_assignments_csv_round_trip(tmp_path, unit_square_layer):
     path = tmp_path / "assign.csv"
     path.write_text(text)
     assert read_assignments_csv(path) == ["sq", None]
+
+
+# overlapping regions: the fixture shapes, the MultiPolygon with a hole and
+# a square over parts of all of them
+ASSIGN_LAYER = RegionLayer("p", (*PROPERTY_REGIONS, layer_of(square_feature("over", 0.5, 0.5, 2.0)).regions[0]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(LATS, LONS), min_size=1, max_size=40))
+def test_assign_events_matches_oracle_across_slices(points):
+    # seven points per slice, so a region's bbox points straddle slices;
+    # vertices, edges and holes come from the vertex lines
+    expected = [[r.id for r in ASSIGN_LAYER.regions if point_in_region(lat, lon, r)] for lat, lon in points]
+    with mock.patch.object(geo, "SLICE", 7):
+        assignment = assign_events(table_of([ev(lat=lat, lon=lon) for lat, lon in points]), ASSIGN_LAYER)
+    assert assignment.index.dtype == np.int32
+    assert assignment.region_ids == [ids[0] if ids else None for ids in expected]
+    assert assignment.overlap_events == sum(len(ids) > 1 for ids in expected)
+    assert assignment.unassigned == sum(not ids for ids in expected)
+    wide = replace(assignment, index=assignment.index.astype(np.int64))
+    assert assignments_to_csv(assignment) == assignments_to_csv(wide)
+
+
+def _assign_work_bytes(n: int) -> int:
+    """Traced bytes that assign_events holds at its peak beyond what it
+    returns, for n points under a region covering them all and one
+    covering half."""
+    layer = layer_of(square_feature("all", 0.0, 0.0, 20.0), square_feature("half", 0.0, 0.0, 10.0))
+    rng = np.random.default_rng(1)
+    lat, lon = rng.uniform(0.0, 20.0, n), rng.uniform(0.0, 20.0, n)
+    codes = np.zeros(n, dtype=np.int32)
+    table = EventTable(codes, ("u",), np.zeros(n, np.int64), np.ones(n, np.int8), lat, lon, codes - 1, (), codes, ("t",))
+    assign_events(table_of([ev()]), layer)  # builds the regions' cached ring arrays
+    tracemalloc.start()
+    try:
+        assignment = assign_events(table, layer)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert assignment.unassigned == 0
+    return peak - current
+
+
+def test_assign_work_memory_does_not_copy_every_point():
+    # the containment kernel runs on at most SLICE points at a time, so a
+    # region's float64 coordinate copies (16 bytes a point) and ring masks
+    # stay bounded; what grows with the points is bookkeeping of a few
+    # bytes each: the bbox mask, the candidate indices, the overlap flags
+    growth = _assign_work_bytes(400_000) - _assign_work_bytes(100_000)
+    assert growth < 300_000 * 16

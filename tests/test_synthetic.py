@@ -234,6 +234,18 @@ def test_layers_are_disjoint_and_stable():
             assert city.bbox[2] < country.bbox[0]
 
 
+@pytest.mark.parametrize("n_regions", [593, 594, 1200, 2000])
+def test_wide_target_country_loads_in_rings_of_at_most_180_degrees(n_regions):
+    # load_layer refuses a wider ring as an unsplit antimeridian crossing;
+    # up to 593 regions the target stays the one rectangle it always was
+    (target,) = [r for r in make_country_layer(base_spec(n_regions=n_regions)).regions if r.id == "ES"]
+    assert len(target.polygons) == (1 if n_regions <= 593 else math.ceil((n_regions * 0.3 + 2.0) / 180.0))
+    for outer, _ in target.polygons:
+        lons = [lon for _, lon in outer]
+        assert max(lons) - min(lons) <= 180.0
+    assert target.bbox[:3] == (38.0, -1.0, 44.0) and target.bbox[3] == pytest.approx(n_regions * 0.3 + 1.0)
+
+
 def test_seasonal_weights_modulate_monthly_counts():
     seasonal = tuple(1.2 if m == 7 else 1.6 for m in range(1, 13))
     spec = events_per_unit_for_total(
