@@ -28,6 +28,15 @@ of the stream, decoded block by block.  Either way the accepted rows,
 rejection reasons and line numbers are the same, and a
 UnicodeDecodeError is raised only after the rows before the undecodable
 bytes have settled.
+
+A JSONL block holding no backslash, carriage return or NUL and only UTF-8
+is checked as bytes too: its strings have no escapes, so numpy finds them
+by their quotes and verifies the lines that hold one flat object of
+string keys and string, number or null values (``_json_block``).  Any
+other nonblank line is flagged and decoded on its own by json's scanner.
+Any other block, and every block from the first one where most lines are
+not such objects, is read line by line with that scanner, one dict per
+line.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, count, islice, repeat
 from operator import itemgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, Sequence
+from typing import IO, Callable, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -565,7 +574,7 @@ def _read_chunk(items: Iterator, errors: type[Exception] | tuple[type[Exception]
 
 # A chunk of input rows after the column checks: (line numbers; the users,
 # epoch seconds, lat, lon, declared origins and tags, a string column being
-# a list, or a UTF-8 ``S`` array on the CSV byte path; the mask of flagged
+# a list, or a UTF-8 ``S`` array on the byte paths; the mask of flagged
 # rows; ``settle``, which gives the ``_make_record`` outcome of flagged row
 # ``i``, or a rejection reason found before field validation).
 Chunk = tuple[Sequence[int], list, np.ndarray, Callable[[int], EventRecord | str]]
@@ -597,7 +606,7 @@ def _commit(chunk: Chunk, strict: bool, report: IngestReport, accumulator: _Tabl
     """Settle each flagged row of a chunk in row order, then append the
     rows kept to the table."""
     line_nos, columns, flagged, settle = chunk
-    users, seconds, lat, lon, origins, tags = columns
+    _, seconds, lat, lon, _, _ = columns
     keep = ~flagged
     for i in np.flatnonzero(flagged).tolist():
         outcome = settle(i)
@@ -607,8 +616,8 @@ def _commit(chunk: Chunk, strict: bool, report: IngestReport, accumulator: _Tabl
             report.reject(outcome)
             continue
         keep[i] = True
-        for column, value in zip((users, origins, tags), (outcome.user_id, outcome.origin_country, outcome.dataset_tag)):
-            column[i] = _utf8(value) if isinstance(column, np.ndarray) else value
+        for k, value in zip((0, 4, 5), (outcome.user_id, outcome.origin_country, outcome.dataset_tag)):
+            columns[k] = _with_value(columns[k], i, value)
         seconds[i], lat[i], lon[i] = _seconds_of(outcome.timestamp), outcome.lat, outcome.lon
     kept = keep.tolist()
     report.accepted += sum(kept)
@@ -617,8 +626,18 @@ def _commit(chunk: Chunk, strict: bool, report: IngestReport, accumulator: _Tabl
     )
 
 
-def _utf8(value: str | None) -> bytes:
-    return value.encode() if value else b""
+def _with_value(column: list | np.ndarray, i: int, value: str | None) -> list | np.ndarray:
+    """``column`` with row ``i`` set to ``value``; an ``S`` column too
+    narrow for the value's UTF-8 bytes becomes a list of str (None for
+    ``b""``)."""
+    if isinstance(column, np.ndarray):
+        raw = value.encode() if value else b""
+        if len(raw) <= column.itemsize:
+            column[i] = raw
+            return column
+        column = [v.decode() or None for v in column.tolist()]
+    column[i] = value
+    return column
 
 
 def _out_of_range(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
@@ -657,6 +676,12 @@ _UPPER = (np.arange(256) >= ord("A")) & (np.arange(256) <= ord("Z"))  # by byte 
 _BYTE_WIDTH = 64
 
 
+def _padded(data: bytes) -> np.ndarray:
+    """``data`` as bytes followed by _BYTE_WIDTH zero bytes, so that every
+    field read as bytes fits a window of the buffer that starts at it."""
+    return np.frombuffer(data + bytes(_BYTE_WIDTH), dtype=np.uint8)
+
+
 def _plain_chunk(data: bytes, first_line: int, columns: list[int], commas: int) -> Chunk | None:
     """Check a block of CSV lines as one UTF-8 byte buffer, or None when it
     holds a quote, a carriage return, a NUL, a line longer than csv's field
@@ -673,7 +698,8 @@ def _plain_chunk(data: bytes, first_line: int, columns: list[int], commas: int) 
         return None
     if not data.endswith(b"\n"):
         data += b"\n"
-    buf = np.frombuffer(data, dtype=np.uint8)
+    padded = _padded(data)
+    buf = padded[: len(data)]
     n, width = data.count(b"\n"), commas + 1
     ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
     # n newlines in all, so with one at the end of every width-th field,
@@ -692,39 +718,43 @@ def _plain_chunk(data: bytes, first_line: int, columns: list[int], commas: int) 
     for row, s, e in zip(np.nonzero(wide)[0].tolist(), start[wide].tolist(), end[wide].tolist()):
         value = data[s:e].decode()
         flagged[row] |= value[0].isspace() or value[-1].isspace()
-    flagged |= (length[:, 0] == 0) | (length[:, 5] == 0)
-
-    # every field read as bytes fits a window of the padded buffer that
-    # starts at it
-    pad = max(min(int(length.max()), _BYTE_WIDTH), _STAMP_WIDTH)
-    padded = np.concatenate((buf, np.zeros(pad, dtype=np.uint8)))
-    fixed = length[:, 1] == _STAMP_WIDTH
-    seconds, ok = _decode_stamps(fixed, sliding_window_view(padded, _STAMP_WIDTH)[start[fixed, 1]])
-    flagged |= ~ok
-    lat, lon = (_byte_floats(_field_bytes(data, padded, start[:, k], length[:, k])) for k in (2, 3))
-    flagged |= _out_of_range(lat, lon)
-    # an origin is empty or two bytes; any other one is flagged, and a
-    # flagged row's accepted origin fits the two bytes kept (one byte, b"",
-    # when every origin of the chunk is empty)
-    pair = np.stack((buf[start[:, 4]], padded[start[:, 4] + 1]), axis=1)
-    two = length[:, 4] == 2
-    flagged |= ~((length[:, 4] == 0) | (two & _UPPER[pair].all(axis=1)))
-    pair[~two] = 0
 
     def settle(i: int) -> EventRecord | str:
         fields = data[starts[i, 0] : ends[i * width + commas]].decode().split(",")
         return _make_record(*(fields[c].strip() for c in columns))
 
+    return range(first_line, first_line + n), _byte_columns(data, padded, start, length, flagged), flagged, settle
+
+
+def _byte_columns(data: bytes, padded: np.ndarray, start: np.ndarray, length: np.ndarray, flagged: np.ndarray) -> list:
+    """The six columns of rows whose fields, in CANONICAL_COLUMNS order,
+    are ``data[start:start + length]`` (``padded`` is ``_padded(data)``).
+
+    Flags in ``flagged`` each row with an empty user or tag, a timestamp
+    not in the canonical form, a coordinate that is empty, not a number or
+    out of range, or an origin that is neither empty nor two capital
+    letters.  User and tag columns are ``_field_bytes``; origins are
+    ``S2``, ``b""`` where empty (``S1`` when all are).
+    """
+    flagged |= (length[:, 0] == 0) | (length[:, 5] == 0)
+    fixed = length[:, 1] == _STAMP_WIDTH
+    seconds, ok = _decode_stamps(fixed, sliding_window_view(padded, _STAMP_WIDTH)[start[fixed, 1]])
+    flagged |= ~ok
+    lat, lon = (_byte_floats(data, padded, start[:, k], length[:, k]) for k in (2, 3))
+    flagged |= _out_of_range(lat, lon)
+    pair = np.stack((padded[start[:, 4]], padded[start[:, 4] + 1]), axis=1)
+    two = length[:, 4] == 2
+    flagged |= ~((length[:, 4] == 0) | (two & _UPPER[pair].all(axis=1)))
+    pair[~two] = 0
     users, tags = (_field_bytes(data, padded, start[:, k], length[:, k]) for k in (0, 5))
-    origins = pair.view("S2").ravel() if length[:, 4].any() else np.zeros(n, dtype="S1")
-    return range(first_line, first_line + n), [users, seconds, lat, lon, origins, tags], flagged, settle
+    origins = pair.view("S2").ravel() if length[:, 4].any() else np.zeros(len(start), dtype="S1")
+    return [users, seconds, lat, lon, origins, tags]
 
 
 def _field_bytes(data: bytes, padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray | list[str]:
     """The fields ``data[start:start + length]`` as a fixed-width ``S``
     array, or as a list of str when one is wider than _BYTE_WIDTH bytes;
-    ``padded`` is ``data`` followed by zero bytes, at least as many as the
-    widest field up to _BYTE_WIDTH."""
+    ``padded`` is ``_padded(data)``."""
     width = int(length.max(initial=0))
     if width > _BYTE_WIDTH:
         return [data[s:e].decode() for s, e in zip(start.tolist(), (start + length).tolist())]
@@ -734,20 +764,25 @@ def _field_bytes(data: bytes, padded: np.ndarray, start: np.ndarray, length: np.
     return chars.view(f"S{width}").ravel()
 
 
-def _byte_floats(values: np.ndarray | list[str]) -> np.ndarray:
-    """``float`` of each value of an ``S`` array or list, NaN where it
-    raises.
+def _byte_floats(data: bytes, padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """``float`` of each field ``data[start:start + length]``, NaN where
+    the field is empty or ``float`` raises.
 
     numpy's cast parses each value as Python's ``float`` does, and raises
     ValueError for the whole array at the first value it cannot parse,
     non-ASCII ones included; the values are then parsed one by one.
     """
+    floats = np.full(len(start), math.nan)
+    some = length > 0
+    values = _field_bytes(data, padded, start[some], length[some])
     if isinstance(values, list):
-        return _float_column(values)
+        floats[some] = _float_column(values)
+        return floats
     try:
-        return values.astype(np.float64)
+        floats[some] = values.astype(np.float64)
     except ValueError:
-        return np.fromiter((_float_or_nan(v.decode()) for v in values.tolist()), np.float64, len(values))
+        floats[some] = np.fromiter((_float_or_nan(v.decode()) for v in values.tolist()), np.float64, len(values))
+    return floats
 
 
 def _is_utf8(data: bytes) -> bool:
@@ -848,9 +883,42 @@ _JSON_PLACEHOLDER = {"lat": 0.0, "lon": 0.0}
 _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 
+def _json_object(text: str) -> dict | None:
+    """The object a stripped line holds, or None when it holds another
+    value or no JSON at all."""
+    try:
+        obj, end = _scan_json(text, 0)
+    except (StopIteration, ValueError):  # ValueError: JSONDecodeError, or an integer past int's digit limit
+        return None
+    return obj if end == len(text) and isinstance(obj, dict) else None
+
+
+def _json_record(line: str) -> EventRecord | str:
+    """The ``_make_record`` outcome of one nonblank JSONL line."""
+    obj = _json_object(line.strip())
+    return "bad json" if obj is None else _make_record(*map(obj.get, CANONICAL_COLUMNS))
+
+
 def _jsonl_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
-    lines = _lines(blocks, text)
-    line_no = 0
+    """Chunks of a JSONL stream: a block holding no backslash, carriage
+    return or NUL, and only UTF-8, is checked as bytes, and any other block
+    is read line by line, as is every block after one that ``_json_block``
+    declines."""
+    line_no, checked = 0, True
+    for data in blocks:
+        plain = checked and b"\\" not in data and b"\r" not in data and b"\0" not in data and _is_utf8(data)
+        chunk = _json_block(data, line_no + 1) if plain else None
+        if chunk is None:
+            checked &= not plain
+            line_no = yield from _json_line_chunks(_lines((data,), text), line_no)
+        else:
+            yield chunk
+            line_no += data.count(b"\n") + (not data.endswith(b"\n"))
+
+
+def _json_line_chunks(lines: Iterator[str], line_no: int) -> Generator[Chunk, None, int]:
+    """Chunks of JSONL lines decoded by json's scanner, numbered from
+    ``line_no + 1``; returns the number of the last line."""
     while True:
         block, error = _read_chunk(lines, UnicodeDecodeError)
         line_nos: list[int] = []
@@ -861,11 +929,8 @@ def _jsonl_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
             stripped = line.strip()
             if not stripped:
                 continue
-            try:
-                obj, end = _scan_json(stripped, 0)
-            except (StopIteration, json.JSONDecodeError):
-                obj, end = None, 0
-            if end != len(stripped) or not isinstance(obj, dict):
+            obj = _json_object(stripped)
+            if obj is None:
                 rejected[len(objects)] = "bad json"
                 obj = _JSON_PLACEHOLDER
             line_nos.append(line_no)
@@ -875,7 +940,200 @@ def _jsonl_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
         if error is not None:
             raise error
         if len(block) < CHUNK_ROWS:
-            return
+            return line_no
+
+
+# byte classes of the JSONL byte path, 0 for the other bytes, and the two
+# kinds of closing quote that the tokens outside strings tell apart
+_QUOTE, _OPEN, _CLOSE, _COLON, _COMMA, _NEWLINE, _SPACE, _TAB, _CONTROL, _KEY_END, _VALUE_END = range(1, 12)
+_JSON_CLASS = np.zeros(256, dtype=np.uint8)
+_JSON_CLASS[:32] = _CONTROL
+_JSON_CLASS[np.frombuffer(b'"{}:,\n \t', dtype=np.uint8)] = np.arange(_QUOTE, _CONTROL)
+
+# by pair of neighbouring tokens on a line holding one flat object: 1 where
+# only spaces or tabs may lie between them, 2 where one number must (after
+# a colon), 0 where the pair may not occur; indexed by 12 * first + second
+_PAIRS = np.zeros(144, dtype=np.uint8)
+_PAIRS[
+    [
+        12 * _NEWLINE + _OPEN, 12 * _NEWLINE + _NEWLINE, 12 * _OPEN + _QUOTE, 12 * _OPEN + _CLOSE,
+        12 * _QUOTE + _KEY_END, 12 * _QUOTE + _VALUE_END, 12 * _KEY_END + _COLON, 12 * _COLON + _QUOTE,
+        12 * _VALUE_END + _COMMA, 12 * _VALUE_END + _CLOSE, 12 * _COMMA + _QUOTE, 12 * _CLOSE + _NEWLINE,
+    ]
+] = 1
+_PAIRS[[12 * _COLON + _COMMA, 12 * _COLON + _CLOSE]] = 2
+
+# the JSON number grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?,
+# as an automaton over byte classes: 0 for the zero bytes past a token's
+# end, then "0", "1"-"9", "-", "+", ".", "e" or "E", and 7 for any other
+# byte; state 9 is dead, and the table is indexed by 8 * state + class
+_NUMBER_CLASS = np.full(256, 7, dtype=np.uint8)
+_NUMBER_CLASS[np.frombuffer(b"\x000123456789-+.eE", dtype=np.uint8)] = [0, 1, 2, 2, 2, 2, 2, 2, 2, 2, 2, 3, 4, 5, 6, 6]
+_NUMBER_STEP = np.array(
+    [
+        [0, 2, 3, 1, 9, 9, 9, 9],  # start
+        [1, 2, 3, 9, 9, 9, 9, 9],  # after the minus sign
+        [2, 9, 9, 9, 9, 4, 6, 9],  # after a leading zero
+        [3, 3, 3, 9, 9, 4, 6, 9],  # in the integer digits
+        [4, 5, 5, 9, 9, 9, 9, 9],  # after the point
+        [5, 5, 5, 9, 9, 9, 6, 9],  # in the fraction digits
+        [6, 8, 8, 7, 7, 9, 9, 9],  # after the exponent mark
+        [7, 8, 8, 9, 9, 9, 9, 9],  # after the exponent sign
+        [8, 8, 8, 9, 9, 9, 9, 9],  # in the exponent digits
+        [9, 9, 9, 9, 9, 9, 9, 9],
+    ],
+    dtype=np.uint8,
+).ravel()
+_NUMBER_DONE = np.zeros(10, dtype=bool)
+_NUMBER_DONE[[2, 3, 5, 8]] = True  # the states a number may end in
+
+# keys are compared as two little-endian 8-byte words, zero past their end
+_KEY_LOW, _KEY_HIGH = np.array([c.encode() for c in CANONICAL_COLUMNS], dtype="S16").view("<u8").reshape(-1, 2).T
+_KEY_ORDER = np.argsort(_KEY_LOW)  # the first words differ
+_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)] + [(1 << 64) - 1], dtype=np.uint64)
+_NULL = int.from_bytes(b"null", "little")
+
+
+# a block where more than half the lines, and more than this many, are not
+# the flat objects that _json_block verifies is declined: decoding each such
+# line on its own costs about twice what reading it as a dict does
+_DECLINE_LINES = 64
+
+
+def _json_block(data: bytes, first_line: int) -> Chunk | None:
+    """Check a block of UTF-8 JSONL lines holding no backslash, carriage
+    return or NUL as one byte buffer, or None when it is declined (see
+    _DECLINE_LINES).
+
+    Such a block's strings are their bytes between quotes, and its lines
+    end at newlines alone.  numpy finds the quotes and, outside strings,
+    the bytes ``{ } : ,``, spaces, tabs and newlines, and verifies that a
+    line holds one flat object: string keys, and values that are strings
+    holding no control byte, JSON numbers of at most _BYTE_WIDTH bytes or
+    null, with spaces and tabs between tokens, and no CANONICAL_COLUMNS key
+    twice.  Any other nonblank line is flagged, and so is a row whose user,
+    timestamp, origin or tag is a number, or whose coordinate is a negative
+    zero (json reads the integer -0 as +0.0); ``settle`` decodes such a
+    line with json's scanner.
+    """
+    # a newline put before the block starts the first line like the others
+    data = b"\n" + data + b"\n"[data.endswith(b"\n") :]
+    padded = _padded(data)
+    buf = padded[: len(data)]
+    where = np.flatnonzero(
+        (buf <= ord(" ")) | (buf == ord('"')) | (buf == ord(",")) | (buf == ord(":")) | (buf == ord("{")) | (buf == ord("}"))
+    )
+    kind = np.take(_JSON_CLASS, buf[where])
+    newline = kind == _NEWLINE
+    ends = np.compress(newline, where)
+    starts, ends = ends[:-1] + 1, ends[1:]
+    n = len(ends)
+    bad = np.zeros(n, dtype=bool)  # lines the checks cannot verify
+
+    # quotes pair up within a line; a line with an odd number of them is
+    # bad, and its newline counts as a quote, so the next line starts even
+    quote = kind == _QUOTE
+    count = np.cumsum(quote, dtype=np.int32)
+    odd = np.diff(np.compress(newline, count)) & 1 == 1
+    if odd.any():
+        bad |= odd
+        quote[np.searchsorted(where, ends[odd])] = True
+        count = np.cumsum(quote, dtype=np.int32)
+    after_open = (count - quote) & 1 == 1  # inside a string, or its closing quote
+    outer = quote | ~after_open
+    if (kind >= _TAB).any():  # a tab between tokens is a space; any other control byte is bad
+        bad[np.searchsorted(ends, where[(kind == _CONTROL) | (~outer & (kind == _TAB))])] = True
+        kind[kind == _TAB] = _SPACE
+
+    # the tokens outside strings; a number fills the gap after a colon
+    kind += (after_open & (kind == _QUOTE)) * np.uint8(_VALUE_END - _QUOTE)  # closing quotes
+    t, pos = np.compress(outer, kind), np.compress(outer, where)
+    gap = np.diff(pos) - 1
+    number_pair = np.flatnonzero((gap > 0) & (t[:-1] != _QUOTE))  # bytes outside strings
+    number_start, number_length = pos[number_pair] + 1, gap[number_pair]
+    solid = t != _SPACE
+    if not solid.all():
+        number_pair = (np.cumsum(solid, dtype=np.int32) - 1)[number_pair]
+        t, pos = np.compress(solid, t), np.compress(solid, pos)
+    key_end = t == _VALUE_END
+    key_end[2:] &= (t[:-2] == _OPEN) | (t[:-2] == _COMMA)  # its string opens after { or ,
+    t[key_end] = _KEY_END
+
+    rule = np.take(_PAIRS, 12 * t[:-1] + t[1:])
+    ok = rule == 1
+    short = number_length <= _BYTE_WIDTH
+    null = (number_length == 4) & (_words(padded)[number_start] & 0xFFFFFFFF == _NULL)
+    ok[number_pair[short]] = _json_numbers(padded, number_start[short], number_length[short]) | null[short]
+    ok[number_pair] &= rule[number_pair] == 2
+    ok[number_pair[1:][np.diff(number_pair) == 0]] = False  # two numbers in one gap
+    bad[np.searchsorted(ends, pos[1:][~ok])] = True
+    if np.count_nonzero(bad) > max(n // 2, _DECLINE_LINES):
+        return None
+    blank = np.zeros(n, dtype=bool)
+    blank[np.searchsorted(ends, pos[1:][(t[:-1] == _NEWLINE) & (t[1:] == _NEWLINE)])] = True
+
+    # the values of canonical keys: a string after the colon, or a number or
+    # null, which reads as an absent key
+    key = np.flatnonzero(key_end)
+    column_of = np.full(len(t), -1, dtype=np.int8)
+    column_of[key] = _canonical_keys(padded, pos[key - 1] + 1, pos[key] - pos[key - 1] - 1)
+    string = np.flatnonzero((t[:-1] == _COLON) & (t[1:] == _QUOTE)) + 1
+    value_key = np.concatenate((string - 2, number_pair - 1))
+    value_start = np.concatenate((pos[string] + 1, number_start))
+    value_end = np.concatenate((pos[string + 1], np.where(null, number_start, number_start + number_length)))
+    column = column_of[value_key]
+    line = np.searchsorted(ends, pos[value_key])
+    known = (column >= 0) & ~bad[line]
+    cell = np.compress(known, line * 6 + column)
+    bad[np.flatnonzero(np.bincount(cell, minlength=6 * n) > 1) // 6] = True  # a canonical key twice
+    start = np.zeros(6 * n, dtype=np.int64)
+    start[cell] = np.compress(known, value_start)
+    length = np.zeros(6 * n, dtype=np.int64)
+    length[cell] = np.compress(known, value_end) - start[cell]
+    number = np.zeros(6 * n, dtype=bool)
+    number[cell] = np.compress(known, np.concatenate((np.zeros(len(string), dtype=bool), ~null)))
+    start, length, number = start.reshape(n, 6), length.reshape(n, 6), number.reshape(n, 6)
+    length[bad] = 0
+
+    for i in np.flatnonzero(bad).tolist():
+        blank[i] = not data[starts[i] : ends[i]].decode().strip()
+    rows = np.flatnonzero(~blank)
+    flagged = bad[rows] | number[rows][:, [0, 1, 4, 5]].any(axis=1)
+    columns = _byte_columns(data, padded, start[rows], length[rows], flagged)
+    for coordinate in columns[2:4]:
+        flagged |= (coordinate == 0) & np.signbit(coordinate)
+
+    def settle(i: int) -> EventRecord | str:
+        return _json_record(data[starts[rows[i]] : ends[rows[i]]].decode())
+
+    return (rows + first_line).tolist(), columns, flagged, settle
+
+
+def _words(padded: np.ndarray) -> np.ndarray:
+    """The little-endian 8-byte word starting at each byte of ``padded``."""
+    return np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
+
+
+def _canonical_keys(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The CANONICAL_COLUMNS index of each key ``padded[start:start +
+    length]``, -1 for any other key."""
+    words = _words(padded)
+    low = words[start] & _LOW_BYTES[np.minimum(length, 8)]
+    high = words[start + 8] & _LOW_BYTES[np.clip(length - 8, 0, 8)]
+    k = np.take(_KEY_ORDER, np.searchsorted(_KEY_LOW[_KEY_ORDER], low), mode="clip")
+    return np.where((np.take(_KEY_LOW, k) == low) & (np.take(_KEY_HIGH, k) == high), k, -1)
+
+
+def _json_numbers(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Mask of the tokens ``padded[start:start + length]``, none wider than
+    _BYTE_WIDTH bytes, that are JSON numbers."""
+    width = int(length.max(initial=1))
+    chars = sliding_window_view(padded, width)[start]
+    chars *= np.less.outer(np.arange(width), length).T
+    state = np.zeros(len(start), dtype=np.uint8)
+    for classes in np.ascontiguousarray(np.take(_NUMBER_CLASS, chars).T):
+        state = np.take(_NUMBER_STEP, 8 * state + classes)
+    return np.take(_NUMBER_DONE, state)
 
 
 # ---------------------------------------------------------------------------

@@ -290,7 +290,7 @@ def _jsonl_rows(lines):
             continue
         try:
             obj = json.loads(stripped)
-        except json.JSONDecodeError:
+        except ValueError:  # JSONDecodeError, or an integer past int's digit limit
             obj = None
         if isinstance(obj, dict):
             yield line_no, _make_record(*(obj.get(c) for c in CANONICAL_COLUMNS))

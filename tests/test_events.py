@@ -273,6 +273,169 @@ def test_jsonl_huge_integer_coordinate_rejected():
     assert report.rejection_reasons == {"bad coordinate": 1}
 
 
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("key", ["lat", "extra"])
+def test_jsonl_integer_past_the_digit_limit_is_bad_json(key, strict):
+    # json's scanner raises a plain ValueError for an integer of more than
+    # 4,300 digits (Python's int-string limit), which once escaped ingest
+    fields = {"user_id": '"u1"', "timestamp": '"2012-06-01T12:00:00Z"', "lat": "40.5", "lon": "-3.7", "dataset_tag": '"t"'}
+    good = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    fields[key] = "1" * 5000
+    bad = "{" + ", ".join(f'"{k}": {v}' for k, v in fields.items()) + "}"
+    text = "\n".join([good, bad, good]) + "\n"
+    _same_outcome(text, "jsonl", strict)
+    if strict:
+        with pytest.raises(IngestError) as exc:
+            parse_events(io.StringIO(text), format="jsonl", strict=True)
+        assert (exc.value.line, exc.value.reason) == (2, "bad json")
+    else:
+        _, report = parse_events(io.StringIO(text), format="jsonl")
+        assert (report.accepted, report.rejection_reasons) == (2, {"bad json": 1})
+
+
+# --- the JSONL byte path's hazards --------------------------------------------
+
+JSON_GOOD = '{"user_id":"u%s","timestamp":"2012-06-01T12:00:00Z","lat":40.5,"lon":-3.7,"dataset_tag":"t"}'
+
+
+def test_jsonl_integer_minus_zero_is_positive_zero():
+    # json reads the integer -0 as int 0, so the coordinate is +0.0; the
+    # float -0.0 and the string "-0" stay negative
+    text = '{"user_id":"u1","timestamp":"2012-06-01T12:00:00Z","lat":-0,"lon":-0.0,"dataset_tag":"t"}\n'
+    text += '{"user_id":"u2","timestamp":"2012-06-01T12:00:00Z","lat":"-0","lon":-0,"dataset_tag":"t"}\n'
+    table, _ = parse_events(io.StringIO(text), format="jsonl")
+    assert [math.copysign(1, v) for v in table.lat.tolist() + table.lon.tolist()] == [1, -1, -1, 1]
+    _same_outcome(text, "jsonl", False)
+
+
+def test_jsonl_duplicate_canonical_key_takes_the_last_value():
+    text = '{"user_id":"u1","lat":99,"timestamp":"2012-06-01T12:00:00Z","lat":40.5,"lon":-3.7,"dataset_tag":"t","user_id":"u2"}\n'
+    table, report = parse_events(io.StringIO(text), format="jsonl")
+    assert report.accepted == 1
+    assert (table[0].user_id, table[0].lat) == ("u2", 40.5)
+    _same_outcome(text, "jsonl", False)
+
+
+@pytest.mark.parametrize(
+    "value",
+    ["01", "1.", ".5", "+1", "-", "1e", "1e5e5", "0x1", "1 2", "\t1 \t2", "NaN", "-Infinity", "tru", "nul", "null",
+     "true", "false", '"u\tv"', '"\x01"', '"a" "b"', '{"n": 1}', "[1]", "1" * 65, "-0", "1E400"],
+)
+def test_jsonl_unknown_key_value_parses_as_the_reference(value):
+    # in a line json would otherwise accept, an unknown key's value decides
+    # between an accepted row and bad json; the byte checks verify only
+    # values they can tell apart, and leave the others to json's scanner
+    for line in ((JSON_GOOD % 1)[:-1] + ',"x":' + value + "}", (JSON_GOOD % 1)[:-1] + ', "x": ' + value + " }"):
+        _same_outcome(line + "\n", "jsonl", False)
+
+
+def test_jsonl_infinite_latitude_is_out_of_range():
+    # json reads 1e400 as float("inf"), a number, not a bad coordinate
+    text = (JSON_GOOD % 1).replace("40.5", "1e400") + "\n"
+    _, report = parse_events(io.StringIO(text), format="jsonl")
+    assert report.rejection_reasons == {"lat out of range": 1}
+    _same_outcome(text, "jsonl", False)
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    real = getattr(events_module, name)
+    monkeypatch.setattr(events_module, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_jsonl_block_with_a_backslash_line_is_read_line_by_line(monkeypatch, strict):
+    # an escape anywhere sends the whole block to json's scanner, line by line
+    lines = [JSON_GOOD % i for i in range(20)]
+    lines[7] = lines[7].replace('"u7"', '"u\\u00e9\\"7"')
+    lines[12] = lines[12].replace("40.5", "200")
+    text = "\n".join(lines) + "\n"
+    calls = _count_calls(monkeypatch, "_json_line_chunks")
+    _same_outcome(text, "jsonl", strict)
+    assert calls
+    table, _ = parse_events(io.StringIO(text), format="jsonl")
+    assert table[7].user_id == 'u\u00e9"7'
+
+
+@pytest.mark.parametrize("block_bytes", [1, 16, 1 << 19])
+def test_jsonl_strict_line_number_counts_blank_lines(monkeypatch, block_bytes):
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", block_bytes)
+    bad = (JSON_GOOD % 9).replace("40.5", "200")
+    text = "\n".join(["", JSON_GOOD % 1, "", "  ", "\t", JSON_GOOD % 2, "", bad, JSON_GOOD % 3]) + "\n"
+    with pytest.raises(IngestError) as exc:
+        parse_events(io.StringIO(text), format="jsonl", strict=True)
+    assert (exc.value.line, exc.value.reason) == (8, "lat out of range")
+    _same_outcome(text, "jsonl", True)
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_jsonl_lines_longer_than_a_block_parse_as_the_reference(monkeypatch, strict):
+    # a block ends at the first newline past BLOCK_BYTES, so each line here
+    # is a block of its own; wide values take the list columns
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 32)
+    lines = [JSON_GOOD % i for i in range(6)]
+    lines[1] = lines[1].replace('"u1"', '"' + "w" * 100 + '"')
+    lines[3] = lines[3].replace("40.5", "4" + "0" * 80 + ".5")
+    lines[4] = lines[4].replace('"t"}', '"t","extra":[1, 2]}')
+    text = "\n".join(lines) + "\n" + (JSON_GOOD % 6)[:30]
+    _same_outcome(text, "jsonl", strict)
+
+
+def test_settled_row_wider_than_its_block_column():
+    # a row the checks cannot verify (a true value) but json accepts keeps
+    # a user and tag wider than any verified one of its block
+    long_line = (JSON_GOOD % ("_long_user_" * 3)).replace('"t"}', '"tag_longer","x":true}')
+    text = "\n".join([JSON_GOOD % 1, long_line, JSON_GOOD % 2]) + "\n"
+    table, _ = parse_events(io.StringIO(text), format="jsonl")
+    assert [e.user_id for e in table] == ["u1", "u_long_user__long_user__long_user_", "u2"]
+    assert [e.dataset_tag for e in table] == ["t", "tag_longer", "t"]
+    _same_outcome(text, "jsonl", False)
+
+
+def test_jsonl_of_nested_objects_is_read_as_dicts(monkeypatch):
+    # most lines of the first block are not flat objects, so it is declined,
+    # and the flat lines after it are read as dicts too
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 1 << 14)  # about 140 lines
+    nested = [(JSON_GOOD % i).replace('"t"}', '"t","geo":{"n":%d}}' % i) for i in range(200)]
+    text = "\n".join(nested + [JSON_GOOD % i for i in range(200, 400)]) + "\n"
+    checked = _count_calls(monkeypatch, "_json_block")
+    _same_outcome(text, "jsonl", False)
+    assert len(checked) == 1
+
+
+def test_clean_compact_jsonl_stays_on_the_byte_path(monkeypatch):
+    # blocks without backslashes, carriage returns or NULs never reach the
+    # line-by-line reader, whatever their rows; falling off the byte path
+    # changes no output, so only this test would show it
+    lines = [JSON_GOOD % i for i in range(40)]
+    lines[3] = lines[3].replace("2012-06-01T12:00:00Z", "not-a-time")
+    lines[5] = lines[5].replace("40.5", "95.5")
+    lines[8] = lines[8].replace('"user_id":"u8",', "")
+    lines[11] = lines[11][:40]  # cut off
+    lines[14] = lines[14].replace('"t"}', '"t","origin_country":"ES"}')
+    lines[17] = lines[17].replace('"u17"', '"ü用户"')
+    lines[20] = lines[20].replace("40.5", '"41.2"')
+    lines[23] = lines[23].replace("2012-06-01T12:00:00Z", "2012-06-01")
+    lines[26] = lines[26].replace('"t"}', '"t","origin_country":"es"}')
+    lines[29] = lines[29].replace('"u29"', "29")
+    lines[32] = lines[32].replace('"t"}', '"t","origin_country":null}')
+    text = "\n".join(lines) + "\n"
+    want = oracles.parse_events(text, format="jsonl")
+    assert want[1].accepted and want[1].rejected
+    def refuse(*args):
+        raise AssertionError("the line-by-line reader was called")
+
+    monkeypatch.setattr(events_module, "_json_line_chunks", refuse)
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 512)  # blocks of five or six lines
+    settled = _count_calls(monkeypatch, "_json_record")
+    for source in (io.StringIO(text), io.BytesIO(text.encode())):
+        settled.clear()
+        table, report = parse_events(source, format="jsonl")
+        assert (list(table), report) == want
+        assert len(settled) == 7  # lines 3, 5, 8, 11, 23, 26 and 29; the byte checks take the others
+
+
 def test_csv_round_trip_is_exact():
     stream = csv_stream(
         "u1,2012-06-01T12:00:00Z,40.123456789012345,-3.700000000000001,ES,photo",
@@ -339,10 +502,11 @@ def test_format_timestamp_round_trip():
 # and padding that str.strip removes but an ASCII whitespace test misses
 EDGES = ["é", "ué", "\x1cu7", "u8\x85", " u9", "u\u3000"]
 USERS = st.sampled_from(["u1", "u2", "u\x00", "u", "u\x00\x00", " u3 ", "", "ü", "u,4", 'u"5', "u6\r", *EDGES])
+CANONICAL_STAMPS = st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)).map(
+    lambda dt: dt.strftime("%Y-%m-%dT%H:%M:%SZ").rjust(20, "0")
+)
 STAMPS = st.one_of(
-    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)).map(
-        lambda dt: dt.strftime("%Y-%m-%dT%H:%M:%SZ").rjust(20, "0")
-    ),
+    CANONICAL_STAMPS,
     st.sampled_from([
         "2012-06-01T12:00Z", "2012-06-01", "2012-06-01T12:00:00.25Z", " 2012-06-01T12:00:00Z ",
         "2012-13-01T00:00:00Z", "2012-02-30T00:00:00Z", "2012-06-01T12:00:00+0Z",
@@ -372,20 +536,86 @@ JSON_VALUES = st.one_of(
     st.none(),
     st.sampled_from(["1.5", "abc", "", "ES", "es", "2012-06-01T12:00:00Z", [], {}]),
 )
+
+
+class Raw(str):
+    """A JSON text put into a line as it is, not through json.dumps."""
+
+
+# number tokens as they may appear in a file: json reads "-0" as the int 0
+RAW_NUMBERS = st.sampled_from(
+    ["-0", "0", "-0.0", "12", "-7", "1e400", "-1E400", "4.05e1", "0.5e-3", "1e-400", "9" * 64, "1" + "0" * 300]
+).map(Raw)
+RAW_STRINGS = st.sampled_from(['"u\tv"', '"\x01"', '"t\x1f"', '"ES\t"']).map(Raw)  # control bytes json rejects
+# values outside the JSON number grammar; json accepts NaN and -Infinity
+RAW_OTHERS = st.sampled_from(
+    ["01", "1.", ".5", "+1", "-", "1e", "0x1", "1_0", "1 2", "1e5e5", "1.2.3", "--1", "tru", "[1", "NaN", "-Infinity"]
+).map(Raw)
+COORDINATES = st.one_of(
+    st.floats(-200, 200), st.integers(-200, 200), RAW_NUMBERS, RAW_OTHERS,
+    st.sampled_from(["41.2", "-0", " 1.5", "nan", "1e400"]),
+)
+EXTRA_VALUES = st.one_of(
+    JSON_VALUES, RAW_NUMBERS, RAW_STRINGS, RAW_OTHERS, st.just({"a": [1, {"b": None}]}), st.text(max_size=4), st.integers()
+)
+EXTRA_KEYS = st.sampled_from([*CANONICAL_COLUMNS, "text", "id", "lat ", "\u00fc", "user_id2"])
+SEPARATORS = st.sampled_from([(", ", ": "), (",", ":"), (" , ", " : "), ("\t,", ":\t"), (",  ", ":")])
+PADDING = st.sampled_from(["", " ", "\t", " \t "])
+GOOD_FIELDS = st.fixed_dictionaries(
+    {
+        "user_id": st.sampled_from(["u1", "u2", "ü", " u3 ", "用户", "u\x85"]),
+        "timestamp": st.one_of(CANONICAL_STAMPS, STAMPS),
+        "lat": st.one_of(st.floats(-90, 90), st.integers(-90, 90), st.sampled_from(["-0", "0", "4.05e1"]).map(Raw)),
+        "lon": st.one_of(st.floats(-180, 180), st.sampled_from(["-7", "-0.0", "1e-400"]).map(Raw), st.just("41.2")),
+        "dataset_tag": st.sampled_from(["t", "photo", "é"]),
+    },
+    optional={"origin_country": st.sampled_from(["", "ES", "FR", None])},
+)
+ANY_FIELDS = st.fixed_dictionaries(
+    {},
+    optional={
+        "user_id": st.one_of(USERS, JSON_VALUES, RAW_STRINGS),
+        "timestamp": st.one_of(STAMPS, JSON_VALUES),
+        "lat": st.one_of(st.floats(-100, 100), COORDINATES, JSON_VALUES),
+        "lon": st.one_of(st.floats(-200, 200), COORDINATES, JSON_VALUES),
+        "origin_country": st.one_of(ORIGINS, JSON_VALUES, RAW_STRINGS),
+        "dataset_tag": st.one_of(TAGS, JSON_VALUES),
+    },
+)
+
+
+def _json_text(value, ensure_ascii: bool) -> str:
+    return value if isinstance(value, Raw) else json.dumps(value, ensure_ascii=ensure_ascii)
+
+
+@st.composite
+def json_objects(draw, fields=st.one_of(GOOD_FIELDS, ANY_FIELDS), extras=st.lists(st.tuples(EXTRA_KEYS, EXTRA_VALUES), max_size=2)) -> str:
+    """One JSONL line: the canonical fields, with duplicate and extra keys,
+    in any order, with any spacing, non-ASCII raw or escaped, and perhaps
+    cut off."""
+    pairs = draw(st.permutations(list(draw(fields).items()) + draw(extras)))
+    ensure_ascii = draw(st.booleans())
+    item, colon = draw(SEPARATORS)
+    pad = draw(PADDING)
+    body = item.join(json.dumps(k, ensure_ascii=ensure_ascii) + colon + _json_text(v, ensure_ascii) for k, v in pairs)
+    line = pad + "{" + draw(PADDING) + body + draw(PADDING) + "}" + draw(PADDING)
+    if draw(st.integers(0, 9)) == 0:  # an object cut off mid-line
+        line = line[: draw(st.integers(0, len(line) - 1))]
+    return line
+
+
+# one extra value that json may reject, in a line it would otherwise accept
+HAZARDS = st.tuples(st.sampled_from(["text", "id", "\u00fc"]), st.one_of(RAW_OTHERS, RAW_STRINGS, RAW_NUMBERS)).map(lambda p: [p])
 JSON_LINES = st.lists(
     st.one_of(
-        st.fixed_dictionaries(
-            {},
-            optional={
-                "user_id": st.one_of(USERS, JSON_VALUES),
-                "timestamp": st.one_of(STAMPS, JSON_VALUES),
-                "lat": st.one_of(st.floats(-100, 100), JSON_VALUES),
-                "lon": st.one_of(st.floats(-200, 200), JSON_VALUES),
-                "origin_country": st.one_of(ORIGINS, JSON_VALUES),
-                "dataset_tag": st.one_of(TAGS, JSON_VALUES),
-            },
-        ).map(json.dumps),
-        st.sampled_from(["", "   ", "{not json", "[1, 2]", "7", '{"a": 1} {"b": 2}', "\ufeff{}"]),
+        json_objects(),
+        json_objects(GOOD_FIELDS, HAZARDS),
+        st.sampled_from([
+            "", "   ", "\t", "{not json", "[1, 2]", "7", '{"a": 1} {"b": 2}', "\ufeff{}", "{}", "\u3000",
+            '\u3000{"user_id": "u1"}', '{"a": 1,}', '{"a": 01}', '{"a": 1.}', '{"a": .5}', '{"a": NaN}',
+            '{"a" "b"}', '{"a": "b": "c"}', '{"a": 1 2}', '{"a":}', '{"a": "b" "c"}', '{"a": "b', "{,}",
+            "\x1c", '\x1c{"user_id": "u1"}\x1d',
+        ]),
     ),
     max_size=40,
 )
@@ -402,6 +632,7 @@ def _same_outcome(text: str, format: str, strict: bool) -> None:
     table, report = parse_events(io.StringIO(text), format=format, strict=strict)
     records, ref_report = want
     assert list(table) == records
+    assert events_to_csv(table) == events_to_csv(EventTable.from_records(records))  # tells -0.0 from 0.0
     assert report == ref_report
     assert list(table.user_ids) == sorted({r.user_id for r in records})
 

@@ -1,7 +1,9 @@
-"""The package's public names: every export resolves, once; and the CSV
-format is decided in one module."""
+"""The package's public names: every export resolves, once; the CSV
+format is decided in one module; and numpy is the only import from outside
+the standard library."""
 
 import ast
+import sys
 from pathlib import Path
 
 import cityattract
@@ -23,4 +25,21 @@ def test_no_module_calls_csv_writer():
             called = isinstance(node, ast.Attribute) and node.attr in writers and getattr(node.value, "id", None) == "csv"
             if imported or called:
                 found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_modules_import_only_the_standard_library_and_numpy():
+    # numpy is the one runtime dependency; other packages on the machine
+    # (a faster JSON reader, say) must not creep into the package
+    allowed = set(sys.stdlib_module_names) | {"numpy", "cityattract"}
+    found = []
+    for path in sorted(Path(cityattract.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
     assert found == []
