@@ -9,10 +9,13 @@ and skipped unless strict mode is on.
 Parsed events live in one EventTable of numpy columns.  Ingest reads the
 input as raw byte blocks of about BLOCK_BYTES, each cut at its last
 newline (a text stream is encoded one read at a time), and validates it
-in bounded chunks column by column; any row a column check flags is
-re-validated on its own by ``_make_record``, which alone decides
-rejection reasons, so the columnar checks only ever decide which rows
-need that second look.
+in bounded chunks column by column.  ``_decide`` holds the row rules: it
+gives every row of a chunk its rejection reason, or none, from columns
+of raw field values.  Each format has one field reader that gives those
+values, ``_row_fields`` for split CSV rows and ``_json_fields`` for
+JSONL lines; it reads every row of a chunk on the list paths below, and
+on the byte paths only the rows that the byte checks flag, re-read in
+one batch per block.
 
 A CSV block holding no quote, carriage return or NUL, no line longer
 than csv's field size limit, exactly the header's number of commas on
@@ -27,16 +30,15 @@ decoded.  From the first other block on, ``csv.reader`` reads the rest
 of the stream, decoded block by block.  Either way the accepted rows,
 rejection reasons and line numbers are the same, and a
 UnicodeDecodeError is raised only after the rows before the undecodable
-bytes have settled.
+bytes have been counted, or have failed strict mode.
 
 A JSONL block holding no backslash, carriage return or NUL and only UTF-8
 is checked as bytes too: its strings have no escapes, so numpy finds them
 by their quotes and verifies the lines that hold one flat object of
 string keys and string, number or null values (``_json_block``).  Any
-other nonblank line is flagged and decoded on its own by json's scanner.
-Any other block, and every block from the first one where most lines are
-not such objects, is read line by line with that scanner, one dict per
-line.
+other nonblank line is flagged and decoded by json's scanner.  Any other
+block, and every block from the first one where most lines are not such
+objects, is read line by line with that scanner, one dict per line.
 """
 
 from __future__ import annotations
@@ -46,10 +48,10 @@ import io
 import json
 import json.scanner
 import math
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, count, islice, repeat
-from operator import itemgetter
 from pathlib import Path
 from typing import IO, Callable, Generator, Iterable, Iterator, Sequence
 
@@ -169,9 +171,9 @@ class IngestReport:
     rejected: int = 0
     rejection_reasons: dict[str, int] = field(default_factory=dict)
 
-    def reject(self, reason: str) -> None:
-        self.rejected += 1
-        self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + 1
+    def reject(self, reason: str, count: int = 1) -> None:
+        self.rejected += count
+        self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + count
 
     def merge(self, other: "IngestReport") -> None:
         self.accepted += other.accepted
@@ -276,12 +278,20 @@ def _seconds_of(dt: datetime) -> int:
 
 
 def _stamp_column(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """``_decode_stamps`` of string values: those of 20 ASCII characters
-    go to the decoder, the others come out unmasked."""
+    """Epoch seconds of timestamp strings, and the mask of valid ones.
+    Values of 20 ASCII characters go to ``_decode_stamps`` together, the
+    others to ``timestamp_seconds`` one at a time, for the other accepted
+    forms."""
     n = len(values)
     fixed = (np.fromiter(map(len, values), np.intp, n) == _STAMP_WIDTH) & np.fromiter(map(str.isascii, values), bool, n)
     text = "".join(compress(values, fixed.tolist()))
-    return _decode_stamps(fixed, np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _STAMP_WIDTH))
+    seconds, ok = _decode_stamps(fixed, np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _STAMP_WIDTH))
+    for i in np.flatnonzero(~fixed).tolist():
+        try:
+            seconds[i], ok[i] = timestamp_seconds(values[i]), True
+        except ValueError:
+            pass
+    return seconds, ok
 
 
 def _decode_stamps(fixed: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -327,50 +337,45 @@ def format_timestamp(dt: datetime) -> str:
 # ---------------------------------------------------------------------------
 # row validation
 
-def _make_record(
-    user_id,
-    timestamp,
-    lat,
-    lon,
-    origin_country,
-    dataset_tag,
-) -> EventRecord | str:
-    """Validate field values; return an EventRecord or a rejection reason."""
-    if not isinstance(user_id, str) or not user_id:
-        return "missing field"
-    if not isinstance(dataset_tag, str) or not dataset_tag:
-        return "missing field"
-    if not isinstance(timestamp, str) or not timestamp:
-        return "missing field"
-    try:
-        ts = parse_timestamp(timestamp)
-    except ValueError:
-        return "bad timestamp"
-    try:
-        lat_f = float(lat) if not isinstance(lat, bool) else None
-        lon_f = float(lon) if not isinstance(lon, bool) else None
-    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge JSON integer
-        return "bad coordinate"
-    if lat_f is None or lon_f is None or lat_f != lat_f or lon_f != lon_f:
-        return "bad coordinate"
-    if not -90.0 <= lat_f <= 90.0:
-        return "lat out of range"
-    if not -180.0 <= lon_f <= 180.0:
-        return "lon out of range"
-    origin = origin_country if origin_country else None
-    if origin is not None and not _valid_origin(origin):
-        return "bad origin country"
-    return EventRecord(user_id, ts, lat_f, lon_f, origin, dataset_tag)
+# rejection reasons by code, in the order the rules apply; 0 accepts a row
+_REASONS = (
+    None, "bad json", "missing field", "bad timestamp", "bad coordinate", "lat out of range",
+    "lon out of range", "bad origin country",
+)
 
 
-def _valid_origin(origin) -> bool:
-    return (
-        isinstance(origin, str)
-        and len(origin) == 2
-        and origin.isalpha()
-        and origin.isupper()
-        and origin.isascii()
+def _decide(fields: list[list], bad_json: np.ndarray | bool = False) -> tuple[list, np.ndarray]:
+    """The columns of rows given as six raw field value lists, in
+    CANONICAL_COLUMNS order, and each row's rejection reason code.
+
+    A row is rejected for the first rule it breaks: the line holds no JSON
+    object (``bad_json``); the user, tag or timestamp is not a non-empty
+    string; the timestamp is outside ``timestamp_seconds``' grammar; a
+    coordinate is not a number (booleans included); lat, then lon, is out
+    of range; the declared origin is neither falsy nor a country code.
+    The columns hold epoch seconds, float coordinates and the declared
+    origins with falsy values as None.
+    """
+    users, stamps, lats, lons, origins, tags = fields
+    stamp_text = _text_ok(stamps)
+    if not stamp_text.all():
+        stamps = [v if ok else "" for v, ok in zip(stamps, stamp_text.tolist())]
+    seconds, stamp_ok = _stamp_column(stamps)
+    lat, lon = _float_column(lats), _float_column(lons)
+    declared, origin_ok = _origin_column(origins)
+    reason = np.select(
+        [
+            bad_json,
+            ~(_text_ok(users) & _text_ok(tags) & stamp_text),
+            ~stamp_ok,
+            np.isnan(lat) | np.isnan(lon),
+            ~((lat >= -90.0) & (lat <= 90.0)),
+            ~((lon >= -180.0) & (lon <= 180.0)),
+            ~origin_ok,
+        ],
+        list(range(1, len(_REASONS))),
     )
+    return [users, seconds, lat, lon, declared, tags], reason
 
 
 def _text_ok(values: list) -> np.ndarray:
@@ -383,8 +388,9 @@ _NUMERIC = {float, int, str}  # the types float() may accept; bool is not among 
 
 
 def _float_column(values: list) -> np.ndarray:
-    """``float(v)`` of each value, NaN where ``_make_record`` would not
-    take the value as a coordinate number (booleans included)."""
+    """``float(v)`` of each value, NaN where the value is not a number:
+    one of another type than _NUMERIC (booleans included), or one that
+    ``float`` rejects."""
     n = len(values)
     if set(map(type, values)) <= _NUMERIC:
         try:
@@ -398,17 +404,17 @@ def _float_or_nan(value) -> float:
     if type(value) in _NUMERIC:
         try:
             return float(value)
-        except (ValueError, OverflowError):
+        except (ValueError, OverflowError):  # OverflowError: a huge JSON integer
             pass
     return math.nan
 
 
 def _origin_column(values: list) -> tuple[list, np.ndarray]:
-    """Declared origins with empty values as None, and the mask of values
-    that are empty or a valid country code."""
+    """Declared origins with falsy values as None, and the mask of values
+    that are falsy or a valid country code."""
     if not set(map(type, values)) <= {str, type(None)}:
-        values = [v if type(v) is str or v is None else "?" for v in values]
-    valid = {v: not v or _valid_origin(v) for v in dict.fromkeys(values)}
+        values = [v if type(v) is str else "?" if v else None for v in values]  # "?" is no code
+    valid = {v: not v or (len(v) == 2 and v.isalpha() and v.isupper() and v.isascii()) for v in dict.fromkeys(values)}
     ok = np.fromiter(map(valid.__getitem__, values), bool, len(values))
     if "" in valid:
         values = [v or None for v in values]
@@ -560,24 +566,11 @@ def _lines(blocks: Iterable[bytes], text: bool) -> Iterator[str]:
         yield from io.StringIO(decoded, newline=newline)
 
 
-def _read_chunk(items: Iterator, errors: type[Exception] | tuple[type[Exception], ...]) -> tuple[list, Exception | None]:
-    """Up to CHUNK_ROWS items, and the error of ``errors`` that cut the
-    chunk short, if any.  The caller settles the items read before raising
-    it, so a bad row still fails before an error later in the input."""
-    chunk: list = []
-    try:
-        chunk.extend(islice(items, CHUNK_ROWS))
-    except errors as exc:
-        return chunk, exc
-    return chunk, None
-
-
 # A chunk of input rows after the column checks: (line numbers; the users,
 # epoch seconds, lat, lon, declared origins and tags, a string column being
-# a list, or a UTF-8 ``S`` array on the byte paths; the mask of flagged
-# rows; ``settle``, which gives the ``_make_record`` outcome of flagged row
-# ``i``, or a rejection reason found before field validation).
-Chunk = tuple[Sequence[int], list, np.ndarray, Callable[[int], EventRecord | str]]
+# a list, or a UTF-8 ``S`` array on the byte paths; each row's rejection
+# reason code, 0 for an accepted row).
+Chunk = tuple[Sequence[int], list, np.ndarray]
 
 
 def parse_events(
@@ -603,69 +596,77 @@ def parse_events(
 
 
 def _commit(chunk: Chunk, strict: bool, report: IngestReport, accumulator: _TableAccumulator) -> None:
-    """Settle each flagged row of a chunk in row order, then append the
-    rows kept to the table."""
-    line_nos, columns, flagged, settle = chunk
-    _, seconds, lat, lon, _, _ = columns
-    keep = ~flagged
-    for i in np.flatnonzero(flagged).tolist():
-        outcome = settle(i)
-        if isinstance(outcome, str):
-            if strict:
-                raise IngestError(outcome, line=line_nos[i])
-            report.reject(outcome)
-            continue
-        keep[i] = True
-        for k, value in zip((0, 4, 5), (outcome.user_id, outcome.origin_country, outcome.dataset_tag)):
-            columns[k] = _with_value(columns[k], i, value)
-        seconds[i], lat[i], lon[i] = _seconds_of(outcome.timestamp), outcome.lat, outcome.lon
+    """Count a chunk's rejected rows by reason, or in strict mode raise at
+    the first one in row order, then append the accepted rows to the
+    table."""
+    line_nos, columns, reason = chunk
+    rejected = np.flatnonzero(reason)
+    if len(rejected) and strict:
+        raise IngestError(_REASONS[reason[rejected[0]]], line=int(line_nos[rejected[0]]))
+    for code, n in zip(*np.unique(reason[rejected], return_counts=True)):
+        report.reject(_REASONS[code], int(n))
+    keep = reason == 0
     kept = keep.tolist()
-    report.accepted += sum(kept)
+    report.accepted += len(kept) - len(rejected)
     accumulator.append(
         *(column[keep] if isinstance(column, np.ndarray) else list(compress(column, kept)) for column in columns)
     )
 
 
-def _with_value(column: list | np.ndarray, i: int, value: str | None) -> list | np.ndarray:
-    """``column`` with row ``i`` set to ``value``; an ``S`` column too
-    narrow for the value's UTF-8 bytes becomes a list of str (None for
-    ``b""``)."""
+def _second_look(data: bytes, start: np.ndarray, end: np.ndarray, columns: list, flagged: np.ndarray, read: Callable) -> tuple[list, np.ndarray]:
+    """A byte block's columns and rejection reasons once the lines
+    ``data[start:end]`` of its ``flagged`` rows are decoded and decided
+    again, together, by the format's field reader ``read``."""
+    rows = np.flatnonzero(flagged)
+    reason = np.zeros(len(flagged), dtype=np.int64)
+    if len(rows):
+        lines = b"\n".join([data[s:e] for s, e in zip(start[rows].tolist(), end[rows].tolist())]).decode().split("\n")
+        values, reason[rows] = read(lines)
+        accepted = reason[rows] == 0
+        columns = [_patched(column, rows[accepted], value, accepted) for column, value in zip(columns, values)]
+    return columns, reason
+
+
+def _patched(column: list | np.ndarray, at: np.ndarray, values: list | np.ndarray, accepted: np.ndarray) -> list | np.ndarray:
+    """``column`` with rows ``at`` set to the ``accepted`` values; an ``S``
+    column too narrow for one's UTF-8 bytes becomes a list of str (None
+    for ``b""``)."""
+    if isinstance(values, np.ndarray):
+        column[at] = values[accepted]
+        return column
+    values = list(compress(values, accepted.tolist()))
     if isinstance(column, np.ndarray):
-        raw = value.encode() if value else b""
-        if len(raw) <= column.itemsize:
-            column[i] = raw
+        raw = [v.encode() if v else b"" for v in values]
+        if max(map(len, raw), default=0) <= column.itemsize:
+            column[at] = raw
             return column
         column = [v.decode() or None for v in column.tolist()]
-    column[i] = value
+    for i, value in zip(at.tolist(), values):
+        column[i] = value
     return column
 
 
-def _out_of_range(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-    """Rows whose coordinates are NaN or outside the WGS84 ranges."""
-    return ~((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0))
-
-
-def _field_chunk(line_nos: Sequence[int], fields: list[list], rejected: dict[int, str]) -> Chunk:
-    """Check the six raw field columns of a chunk (CANONICAL_COLUMNS
-    order); ``rejected`` gives the rows rejected before field validation."""
-    users, stamps, lats, lons, origins, tags = fields
-    flagged = ~(_text_ok(users) & _text_ok(tags))
-    flagged[list(rejected)] = True
-    stamp_text = _text_ok(stamps)
-    if not stamp_text.all():
-        stamps = [v if ok else "" for v, ok in zip(stamps, stamp_text.tolist())]
-    seconds, ok = _stamp_column(stamps)
-    flagged |= ~ok
-    lat, lon = _float_column(lats), _float_column(lons)
-    flagged |= _out_of_range(lat, lon)
-    declared, ok = _origin_column(origins)
-    flagged |= ~ok
-    return (
-        line_nos,
-        [users, seconds, lat, lon, declared, tags],
-        flagged,
-        lambda i: rejected.get(i) or _make_record(*(column[i] for column in fields)),
-    )
+def _list_chunks(items: Iterator, line_no: int, blank: Callable, read: Callable) -> Generator[Chunk, None, int]:
+    """Chunks of up to CHUNK_ROWS items, ``csv.reader`` rows or JSONL
+    lines, numbered from ``line_no + 1``: the items that are not
+    ``blank``, decided together by the field reader ``read``; returns the
+    number of the last item.  An error reading the items is raised once
+    the items before it are committed, so a bad row still fails before an
+    error later in the input."""
+    while True:
+        block, error = [], None
+        try:
+            block.extend(islice(items, CHUNK_ROWS))
+        except (csv.Error, UnicodeDecodeError) as exc:
+            error = exc
+        nonblank = [k for k, item in enumerate(block) if not blank(item)]
+        if nonblank:
+            yield (np.array(nonblank) + line_no + 1, *read([block[k] for k in nonblank]))
+        line_no += len(block)
+        if error is not None:
+            raise error
+        if len(block) < CHUNK_ROWS:
+            return line_no
 
 
 _UPPER = (np.arange(256) >= ord("A")) & (np.arange(256) <= ord("Z"))  # by byte value
@@ -690,9 +691,9 @@ def _plain_chunk(data: bytes, first_line: int, columns: list[int], commas: int) 
     Such lines split on commas exactly as ``csv.reader`` splits them.  A
     row is flagged when a column check fails, or when a field's first or
     last character may be whitespace that ``str.strip`` removes: a byte
-    up to the space (ASCII whitespace is among them), or a non-ASCII
-    character that is whitespace.  ``settle`` then decodes that line and
-    validates its stripped fields.
+    up to the space (ASCII whitespace is among them), or any non-ASCII
+    character.  The flagged lines are then decoded, split and read
+    together by ``_row_fields``.
     """
     if b'"' in data or b"\r" in data or b"\0" in data or not _is_utf8(data):
         return None
@@ -713,17 +714,10 @@ def _plain_chunk(data: bytes, first_line: int, columns: list[int], commas: int) 
     end = ends.reshape(n, width)[:, columns]
     length = end - start
     first, last = buf[start], buf[end - 1]
-    flagged = ((length > 0) & ((first <= ord(" ")) | (last <= ord(" ")))).any(axis=1)
-    wide = (length > 0) & ((first | last) >= 0x80)  # an edge character beyond ASCII
-    for row, s, e in zip(np.nonzero(wide)[0].tolist(), start[wide].tolist(), end[wide].tolist()):
-        value = data[s:e].decode()
-        flagged[row] |= value[0].isspace() or value[-1].isspace()
-
-    def settle(i: int) -> EventRecord | str:
-        fields = data[starts[i, 0] : ends[i * width + commas]].decode().split(",")
-        return _make_record(*(fields[c].strip() for c in columns))
-
-    return range(first_line, first_line + n), _byte_columns(data, padded, start, length, flagged), flagged, settle
+    flagged = ((length > 0) & ((first <= ord(" ")) | (last <= ord(" ")) | ((first | last) >= 0x80))).any(axis=1)
+    block = _byte_columns(data, padded, start, length, flagged)
+    read = lambda lines: _row_fields([line.split(",") for line in lines], columns)  # noqa: E731
+    return range(first_line, first_line + n), *_second_look(data, starts[:, 0], ends[commas::width], block, flagged, read)
 
 
 def _byte_columns(data: bytes, padded: np.ndarray, start: np.ndarray, length: np.ndarray, flagged: np.ndarray) -> list:
@@ -741,7 +735,7 @@ def _byte_columns(data: bytes, padded: np.ndarray, start: np.ndarray, length: np
     seconds, ok = _decode_stamps(fixed, sliding_window_view(padded, _STAMP_WIDTH)[start[fixed, 1]])
     flagged |= ~ok
     lat, lon = (_byte_floats(data, padded, start[:, k], length[:, k]) for k in (2, 3))
-    flagged |= _out_of_range(lat, lon)
+    flagged |= ~((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0))  # NaN included
     pair = np.stack((padded[start[:, 4]], padded[start[:, 4] + 1]), axis=1)
     two = length[:, 4] == 2
     flagged |= ~((length[:, 4] == 0) | (two & _UPPER[pair].all(axis=1)))
@@ -834,21 +828,7 @@ def _csv_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
         else:
             return
         columns, _ = _header_columns(header, line_no)
-    width = max(columns) + 1
-    while True:
-        rows, error = _read_chunk(reader, (csv.Error, UnicodeDecodeError))
-        line_nos: Sequence[int] = range(line_no + 1, line_no + 1 + len(rows))
-        line_no += len(rows)
-        nonblank = [k for k, row in enumerate(rows) if row]
-        if nonblank:
-            yield _field_chunk(
-                [line_nos[k] for k in nonblank],
-                *_row_fields([rows[k] for k in nonblank], columns, width),
-            )
-        if error is not None:
-            raise error
-        if len(rows) < CHUNK_ROWS:
-            return
+    yield from _list_chunks(reader, line_no, operator.not_, lambda rows: _row_fields(rows, columns))
 
 
 def _header_columns(header: list[str], line_no: int) -> tuple[list[int], int]:
@@ -861,21 +841,17 @@ def _header_columns(header: list[str], line_no: int) -> tuple[list[int], int]:
     return [names.index(c) for c in CANONICAL_COLUMNS], len(header) - 1
 
 
-def _row_fields(rows: list[list[str]], columns: list[int], width: int) -> tuple[list[list], dict[int, str]]:
-    """Stripped field columns of split rows; rows too short to hold every
-    column are rejected as missing a field."""
-    rejected = {}
-    if min(map(len, rows)) < width:
-        placeholder = [""] * width
-        for k, row in enumerate(rows):
-            if len(row) < width:
-                rejected[k] = "missing field"
-                rows[k] = placeholder
-    return [list(map(str.strip, map(itemgetter(c), rows))) for c in columns], rejected
+def _row_fields(rows: list[list[str]], columns: list[int]) -> tuple[list, np.ndarray]:
+    """``_decide`` of the stripped fields of split rows at the positions
+    ``columns``; a row too short to hold them all has only empty fields,
+    so it is missing a field."""
+    width = max(columns) + 1
+    rows = [row if len(row) >= width else [""] * width for row in rows]
+    return _decide([list(map(str.strip, map(operator.itemgetter(c), rows))) for c in columns])
 
 
-# stands in for a line that is not a JSON object; its numbers keep the
-# coordinate columns on their fast path
+# stands in for a line that is not a JSON object, and marks it; its numbers
+# keep the coordinate columns on their fast path
 _JSON_PLACEHOLDER = {"lat": 0.0, "lon": 0.0}
 
 # json.loads of a stripped line, minus its per-call Python overhead: the
@@ -888,15 +864,17 @@ def _json_object(text: str) -> dict | None:
     value or no JSON at all."""
     try:
         obj, end = _scan_json(text, 0)
-    except (StopIteration, ValueError):  # ValueError: JSONDecodeError, or an integer past int's digit limit
+    except (StopIteration, ValueError, RecursionError):  # ValueError: also an integer past int's digit limit
         return None
     return obj if end == len(text) and isinstance(obj, dict) else None
 
 
-def _json_record(line: str) -> EventRecord | str:
-    """The ``_make_record`` outcome of one nonblank JSONL line."""
-    obj = _json_object(line.strip())
-    return "bad json" if obj is None else _make_record(*map(obj.get, CANONICAL_COLUMNS))
+def _json_fields(lines: list[str]) -> tuple[list, np.ndarray]:
+    """``_decide`` of the fields of JSONL lines, ``dict.get`` of the object
+    each line holds; a line that holds none is bad json."""
+    objects = [_JSON_PLACEHOLDER if obj is None else obj for obj in map(_json_object, map(str.strip, lines))]
+    bad = np.fromiter(map(operator.is_, objects, repeat(_JSON_PLACEHOLDER)), bool, len(objects))
+    return _decide([list(map(dict.get, objects, repeat(c))) for c in CANONICAL_COLUMNS], bad)
 
 
 def _jsonl_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
@@ -910,37 +888,10 @@ def _jsonl_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
         chunk = _json_block(data, line_no + 1) if plain else None
         if chunk is None:
             checked &= not plain
-            line_no = yield from _json_line_chunks(_lines((data,), text), line_no)
+            line_no = yield from _list_chunks(_lines((data,), text), line_no, str.isspace, _json_fields)
         else:
             yield chunk
             line_no += data.count(b"\n") + (not data.endswith(b"\n"))
-
-
-def _json_line_chunks(lines: Iterator[str], line_no: int) -> Generator[Chunk, None, int]:
-    """Chunks of JSONL lines decoded by json's scanner, numbered from
-    ``line_no + 1``; returns the number of the last line."""
-    while True:
-        block, error = _read_chunk(lines, UnicodeDecodeError)
-        line_nos: list[int] = []
-        objects: list[dict] = []
-        rejected: dict[int, str] = {}
-        for line in block:
-            line_no += 1
-            stripped = line.strip()
-            if not stripped:
-                continue
-            obj = _json_object(stripped)
-            if obj is None:
-                rejected[len(objects)] = "bad json"
-                obj = _JSON_PLACEHOLDER
-            line_nos.append(line_no)
-            objects.append(obj)
-        if objects:
-            yield _field_chunk(line_nos, [list(map(dict.get, objects, repeat(c))) for c in CANONICAL_COLUMNS], rejected)
-        if error is not None:
-            raise error
-        if len(block) < CHUNK_ROWS:
-            return line_no
 
 
 # byte classes of the JSONL byte path, 0 for the other bytes, and the two
@@ -1013,8 +964,8 @@ def _json_block(data: bytes, first_line: int) -> Chunk | None:
     null, with spaces and tabs between tokens, and no CANONICAL_COLUMNS key
     twice.  Any other nonblank line is flagged, and so is a row whose user,
     timestamp, origin or tag is a number, or whose coordinate is a negative
-    zero (json reads the integer -0 as +0.0); ``settle`` decodes such a
-    line with json's scanner.
+    zero (json reads the integer -0 as +0.0); the flagged lines are then
+    decoded with json's scanner and decided together.
     """
     # a newline put before the block starts the first line like the others
     data = b"\n" + data + b"\n"[data.endswith(b"\n") :]
@@ -1102,11 +1053,7 @@ def _json_block(data: bytes, first_line: int) -> Chunk | None:
     columns = _byte_columns(data, padded, start[rows], length[rows], flagged)
     for coordinate in columns[2:4]:
         flagged |= (coordinate == 0) & np.signbit(coordinate)
-
-    def settle(i: int) -> EventRecord | str:
-        return _json_record(data[starts[rows[i]] : ends[rows[i]]].decode())
-
-    return (rows + first_line).tolist(), columns, flagged, settle
+    return (rows + first_line).tolist(), *_second_look(data, starts[rows], ends[rows], columns, flagged, _json_fields)
 
 
 def _words(padded: np.ndarray) -> np.ndarray:

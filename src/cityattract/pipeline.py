@@ -122,13 +122,22 @@ def load_config(path: str | Path) -> PipelineConfig:
             city_layer_paths=tuple(str(p) for p in raw["city_layer_paths"]),
             output_dir=str(raw["output_dir"]),
             target_country=str(raw.get("target_country", "ES")),
-            min_events=int(raw.get("min_events", 1)),
-            bins=int(raw.get("bins", 5)),
+            min_events=_config_integer(raw, "min_events", 1),
+            bins=_config_integer(raw, "bins", 5),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PipelineError("input-error", f"bad config field: {exc!r}") from exc
     validate_config(config)
     return config
+
+
+def _config_integer(raw: dict, key: str, default: int) -> int:
+    """``raw[key]``, an int or an integral float, as a layer's population;
+    a boolean, a string or a fraction is an input error."""
+    value = raw.get(key, default)
+    if type(value) is int or isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise PipelineError("input-error", f"{key} must be an integer, got {value!r}")
 
 
 def validate_config(config: PipelineConfig) -> None:

@@ -12,7 +12,11 @@ the same ray-shift rule, one point at a time.  The per-row references
 further down are the package's earlier scalar implementations, kept as
 the oracles of the columnar code that replaced them: row-by-row parsing,
 dict-based home tallies with a tuple tie-break, and per-event
-filter-and-count attractiveness tables and windows.
+filter-and-count attractiveness tables and windows.  Row-by-row parsing
+validates each row with _make_record, the package's earlier scalar row
+validator, whose checks in order are the reference of the column rules
+that ingest now applies to whole chunks.  Nothing here imports a private
+name of the package, so a fault there cannot hide in its own reference.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Sequence
 
 import numpy as np
 
-from cityattract.events import CANONICAL_COLUMNS, EventRecord, IngestError, IngestReport, _make_record
+from cityattract.events import CANONICAL_COLUMNS, EventRecord, IngestError, IngestReport, parse_timestamp
 from cityattract.geo import Region, Ring
 from cityattract.home import UNDETERMINED, HomeRecord
 from cityattract.scaling import AttractivenessTable, AttractRow, StatsError, fit_xy
@@ -250,6 +254,52 @@ def read_homes_csv(path) -> dict:
 # ---------------------------------------------------------------------------
 # per-row parsing: one csv.reader row or one json.loads line at a time
 
+def _make_record(
+    user_id,
+    timestamp,
+    lat,
+    lon,
+    origin_country,
+    dataset_tag,
+) -> EventRecord | str:
+    """Validate field values; return an EventRecord or a rejection reason."""
+    if not isinstance(user_id, str) or not user_id:
+        return "missing field"
+    if not isinstance(dataset_tag, str) or not dataset_tag:
+        return "missing field"
+    if not isinstance(timestamp, str) or not timestamp:
+        return "missing field"
+    try:
+        ts = parse_timestamp(timestamp)
+    except ValueError:
+        return "bad timestamp"
+    try:
+        lat_f = float(lat) if not isinstance(lat, bool) else None
+        lon_f = float(lon) if not isinstance(lon, bool) else None
+    except (TypeError, ValueError, OverflowError):  # OverflowError: a huge JSON integer
+        return "bad coordinate"
+    if lat_f is None or lon_f is None or lat_f != lat_f or lon_f != lon_f:
+        return "bad coordinate"
+    if not -90.0 <= lat_f <= 90.0:
+        return "lat out of range"
+    if not -180.0 <= lon_f <= 180.0:
+        return "lon out of range"
+    origin = origin_country if origin_country else None
+    if origin is not None and not _valid_origin(origin):
+        return "bad origin country"
+    return EventRecord(user_id, ts, lat_f, lon_f, origin, dataset_tag)
+
+
+def _valid_origin(origin) -> bool:
+    return (
+        isinstance(origin, str)
+        and len(origin) == 2
+        and origin.isalpha()
+        and origin.isupper()
+        and origin.isascii()
+    )
+
+
 def parse_events(source, format="csv", strict=False):
     """Records and report of a CSV or JSONL text, validated row by row."""
     lines = io.StringIO(source) if isinstance(source, str) else source
@@ -290,7 +340,7 @@ def _jsonl_rows(lines):
             continue
         try:
             obj = json.loads(stripped)
-        except ValueError:  # JSONDecodeError, or an integer past int's digit limit
+        except (ValueError, RecursionError):  # JSONDecodeError, an integer past int's digit limit, deep nesting
             obj = None
         if isinstance(obj, dict):
             yield line_no, _make_record(*(obj.get(c) for c in CANONICAL_COLUMNS))

@@ -295,6 +295,21 @@ def test_strict_ingest_failure_exits_1(tmp_path, capsys):
     assert "ingest" in err and "lat out of range" in err
 
 
+def test_deeply_nested_jsonl_line_is_bad_json(tmp_path, capsys):
+    # json's scanner raises RecursionError for this line; ingest must
+    # reject it, not exit with a traceback
+    good = '{"user_id": "u1", "timestamp": "2012-06-01T12:00:00Z", "lat": 40.5, "lon": -3.7, "dataset_tag": "t"}'
+    path = tmp_path / "deep.jsonl"
+    path.write_text(good + "\n" + '{"a":' + "[" * 100_000 + "\n")
+    argv = ["ingest", "--input", str(path), "--format", "jsonl", "--tag", "t", "--out", str(tmp_path)]
+    assert main(argv + ["--strict"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]") and "line 2: bad json" in err
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "ingest__t.json").read_text())
+    assert (report["accepted"], report["rejection_reasons"]) == (1, {"bad json": 1})
+
+
 def test_fit_insufficient_data_exits_1(tmp_path, capsys):
     table = tmp_path / "short.csv"
     table.write_text("region_id,population,events,share\nr1,1000,1,0.5\nr2,2000,1,0.5\n")

@@ -293,6 +293,27 @@ def test_jsonl_integer_past_the_digit_limit_is_bad_json(key, strict):
         assert (report.accepted, report.rejection_reasons) == (2, {"bad json": 1})
 
 
+# a value nested deeper than the interpreter's recursion limit
+DEEP_LINE = '{"a":' + "[" * 100_000
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("escaped", [False, True])  # a backslash sends the block to the line-by-line reader
+def test_jsonl_line_nested_past_the_recursion_limit_is_bad_json(strict, escaped):
+    # json's scanner raises RecursionError for such a line, which once
+    # escaped ingest as a traceback
+    good = '{"user_id": "u%s", "timestamp": "2012-06-01T12:00:00Z", "lat": 40.5, "lon": -3.7, "dataset_tag": "t"}'
+    text = "\n".join([good % 1, DEEP_LINE, good % ("\\u00e9" if escaped else 2)]) + "\n"
+    _same_outcome(text, "jsonl", strict)
+    if strict:
+        with pytest.raises(IngestError) as exc:
+            parse_events(io.StringIO(text), format="jsonl", strict=True)
+        assert (exc.value.line, exc.value.reason) == (2, "bad json")
+    else:
+        _, report = parse_events(io.StringIO(text), format="jsonl")
+        assert (report.accepted, report.rejection_reasons) == (2, {"bad json": 1})
+
+
 # --- the JSONL byte path's hazards --------------------------------------------
 
 JSON_GOOD = '{"user_id":"u%s","timestamp":"2012-06-01T12:00:00Z","lat":40.5,"lon":-3.7,"dataset_tag":"t"}'
@@ -337,6 +358,19 @@ def test_jsonl_infinite_latitude_is_out_of_range():
     _same_outcome(text, "jsonl", False)
 
 
+@pytest.mark.parametrize(
+    "origin,reason",
+    [("0", None), ("false", None), ("[]", None), ("{}", None), ('""', None), ("null", None), ('"ES"', None),
+     ("1", "bad origin country"), ("true", "bad origin country"), ("[1]", "bad origin country"), ('"es"', "bad origin country")],
+)
+def test_jsonl_falsy_origin_declares_none(origin, reason):
+    line = (JSON_GOOD % 1)[:-1] + ',"origin_country":%s}' % origin
+    table, report = parse_events(io.StringIO(line + "\n"), format="jsonl")
+    assert report.rejection_reasons == ({reason: 1} if reason else {})
+    assert [e.origin_country for e in table] == ([] if reason else ["ES" if origin == '"ES"' else None])
+    _same_outcome(line + "\n", "jsonl", False)
+
+
 def _count_calls(monkeypatch, name):
     calls = []
     real = getattr(events_module, name)
@@ -351,7 +385,7 @@ def test_jsonl_block_with_a_backslash_line_is_read_line_by_line(monkeypatch, str
     lines[7] = lines[7].replace('"u7"', '"u\\u00e9\\"7"')
     lines[12] = lines[12].replace("40.5", "200")
     text = "\n".join(lines) + "\n"
-    calls = _count_calls(monkeypatch, "_json_line_chunks")
+    calls = _count_calls(monkeypatch, "_list_chunks")
     _same_outcome(text, "jsonl", strict)
     assert calls
     table, _ = parse_events(io.StringIO(text), format="jsonl")
@@ -426,14 +460,16 @@ def test_clean_compact_jsonl_stays_on_the_byte_path(monkeypatch):
     def refuse(*args):
         raise AssertionError("the line-by-line reader was called")
 
-    monkeypatch.setattr(events_module, "_json_line_chunks", refuse)
+    monkeypatch.setattr(events_module, "_list_chunks", refuse)
     monkeypatch.setattr(events_module, "BLOCK_BYTES", 512)  # blocks of five or six lines
-    settled = _count_calls(monkeypatch, "_json_record")
+    looks = _count_calls(monkeypatch, "_second_look")
     for source in (io.StringIO(text), io.BytesIO(text.encode())):
-        settled.clear()
+        looks.clear()
         table, report = parse_events(source, format="jsonl")
         assert (list(table), report) == want
-        assert len(settled) == 7  # lines 3, 5, 8, 11, 23, 26 and 29; the byte checks take the others
+        # the lines handed to the second look: 3, 5, 8, 11, 23, 26 and 29;
+        # the byte checks take the others
+        assert sum(np.count_nonzero(flagged) for *_, flagged, _ in looks) == 7
 
 
 def test_csv_round_trip_is_exact():
@@ -885,3 +921,61 @@ def test_bad_row_fails_before_undecodable_bytes_in_a_later_block(tmp_path, monke
     with pytest.raises(IngestError) as exc:
         oracles.parse_events(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), strict=True)
     assert exc.value.line == 3
+
+
+# --- the second look at scale ---------------------------------------------------
+
+def _count_blocks(monkeypatch):
+    sizes = []
+    real = events_module._blocks
+
+    def counted(source):
+        for data in real(source):
+            sizes.append(len(data))
+            yield data
+
+    monkeypatch.setattr(events_module, "_blocks", counted)
+    return sizes
+
+
+def _decided_in_batches(monkeypatch, text, format, reader, block_bytes):
+    """Parse ``text`` as the row reference does, and check that ``reader``,
+    the format's field reader, ran once per block, every block holding rows
+    that only it accepts.  A CSV stays on the byte path."""
+    records, ref_report = oracles.parse_events(text, format=format)
+    if format == "csv":
+        monkeypatch.setattr(events_module.csv, "reader", lambda *a, **k: pytest.fail("csv.reader was called"))
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", block_bytes)
+    blocks = _count_blocks(monkeypatch)
+    calls = _count_calls(monkeypatch, reader)
+    table, report = parse_events(io.StringIO(text), format=format)
+    assert report == ref_report and report.accepted == 20_000
+    assert list(table) == records
+    assert len(calls) == len(blocks) > 1
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 19, 4096])
+def test_csv_rows_accepted_on_the_second_look_decide_in_batches(monkeypatch, block_bytes):
+    # every row is flagged by the byte checks, for its date-only timestamp
+    # and its padded user id; one id in 1,000 is padded past 64 bytes, so
+    # that block's user column is a list of str
+    rows = [
+        f"{' ' * (i % 5)}u{i}{' ' * (80 if i % 1000 == 7 else i % 3)},2012-06-{1 + i % 28:02d},40.5,-3.7,,t"
+        for i in range(20_000)
+    ]
+    _decided_in_batches(monkeypatch, HEADER + "\n" + "\n".join(rows) + "\n", "csv", "_row_fields", block_bytes)
+
+
+@pytest.mark.parametrize("block_bytes", [1 << 19, 4096])
+@pytest.mark.parametrize("every", [1, 2])
+def test_jsonl_rows_accepted_on_the_second_look_decide_in_batches(monkeypatch, block_bytes, every):
+    # a true value is outside the byte checks' grammar, so every such line
+    # is decoded by json.  When every line holds one, a 512 KB block is
+    # declined and read line by line, while a 4 KB block, of fewer than
+    # _DECLINE_LINES lines, stays on the byte path; there the lines' longer
+    # user ids do not fit the block's user column, sized without them
+    lines = [
+        (JSON_GOOD % f"ser_{i:06d}").replace('"t"}', '"t","x":true}') if i % every == 0 else JSON_GOOD % i
+        for i in range(20_000)
+    ]
+    _decided_in_batches(monkeypatch, "\n".join(lines) + "\n", "jsonl", "_json_fields", block_bytes)

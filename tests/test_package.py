@@ -1,6 +1,6 @@
 """The package's public names: every export resolves, once; the CSV
-format is decided in one module; and numpy is the only import from outside
-the standard library."""
+format is decided in one module; numpy is the only import from outside
+the standard library; and the test oracles use only public names."""
 
 import ast
 import sys
@@ -42,4 +42,17 @@ def test_modules_import_only_the_standard_library_and_numpy():
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {name}" for name in names if name.split(".")[0] not in allowed]
+    assert found == []
+
+
+def test_oracles_import_no_private_name_from_the_package():
+    # an oracle built on the package's own internals cannot catch their faults
+    path = Path(__file__).with_name("oracles.py")
+    found = [
+        f"{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cityattract"
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
     assert found == []

@@ -354,3 +354,23 @@ def test_stages_of_other_tables_are_not_kept(world, tmp_path, stages):
     assert held() is None
     pipeline.resolve_origins(again, country_layer, 1)
     assert stages["infer"] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("key", ["bins", "min_events"])
+@pytest.mark.parametrize("value", [2.7, True, False, "3", None, 1e400])
+def test_non_integer_config_counts_exit_2(world, tmp_path, capsys, key, value):
+    # int() would run 2.7 and "3" as 2 and 3 bins, and true as 1
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(_config(world, tmp_path / "out"), **{key: value})))
+    assert main(["pipeline", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "error [input-error]" in err and f"{key} must be an integer" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_config_counts_are_taken(world, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(_config(world, tmp_path / "out"), bins=3.0, min_events=2)))
+    loaded = pipeline.load_config(config)
+    assert (loaded.bins, loaded.min_events) == (3, 2)
+    assert type(loaded.bins) is int
