@@ -10,7 +10,7 @@ end-to-end validation.
 
 __version__ = "0.1.0"
 
-from .events import EventRecord, EventTable, IngestReport, parse_events
+from .events import EventTable, IngestReport, parse_events
 from .home import (
     UNDETERMINED,
     HomeRecord,
@@ -39,7 +39,6 @@ from .temporal import WindowedExponents, window_exponents
 from .synthetic import SyntheticSpec, generate_events, generate_table
 
 __all__ = [
-    "EventRecord",
     "EventTable",
     "IngestReport",
     "parse_events",

@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__, pipeline
-from .events import EventTable, write_events_csv
+from .events import write_events_csv
 from .geo import write_assignments_csv, write_layer_geojson
 from .output import dumps_stable, write_text
 from .pipeline import PipelineError
@@ -182,7 +182,7 @@ def _cmd_synth(args) -> int:
         write_text(out / f"truth__{tag}.json", dumps_stable(truth))
         print(f"{len(table.rows)} regions -> {out / f'table__{tag}.csv'}")
     else:
-        write_events_csv(EventTable.from_records(bundle.events), out / f"events__{tag}.csv")
+        write_events_csv(bundle.events, out / f"events__{tag}.csv")
         write_layer_geojson(bundle.city_layer, out / f"cities__{tag}.geojson")
         write_layer_geojson(bundle.country_layer, out / f"countries__{tag}.geojson")
         write_text(out / f"truth__{tag}.json", dumps_stable(bundle.truth))

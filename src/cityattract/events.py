@@ -86,23 +86,6 @@ class IngestError(ValueError):
         self.reason = message
 
 
-@dataclass(frozen=True, slots=True)
-class EventRecord:
-    """One geotagged activity instance.
-
-    ``timestamp`` is timezone-aware UTC with seconds precision;
-    ``origin_country`` is an ISO-3166-1 alpha-2 code or None when the
-    source does not declare one.
-    """
-
-    user_id: str
-    timestamp: datetime
-    lat: float
-    lon: float
-    origin_country: str | None
-    dataset_tag: str
-
-
 @dataclass(frozen=True, eq=False)
 class EventTable:
     """Events as columns, one entry per event in input row order.
@@ -112,7 +95,7 @@ class EventTable:
     ``tag`` indexes ``tag_ids``, and ``origin`` indexes ``origin_ids``,
     with -1 where the event declares no origin.  ``seconds`` is the epoch
     second of each timestamp and ``month`` its UTC calendar month (1-12).
-    The columns are read-only.  Iterating yields EventRecord rows.
+    The columns are read-only.
     """
 
     user: np.ndarray
@@ -129,32 +112,26 @@ class EventTable:
     def __len__(self) -> int:
         return int(self.user.shape[0])
 
-    def __getitem__(self, i: int) -> EventRecord:
-        origin = int(self.origin[i])
-        return EventRecord(
-            self.user_ids[self.user[i]],
-            _EPOCH + timedelta(seconds=int(self.seconds[i])),
-            float(self.lat[i]),
-            float(self.lon[i]),
-            self.origin_ids[origin] if origin >= 0 else None,
-            self.tag_ids[self.tag[i]],
-        )
-
-    def __iter__(self) -> Iterator[EventRecord]:
-        return (self[i] for i in range(len(self)))
-
     @classmethod
-    def from_records(cls, records: Iterable[EventRecord]) -> "EventTable":
-        records = list(records)
-        accumulator = _TableAccumulator()
-        accumulator.append(
-            [r.user_id for r in records],
-            np.fromiter((_seconds_of(r.timestamp) for r in records), np.int64, len(records)),
-            np.fromiter((r.lat for r in records), np.float64, len(records)),
-            np.fromiter((r.lon for r in records), np.float64, len(records)),
-            [r.origin_country for r in records],
-            [r.dataset_tag for r in records],
+    def from_columns(cls, users, seconds, lat, lon, origins, tags) -> "EventTable":
+        """A table of events given as columns of equal length: user ids,
+        epoch seconds, coordinates, declared origins (None for none) and
+        dataset tags, the string columns as sequences of str.  They are
+        appended CHUNK_ROWS rows at a time, as ingest appends them, which
+        bounds the memory of the month computation."""
+        columns = (
+            list(users),
+            np.asarray(seconds, dtype=np.int64),
+            np.asarray(lat, dtype=np.float64),
+            np.asarray(lon, dtype=np.float64),
+            list(origins),
+            list(tags),
         )
+        if len(set(map(len, columns))) > 1:
+            raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+        accumulator = _TableAccumulator()
+        for start in range(0, len(columns[0]), CHUNK_ROWS):
+            accumulator.append(*(column[start : start + CHUNK_ROWS] for column in columns))
         return accumulator.table()
 
 
@@ -273,10 +250,6 @@ def parse_timestamp(value: str) -> datetime:
     return _EPOCH + timedelta(seconds=timestamp_seconds(value))
 
 
-def _seconds_of(dt: datetime) -> int:
-    return (dt - _EPOCH) // timedelta(seconds=1)
-
-
 def _stamp_column(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of timestamp strings, and the mask of valid ones.
     Values of 20 ASCII characters go to ``_decode_stamps`` together, the
@@ -331,7 +304,7 @@ def _format_seconds(seconds: np.ndarray) -> list[str]:
 
 
 def format_timestamp(dt: datetime) -> str:
-    return _format_seconds(np.array([_seconds_of(dt)]))[0]
+    return _format_seconds(np.array([(dt - _EPOCH) // timedelta(seconds=1)]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -113,17 +113,17 @@ def load_config(path: str | Path) -> PipelineConfig:
         raise PipelineError("input-error", "config must be a JSON object")
     try:
         sources = tuple(
-            EventSource(str(s["path"]), str(s.get("format", "csv")), str(s["dataset_tag"]))
+            EventSource(_config_field(s, "path", _STRING), _config_field(s, "format", _STRING, "csv"), _config_field(s, "dataset_tag", _STRING))
             for s in raw["event_sources"]
         )
         config = PipelineConfig(
             event_sources=sources,
-            country_layer_path=str(raw["country_layer_path"]),
-            city_layer_paths=tuple(str(p) for p in raw["city_layer_paths"]),
-            output_dir=str(raw["output_dir"]),
-            target_country=str(raw.get("target_country", "ES")),
-            min_events=_config_integer(raw, "min_events", 1),
-            bins=_config_integer(raw, "bins", 5),
+            country_layer_path=_config_field(raw, "country_layer_path", _STRING),
+            city_layer_paths=tuple(_config_field(raw, "city_layer_paths", _STRINGS)),
+            output_dir=_config_field(raw, "output_dir", _STRING),
+            target_country=_config_field(raw, "target_country", _STRING, "ES"),
+            min_events=int(_config_field(raw, "min_events", _INTEGER, 1)),
+            bins=int(_config_field(raw, "bins", _INTEGER, 5)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PipelineError("input-error", f"bad config field: {exc!r}") from exc
@@ -131,13 +131,20 @@ def load_config(path: str | Path) -> PipelineConfig:
     return config
 
 
-def _config_integer(raw: dict, key: str, default: int) -> int:
-    """``raw[key]``, an int or an integral float, as a layer's population;
-    a boolean, a string or a fraction is an input error."""
-    value = raw.get(key, default)
-    if type(value) is int or isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise PipelineError("input-error", f"{key} must be an integer, got {value!r}")
+# config value kinds, each a name and a test; no value is coerced, where str()
+# would run a null target country as "None" and int() 2.7 bins as 2
+_STRING = ("a string", lambda v: type(v) is str)
+_STRINGS = ("a list of strings", lambda v: type(v) is list and all(type(p) is str for p in v))
+_INTEGER = ("an integer", lambda v: type(v) is int or isinstance(v, float) and v.is_integer())
+
+
+def _config_field(raw: dict, key: str, kind: tuple, default=None):
+    """``raw[key]``, or ``default`` where one is given and the key is absent;
+    a value not of ``kind`` is an input error."""
+    value = raw[key] if default is None else raw.get(key, default)
+    if not kind[1](value):
+        raise PipelineError("input-error", f"{key} must be {kind[0]}, got {value!r}")
+    return value
 
 
 def validate_config(config: PipelineConfig) -> None:

@@ -33,9 +33,10 @@ _TWO_POW_MINUS53 = 2.0**-53
 _TWO_PI = 2.0 * math.pi
 
 
-def mix64(z: int) -> int:
-    """SplitMix64 finalizer: bijective avalanche mix of a 64-bit word."""
-    z &= _MASK64
+def mix64(z):
+    """SplitMix64 finalizer: bijective avalanche mix of a 64-bit word, or
+    of each word of a uint64 array, where the masks change nothing."""
+    z = z & _MASK64
     z = ((z ^ (z >> 30)) * _MIX_MUL1) & _MASK64
     z = ((z ^ (z >> 27)) * _MIX_MUL2) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -43,7 +44,10 @@ def mix64(z: int) -> int:
 
 @dataclass(frozen=True)
 class CounterRng:
-    """Counter-addressable random stream; immutable and cheap to fork."""
+    """Counter-addressable random stream; immutable and cheap to fork.
+
+    Given uint64 arrays of seeds and/or counters, which broadcast, ``u64``
+    and ``uniform`` draw one value per element, bit for bit the same."""
 
     seed: int
 

@@ -25,18 +25,23 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from typing import Sequence
 
-from .events import EventRecord
+import numpy as np
+
+from .events import EventTable, labels_of
 from .geo import RegionLayer, load_layer
 from .rng import CounterRng
 from .scaling import AttractRow, AttractivenessTable
 
-_CITY_SIDE = 0.2  # degrees; city squares this size sit in a row at lat 40
+_CITY_SIDE = 0.2  # degrees; city squares this size sit in rows from lat 40, lon 0
 _CITY_GAP = 0.1
+_CITY_PITCH = _CITY_SIDE + _CITY_GAP
 _CITY_LAT = 40.0
-_COUNTRY_LAT = 50.0  # foreign-country squares sit far north of every city
+_ROW_CITIES = 600  # cities per row, so the last one ends at lon 179.9
+_MAX_ROWS = 30  # the target country then ends at lat 49.9
+_COUNTRY_LAT = 50.0  # foreign-country squares sit north of every city
 
 
 @dataclass(frozen=True)
@@ -201,14 +206,19 @@ def generate_table(
 # ---------------------------------------------------------------------------
 # layers
 
+def _city_corner(r):
+    """The south-west corner (lat, lon) of city ``r``'s square, or of each
+    city of an int array: rows of _ROW_CITIES squares, _CITY_PITCH apart."""
+    return _CITY_LAT + r // _ROW_CITIES * _CITY_PITCH, r % _ROW_CITIES * _CITY_PITCH
+
+
 def make_city_layer(spec: SyntheticSpec, label: str = "cities") -> RegionLayer:
-    """Disjoint population-bearing squares in a row inside the target country."""
+    """Disjoint population-bearing squares in rows inside the target country."""
     ids = region_ids(spec)
     pops = populations(spec)
     features = []
     for i, (rid, pop) in enumerate(zip(ids, pops)):
-        lon0 = i * (_CITY_SIDE + _CITY_GAP)
-        lat0 = _CITY_LAT
+        lat0, lon0 = _city_corner(i)
         ring = [
             [lon0, lat0],
             [lon0 + _CITY_SIDE, lat0],
@@ -228,13 +238,16 @@ def make_city_layer(spec: SyntheticSpec, label: str = "cities") -> RegionLayer:
 
 def make_country_layer(spec: SyntheticSpec, label: str = "countries") -> RegionLayer:
     """The target country containing every city, plus far-away foreign squares."""
-    span = spec.n_regions * (_CITY_SIDE + _CITY_GAP) + 1.0
+    if spec.n_regions > _ROW_CITIES * _MAX_ROWS:
+        raise ValueError(f"at most {_ROW_CITIES * _MAX_ROWS} cities fit south of the foreign countries, got {spec.n_regions}")
+    span = min(spec.n_regions, _ROW_CITIES) * _CITY_PITCH + 1.0
+    top = max(44.0, _city_corner(spec.n_regions - 1)[0] + _CITY_SIDE + 1.0)  # raised only for many rows
     # rings at most 180 degrees wide, as load_layer requires: one up to 593 regions
     cuts = [-1.0]
     while span - cuts[-1] > 180.0:
         cuts.append(cuts[-1] + 180.0)
     cuts.append(span)
-    pieces = [[[[w, 38.0], [e, 38.0], [e, 44.0], [w, 44.0], [w, 38.0]]] for w, e in zip(cuts, cuts[1:])]
+    pieces = [[[[w, 38.0], [e, 38.0], [e, top], [w, top], [w, 38.0]]] for w, e in zip(cuts, cuts[1:])]
     features = [
         {
             "type": "Feature",
@@ -276,35 +289,89 @@ def country_anchor(spec: SyntheticSpec, code: str) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class EventBundle:
-    events: tuple[EventRecord, ...]
+    events: EventTable
     city_layer: RegionLayer
     country_layer: RegionLayer
     truth: dict = field(compare=False)
 
 
-def _month_bounds(year: int, month: int) -> tuple[datetime, int]:
-    start = datetime(year, month, 1, tzinfo=timezone.utc)
-    if month == 12:
-        end = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
-    else:
-        end = datetime(year, month + 1, 1, tzinfo=timezone.utc)
-    return start, int((end - start).total_seconds())
+def _index_within(counts: np.ndarray) -> np.ndarray:
+    """For items laid out group after group, ``counts[g]`` in group ``g``,
+    each item's index within its group."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _place(stream, counter: int, lat0: float, lon0: float) -> tuple[float, float]:
-    # keep points strictly interior (2% margin) so containment can never
-    # hinge on boundary conventions
-    u_lat = stream.uniform(counter + 1)
-    u_lon = stream.uniform(counter + 2)
-    lat = lat0 + _CITY_SIDE * (0.01 + 0.98 * u_lat)
-    lon = lon0 + _CITY_SIDE * (0.01 + 0.98 * u_lon)
-    return lat, lon
+def _users(counts: np.ndarray, per_user: int) -> tuple[np.ndarray, int]:
+    """The user of each item of groups of ``counts[g]`` items, each group
+    split in turn into users of ``per_user`` items, numbered from 0 across
+    the groups; and the number of users."""
+    users = (counts + per_user - 1) // per_user
+    return np.repeat(np.cumsum(users) - users, counts) + _index_within(counts) // per_user, int(users.sum())
+
+
+def _city_events(root: CounterRng, key: int, counts: np.ndarray, year: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Epoch seconds, lat and lon of the city events of ``counts`` (regions
+    x months), in (region, month) order.  Region ``r`` draws from stream
+    ``key + r``: the time of its ``e``-th event from counter ``3e``, uniform
+    in the month, and its place from ``3e + 1`` and ``3e + 2``, strictly
+    inside the square (2% margin), so containment can never hinge on
+    boundary conventions."""
+    region, month = np.divmod(np.repeat(np.arange(counts.size), counts.ravel()), 12)
+    streams = CounterRng(np.array([root.stream(key + r).seed for r in range(len(counts))], dtype=np.uint64)[region])
+    counter = 3 * _index_within(counts.sum(axis=1)).astype(np.uint64)
+    starts = np.array([datetime(year + m // 12, m % 12 + 1, 1, tzinfo=timezone.utc).timestamp() for m in range(13)], dtype=np.int64)
+    offset = streams.u64(counter) % np.diff(starts).astype(np.uint64)[month]
+    lat0, lon0 = _city_corner(region)
+    lat = lat0 + _CITY_SIDE * (0.01 + 0.98 * streams.uniform(counter + 1))
+    lon = lon0 + _CITY_SIDE * (0.01 + 0.98 * streams.uniform(counter + 2))
+    return starts[month] + offset.astype(np.int64), lat, lon
+
+
+def _event_columns(
+    spec: SyntheticSpec, foreign: np.ndarray, residents: np.ndarray, year: int
+) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """The user ids, epoch seconds, lat and lon of every event of a world
+    of ``foreign`` and ``residents`` city events per region and month,
+    sorted by time, then user id, lat and lon; and the numbers of foreign
+    and resident users.
+
+    Each (region, month) bucket of foreign events is split into users of at
+    most 2 events, so a user's in-city count can never beat their 2 home
+    anchors; residents post up to 4 events each, all in-country, so
+    inference pins them to the target country.  Users are numbered in the
+    order of their names, foreign ones first."""
+    city_user, n_foreign_users = _users(foreign.ravel(), 2)
+    res_user, n_resident_users = _users(residents.sum(axis=1), 4)
+    names = [f"f{r}m{m}u{k}" for r, row in enumerate(foreign.tolist()) for m, count in enumerate(row, 1) for k in range((count + 1) // 2)]
+    names += [f"d{r}u{j}" for r, count in enumerate(residents.sum(axis=1).tolist()) for j in range((count + 3) // 4)]
+    root = CounterRng(spec.seed)
+    city_seconds, city_lat, city_lon = _city_events(root, 1000, foreign, year)
+    res_seconds, res_lat, res_lon = _city_events(root, 2000, residents, year)
+
+    # two home anchors per foreign user, in its country's square, the
+    # countries taken in turn over the users
+    anchor_user = np.repeat(np.arange(n_foreign_users), 2)
+    anchors = np.array([country_anchor(spec, code) for code in spec.foreign_countries])
+    anchor_lat, anchor_lon = anchors[anchor_user % len(anchors)].T
+    stamps = [int(datetime(year, m, d, 12, tzinfo=timezone.utc).timestamp()) for m, d in ((1, 2), (12, 28))]
+    anchor_seconds = np.tile(np.array(stamps, dtype=np.int64), n_foreign_users)
+
+    user = np.concatenate([anchor_user, city_user, n_foreign_users + res_user])
+    seconds = np.concatenate([anchor_seconds, city_seconds, res_seconds])
+    lat = np.concatenate([anchor_lat, city_lat, res_lat])
+    lon = np.concatenate([anchor_lon, city_lon, res_lon])
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
+    order = np.lexsort((lon, lat, rank[user], seconds))
+    return labels_of(names, user[order]), seconds[order], lat[order], lon[order], n_foreign_users, n_resident_users
 
 
 def generate_events(
     spec: SyntheticSpec, year: int = 2012, dataset_tag: str = "synthetic"
 ) -> EventBundle:
-    """Build the full synthetic world: layers, events, and ground truth."""
+    """Build the full synthetic world: layers, events, and ground truth.
+
+    Events are sorted by time, then user id, lat and lon."""
     ids = region_ids(spec)
     pops = populations(spec)
     eps = epsilons(spec)
@@ -312,73 +379,18 @@ def generate_events(
     weights = weight_matrix(spec)
     city_layer = make_city_layer(spec)
     country_layer = make_country_layer(spec)
-    root = CounterRng(spec.seed)
 
     annual = [math.floor(math.fsum(w) + 0.5) for w in weights]
     monthly = [largest_remainder(w, n) for w, n in zip(weights, annual)]
-
-    events: list[EventRecord] = []
-    n_foreign_users = 0
-    country_cycle = 0
-    n_countries = len(spec.foreign_countries)
-    for r, rid in enumerate(ids):
-        stream = root.stream(1000 + r)
-        lon0 = r * (_CITY_SIDE + _CITY_GAP)
-        e = 0  # event index within this region, drives the RNG counters
-        for m in range(1, 13):
-            count = monthly[r][m - 1]
-            if count == 0:
-                continue
-            start, month_seconds = _month_bounds(year, m)
-            # split this bucket into users of at most 2 events each, so a
-            # user's in-city count can never beat their 2 home anchors
-            for k in range((count + 1) // 2):
-                uid = f"f{r}m{m}u{k}"
-                code = spec.foreign_countries[country_cycle % n_countries]
-                country_cycle += 1
-                n_foreign_users += 1
-                alat, alon = country_anchor(spec, code)
-                events.append(
-                    EventRecord(uid, datetime(year, 1, 2, 12, 0, 0, tzinfo=timezone.utc), alat, alon, None, dataset_tag)
-                )
-                events.append(
-                    EventRecord(uid, datetime(year, 12, 28, 12, 0, 0, tzinfo=timezone.utc), alat, alon, None, dataset_tag)
-                )
-                for _ in range(min(2, count - 2 * k)):
-                    ts = start + timedelta(seconds=int(stream.u64(3 * e) % month_seconds))
-                    lat, lon = _place(stream, 3 * e, _CITY_LAT, lon0)
-                    events.append(EventRecord(uid, ts, lat, lon, None, dataset_tag))
-                    e += 1
-
     total_foreign = sum(annual)
     share = spec.resident_share
     total_res = math.floor(total_foreign * share / (1.0 - share) + 0.5) if share > 0 else 0
     res_by_region = largest_remainder([float(n) for n in annual], total_res) if total_res else [0] * len(ids)
-    n_resident_users = 0
-    for r, rid in enumerate(ids):
-        count = res_by_region[r]
-        if count == 0:
-            continue
-        stream = root.stream(2000 + r)
-        lon0 = r * (_CITY_SIDE + _CITY_GAP)
-        res_monthly = largest_remainder(weights[r], count)
-        e = 0
-        for m in range(1, 13):
-            if res_monthly[m - 1] == 0:
-                continue
-            start, month_seconds = _month_bounds(year, m)
-            for j in range(res_monthly[m - 1]):
-                # residents post up to 4 events each; all are in-country,
-                # so inference pins them to the target country
-                uid = f"d{r}u{e // 4}"
-                if e % 4 == 0:
-                    n_resident_users += 1
-                ts = start + timedelta(seconds=int(stream.u64(3 * e) % month_seconds))
-                lat, lon = _place(stream, 3 * e, _CITY_LAT, lon0)
-                events.append(EventRecord(uid, ts, lat, lon, None, dataset_tag))
-                e += 1
+    res_monthly = [largest_remainder(w, n) if n else [0] * 12 for w, n in zip(weights, res_by_region)]
 
-    events.sort(key=lambda ev: (ev.timestamp, ev.user_id, ev.lat, ev.lon))
+    counts = (np.array(c, dtype=np.int64).reshape(-1, 12) for c in (monthly, res_monthly))
+    users, seconds, lat, lon, n_foreign_users, n_resident_users = _event_columns(spec, *counts, year)
+    events = EventTable.from_columns(users, seconds, lat, lon, [None] * len(users), [dataset_tag] * len(users))
 
     truth = {
         "kind": "events",
@@ -408,4 +420,4 @@ def generate_events(
         "n_resident_users": n_resident_users,
         "total_events": len(events),
     }
-    return EventBundle(tuple(events), city_layer, country_layer, truth)
+    return EventBundle(events, city_layer, country_layer, truth)

@@ -8,10 +8,11 @@ import pytest
 
 import numpy as np
 
-from cityattract.events import EventRecord, EventTable
 from cityattract.geo import Assignment, assign_events, load_layer
 from cityattract.home import HomeRecord, Origins, accumulate_stats_seq, infer_all
 from cityattract.scaling import foreign_counts
+
+from oracles import EventRecord, table_of
 
 T0 = datetime(2012, 1, 1, tzinfo=timezone.utc)
 
@@ -37,10 +38,6 @@ def layer_of(*features, name="test"):
 def ev(user="u1", ts="2012-06-01T12:00:00Z", lat=0.5, lon=0.5, origin=None, tag="t"):
     stamp = datetime.strptime(ts, "%Y-%m-%dT%H:%M:%SZ").replace(tzinfo=timezone.utc)
     return EventRecord(user, stamp, lat, lon, origin, tag)
-
-
-def table_of(events) -> EventTable:
-    return EventTable.from_records(events)
 
 
 def assignment_of(region_ids) -> Assignment:

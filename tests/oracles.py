@@ -15,7 +15,14 @@ dict-based home tallies with a tuple tie-break, and per-event
 filter-and-count attractiveness tables and windows.  Row-by-row parsing
 validates each row with _make_record, the package's earlier scalar row
 validator, whose checks in order are the reference of the column rules
-that ingest now applies to whole chunks.  Nothing here imports a private
+that ingest now applies to whole chunks.  generate_events is the
+package's earlier synthetic generator, which drew one event at a time;
+it is the reference of the column generator for worlds of up to 600
+regions, whose cities lie in one row.
+
+The per-row references take and give events as EventRecord rows, the
+package's row type before events became columns; records and table_of
+convert between rows and an EventTable.  Nothing here imports a private
 name of the package, so a fault there cannot hide in its own reference.
 """
 
@@ -25,18 +32,74 @@ import csv
 import io
 import json
 import math
+from dataclasses import dataclass
+from datetime import datetime, timedelta, timezone
 from typing import Sequence
 
 import numpy as np
 
-from cityattract.events import CANONICAL_COLUMNS, EventRecord, IngestError, IngestReport, parse_timestamp
+from cityattract.events import CANONICAL_COLUMNS, EventTable, IngestError, IngestReport, parse_timestamp
 from cityattract.geo import Region, Ring
 from cityattract.home import UNDETERMINED, HomeRecord
+from cityattract.rng import CounterRng
 from cityattract.scaling import AttractivenessTable, AttractRow, StatsError, fit_xy
+from cityattract.synthetic import (
+    country_anchor,
+    epsilons,
+    largest_remainder,
+    monthly_exponents,
+    populations,
+    region_ids,
+    weight_matrix,
+)
 from cityattract.temporal import window_months
 
 GRID_STEP = 1e-4  # degrees; rasterization oracle resolution
 _RAY_SHIFT = 1e-12
+EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+
+
+# ---------------------------------------------------------------------------
+# events as rows
+
+@dataclass(frozen=True, slots=True)
+class EventRecord:
+    """One geotagged activity instance.
+
+    ``timestamp`` is timezone-aware UTC with seconds precision;
+    ``origin_country`` is an ISO-3166-1 alpha-2 code or None when the
+    source does not declare one.
+    """
+
+    user_id: str
+    timestamp: datetime
+    lat: float
+    lon: float
+    origin_country: str | None
+    dataset_tag: str
+
+
+def records(table: EventTable) -> list[EventRecord]:
+    """The rows of a table, in order."""
+    origins = [table.origin_ids[c] if c >= 0 else None for c in table.origin.tolist()]
+    columns = (table.user.tolist(), table.seconds.tolist(), table.lat.tolist(), table.lon.tolist(), origins, table.tag.tolist())
+    return [
+        EventRecord(table.user_ids[u], EPOCH + timedelta(seconds=s), lat, lon, origin, table.tag_ids[t])
+        for u, s, lat, lon, origin, t in zip(*columns)
+    ]
+
+
+def table_of(events) -> EventTable:
+    """The table of EventRecord rows, in order."""
+    events = list(events)
+    return EventTable.from_columns(
+        [e.user_id for e in events],
+        [(e.timestamp - EPOCH) // timedelta(seconds=1) for e in events],
+        [e.lat for e in events],
+        [e.lon for e in events],
+        [e.origin_country for e in events],
+        [e.dataset_tag for e in events],
+    )
 
 
 def _on_ring_edge(lat: float, lon: float, ring: Ring) -> bool:
@@ -452,3 +515,136 @@ def window_tables(region_ids, origins, target_country, layer, events, dataset_ta
         except StatsError as exc:
             out[m] = str(exc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the synthetic world, one event at a time, cities in one row
+
+_CITY_SIDE = 0.2  # degrees; city squares this size sit in a row at lat 40
+_CITY_GAP = 0.1
+_CITY_LAT = 40.0
+
+
+def _month_bounds(year: int, month: int) -> tuple[datetime, int]:
+    start = datetime(year, month, 1, tzinfo=timezone.utc)
+    if month == 12:
+        end = datetime(year + 1, 1, 1, tzinfo=timezone.utc)
+    else:
+        end = datetime(year, month + 1, 1, tzinfo=timezone.utc)
+    return start, int((end - start).total_seconds())
+
+
+def _place(stream, counter: int, lat0: float, lon0: float) -> tuple[float, float]:
+    # keep points strictly interior (2% margin) so containment can never
+    # hinge on boundary conventions
+    u_lat = stream.uniform(counter + 1)
+    u_lon = stream.uniform(counter + 2)
+    lat = lat0 + _CITY_SIDE * (0.01 + 0.98 * u_lat)
+    lon = lon0 + _CITY_SIDE * (0.01 + 0.98 * u_lon)
+    return lat, lon
+
+
+def generate_events(spec, year: int = 2012, dataset_tag: str = "synthetic") -> tuple[list[EventRecord], dict]:
+    """The events and ground truth of the synthetic world of ``spec``."""
+    ids = region_ids(spec)
+    pops = populations(spec)
+    eps = epsilons(spec)
+    months_b = monthly_exponents(spec)
+    weights = weight_matrix(spec)
+    root = CounterRng(spec.seed)
+
+    annual = [math.floor(math.fsum(w) + 0.5) for w in weights]
+    monthly = [largest_remainder(w, n) for w, n in zip(weights, annual)]
+
+    events: list[EventRecord] = []
+    n_foreign_users = 0
+    country_cycle = 0
+    n_countries = len(spec.foreign_countries)
+    for r, rid in enumerate(ids):
+        stream = root.stream(1000 + r)
+        lon0 = r * (_CITY_SIDE + _CITY_GAP)
+        e = 0  # event index within this region, drives the RNG counters
+        for m in range(1, 13):
+            count = monthly[r][m - 1]
+            if count == 0:
+                continue
+            start, month_seconds = _month_bounds(year, m)
+            # split this bucket into users of at most 2 events each, so a
+            # user's in-city count can never beat their 2 home anchors
+            for k in range((count + 1) // 2):
+                uid = f"f{r}m{m}u{k}"
+                code = spec.foreign_countries[country_cycle % n_countries]
+                country_cycle += 1
+                n_foreign_users += 1
+                alat, alon = country_anchor(spec, code)
+                events.append(
+                    EventRecord(uid, datetime(year, 1, 2, 12, 0, 0, tzinfo=timezone.utc), alat, alon, None, dataset_tag)
+                )
+                events.append(
+                    EventRecord(uid, datetime(year, 12, 28, 12, 0, 0, tzinfo=timezone.utc), alat, alon, None, dataset_tag)
+                )
+                for _ in range(min(2, count - 2 * k)):
+                    ts = start + timedelta(seconds=int(stream.u64(3 * e) % month_seconds))
+                    lat, lon = _place(stream, 3 * e, _CITY_LAT, lon0)
+                    events.append(EventRecord(uid, ts, lat, lon, None, dataset_tag))
+                    e += 1
+
+    total_foreign = sum(annual)
+    share = spec.resident_share
+    total_res = math.floor(total_foreign * share / (1.0 - share) + 0.5) if share > 0 else 0
+    res_by_region = largest_remainder([float(n) for n in annual], total_res) if total_res else [0] * len(ids)
+    n_resident_users = 0
+    for r, rid in enumerate(ids):
+        count = res_by_region[r]
+        if count == 0:
+            continue
+        stream = root.stream(2000 + r)
+        lon0 = r * (_CITY_SIDE + _CITY_GAP)
+        res_monthly = largest_remainder(weights[r], count)
+        e = 0
+        for m in range(1, 13):
+            if res_monthly[m - 1] == 0:
+                continue
+            start, month_seconds = _month_bounds(year, m)
+            for j in range(res_monthly[m - 1]):
+                # residents post up to 4 events each; all are in-country,
+                # so inference pins them to the target country
+                uid = f"d{r}u{e // 4}"
+                if e % 4 == 0:
+                    n_resident_users += 1
+                ts = start + timedelta(seconds=int(stream.u64(3 * e) % month_seconds))
+                lat, lon = _place(stream, 3 * e, _CITY_LAT, lon0)
+                events.append(EventRecord(uid, ts, lat, lon, None, dataset_tag))
+                e += 1
+
+    events.sort(key=lambda ev: (ev.timestamp, ev.user_id, ev.lat, ev.lon))
+
+    truth = {
+        "kind": "events",
+        "seed": spec.seed,
+        "year": year,
+        "dataset_tag": dataset_tag,
+        "n_regions": spec.n_regions,
+        "p_min": spec.p_min,
+        "p_max": spec.p_max,
+        "b_true": spec.b_true,
+        "noise_sigma": spec.noise_sigma,
+        "events_per_unit": spec.events_per_unit,
+        "monthly_b": list(months_b),
+        "resident_share": spec.resident_share,
+        "target_country": spec.target_country,
+        "foreign_countries": list(spec.foreign_countries),
+        "region_ids": ids,
+        "populations": pops,
+        "epsilons": eps,
+        "weights": weights,
+        "annual_foreign_events": annual,
+        "monthly_foreign_events": monthly,
+        "total_foreign_events": total_foreign,
+        "total_resident_events": total_res,
+        "resident_events_by_region": res_by_region,
+        "n_foreign_users": n_foreign_users,
+        "n_resident_users": n_resident_users,
+        "total_events": len(events),
+    }
+    return events, truth

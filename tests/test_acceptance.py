@@ -43,7 +43,7 @@ from cityattract.synthetic import (
 from cityattract.temporal import window_exponents, window_months
 
 from conftest import counts_of, ev, home_of, shape_regions, table_of
-from oracles import distance_to_boundary, ols_grid_search, pearson_direct, raster_oracle
+from oracles import distance_to_boundary, ols_grid_search, pearson_direct, raster_oracle, records
 
 BOUNDARY_PAD = 2e-4  # one raster diagonal: closer points cannot be resolved
 
@@ -335,10 +335,8 @@ def test_09_temporal_seasonality():
         200_000,
     )
     bundle = generate_events(spec)
-    origins = {
-        e.user_id: ("ES" if e.user_id.startswith("d") else "FR") for e in bundle.events
-    }
-    result = window_exponents(counts_of(bundle.events, origins, bundle.city_layer))
+    origins = {u: ("ES" if u.startswith("d") else "FR") for u in bundle.events.user_ids}
+    result = window_exponents(counts_of(records(bundle.events), origins, bundle.city_layer))
     lowest = min(result.normalized, key=result.normalized.get)
 
     # blend oracle: refit the generator's own window-summed weights

@@ -16,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 import cityattract.events as events_module
 from cityattract.events import (
     CANONICAL_COLUMNS,
-    EventRecord,
     EventTable,
     IngestError,
     IngestReport,
@@ -28,6 +27,7 @@ from cityattract.events import (
 )
 
 import oracles
+from oracles import EventRecord, table_of
 
 HEADER = ",".join(CANONICAL_COLUMNS)
 
@@ -36,8 +36,14 @@ def csv_stream(*rows: str) -> io.StringIO:
     return io.StringIO("\n".join((HEADER,) + rows) + "\n")
 
 
+def parse_rows(source, **kwargs) -> tuple[list[EventRecord], IngestReport]:
+    """parse_events, with the table given as rows."""
+    table, report = parse_events(source, **kwargs)
+    return oracles.records(table), report
+
+
 def test_accepts_well_formed_row():
-    records, report = parse_events(csv_stream("u1,2012-06-01T12:00:00Z,40.4,-3.7,,tweet"))
+    records, report = parse_rows(csv_stream("u1,2012-06-01T12:00:00Z,40.4,-3.7,,tweet"))
     assert report.accepted == 1 and report.rejected == 0
     (rec,) = records
     assert rec.user_id == "u1"
@@ -59,7 +65,7 @@ def test_mixed_stream_keeps_good_rows():
         "u2,not-a-time,40.4,-3.7,,photo",
         "u3,2012-06-02T00:00:00Z,41.0,2.1,FR,photo",
     )
-    records, report = parse_events(stream)
+    records, report = parse_rows(stream)
     assert [r.user_id for r in records] == ["u1", "u3"]
     assert report.accepted == 2
     assert report.rejected == 1
@@ -141,7 +147,7 @@ def test_header_required_and_column_order_free():
 
     shuffled = "dataset_tag,lon,lat,origin_country,timestamp,user_id\n"
     shuffled += "photo,-3.7,40.4,ES,2012-06-01T12:00:00Z,u1\n"
-    records, report = parse_events(io.StringIO(shuffled))
+    records, report = parse_rows(io.StringIO(shuffled))
     assert report.accepted == 1
     assert records[0].lat == 40.4 and records[0].origin_country == "ES"
 
@@ -213,7 +219,7 @@ def test_month_lengths_follow_the_calendar(year):
             assert ok, date
         except ValueError:
             assert not ok, date
-    records, _ = parse_events(csv_stream(*(f"u1,{d}T00:00:00Z,0,0,,t" for d in dates)))
+    records, _ = parse_rows(csv_stream(*(f"u1,{d}T00:00:00Z,0,0,,t" for d in dates)))
     assert [format_timestamp(r.timestamp)[:10] for r in records] == list(compress(dates, valid))
 
 
@@ -223,12 +229,12 @@ def test_timestamp_column_path_matches_scalar(dt):
     # the fixed-width form goes through the column parser, which must agree
     # with timestamp_seconds and round-trip through format_timestamp
     stamp = dt.strftime("%Y-%m-%dT%H:%M:%SZ").rjust(20, "0")
-    records, report = parse_events(csv_stream(f"u1,{stamp},0,0,,t"))
+    table, report = parse_events(csv_stream(f"u1,{stamp},0,0,,t"))
     expected = dt.replace(microsecond=0, tzinfo=timezone.utc)
     assert report.accepted == 1
-    assert records.seconds[0] == timestamp_seconds(stamp)
-    assert records[0].timestamp == expected
-    assert records.month[0] == expected.month
+    assert table.seconds[0] == timestamp_seconds(stamp)
+    assert oracles.records(table)[0].timestamp == expected
+    assert table.month[0] == expected.month
     assert format_timestamp(expected) == stamp
 
 
@@ -242,7 +248,7 @@ def test_jsonl_matches_csv_semantics():
          "lon": 2.1, "dataset_tag": "photo"},
     ]
     text = "\n".join(json.dumps(r) for r in rows) + "\n"
-    records, report = parse_events(io.StringIO(text), format="jsonl")
+    records, report = parse_rows(io.StringIO(text), format="jsonl")
     assert [r.user_id for r in records] == ["u1", "u3"]
     assert report.rejection_reasons == {"lat out of range": 1}
     # numeric strings coerce the same way the CSV path does
@@ -333,7 +339,8 @@ def test_jsonl_duplicate_canonical_key_takes_the_last_value():
     text = '{"user_id":"u1","lat":99,"timestamp":"2012-06-01T12:00:00Z","lat":40.5,"lon":-3.7,"dataset_tag":"t","user_id":"u2"}\n'
     table, report = parse_events(io.StringIO(text), format="jsonl")
     assert report.accepted == 1
-    assert (table[0].user_id, table[0].lat) == ("u2", 40.5)
+    first = oracles.records(table)[0]
+    assert (first.user_id, first.lat) == ("u2", 40.5)
     _same_outcome(text, "jsonl", False)
 
 
@@ -367,7 +374,7 @@ def test_jsonl_falsy_origin_declares_none(origin, reason):
     line = (JSON_GOOD % 1)[:-1] + ',"origin_country":%s}' % origin
     table, report = parse_events(io.StringIO(line + "\n"), format="jsonl")
     assert report.rejection_reasons == ({reason: 1} if reason else {})
-    assert [e.origin_country for e in table] == ([] if reason else ["ES" if origin == '"ES"' else None])
+    assert [e.origin_country for e in oracles.records(table)] == ([] if reason else ["ES" if origin == '"ES"' else None])
     _same_outcome(line + "\n", "jsonl", False)
 
 
@@ -389,7 +396,7 @@ def test_jsonl_block_with_a_backslash_line_is_read_line_by_line(monkeypatch, str
     _same_outcome(text, "jsonl", strict)
     assert calls
     table, _ = parse_events(io.StringIO(text), format="jsonl")
-    assert table[7].user_id == 'u\u00e9"7'
+    assert oracles.records(table)[7].user_id == 'u\u00e9"7'
 
 
 @pytest.mark.parametrize("block_bytes", [1, 16, 1 << 19])
@@ -422,8 +429,8 @@ def test_settled_row_wider_than_its_block_column():
     long_line = (JSON_GOOD % ("_long_user_" * 3)).replace('"t"}', '"tag_longer","x":true}')
     text = "\n".join([JSON_GOOD % 1, long_line, JSON_GOOD % 2]) + "\n"
     table, _ = parse_events(io.StringIO(text), format="jsonl")
-    assert [e.user_id for e in table] == ["u1", "u_long_user__long_user__long_user_", "u2"]
-    assert [e.dataset_tag for e in table] == ["t", "tag_longer", "t"]
+    assert [e.user_id for e in oracles.records(table)] == ["u1", "u_long_user__long_user__long_user_", "u2"]
+    assert [e.dataset_tag for e in oracles.records(table)] == ["t", "tag_longer", "t"]
     _same_outcome(text, "jsonl", False)
 
 
@@ -466,7 +473,7 @@ def test_clean_compact_jsonl_stays_on_the_byte_path(monkeypatch):
     for source in (io.StringIO(text), io.BytesIO(text.encode())):
         looks.clear()
         table, report = parse_events(source, format="jsonl")
-        assert (list(table), report) == want
+        assert (oracles.records(table), report) == want
         # the lines handed to the second look: 3, 5, 8, 11, 23, 26 and 29;
         # the byte checks take the others
         assert sum(np.count_nonzero(flagged) for *_, flagged, _ in looks) == 7
@@ -477,11 +484,10 @@ def test_csv_round_trip_is_exact():
         "u1,2012-06-01T12:00:00Z,40.123456789012345,-3.700000000000001,ES,photo",
         "u2,2012-12-31T23:59:59Z,-89.99999999999999,179.99999999999997,,photo",
     )
-    records, _ = parse_events(stream)
-    text = events_to_csv(records)
-    again, report = parse_events(io.StringIO(text))
+    table, _ = parse_events(stream)
+    again, report = parse_events(io.StringIO(events_to_csv(table)))
     assert report.rejected == 0
-    assert list(again) == list(records)
+    assert oracles.records(again) == oracles.records(table)
 
 
 def test_report_merge_accumulates():
@@ -522,9 +528,9 @@ def test_round_trip_property(raw):
         )
         for uid, ts, lat, lon, origin in raw
     ]
-    again, report = parse_events(io.StringIO(events_to_csv(EventTable.from_records(records))))
+    again, report = parse_events(io.StringIO(events_to_csv(table_of(records))))
     assert report.rejected == 0
-    assert list(again) == records
+    assert oracles.records(again) == records
 
 
 def test_format_timestamp_round_trip():
@@ -667,8 +673,8 @@ def _same_outcome(text: str, format: str, strict: bool) -> None:
         return
     table, report = parse_events(io.StringIO(text), format=format, strict=strict)
     records, ref_report = want
-    assert list(table) == records
-    assert events_to_csv(table) == events_to_csv(EventTable.from_records(records))  # tells -0.0 from 0.0
+    assert oracles.records(table) == records
+    assert events_to_csv(table) == events_to_csv(table_of(records))  # tells -0.0 from 0.0
     assert report == ref_report
     assert list(table.user_ids) == sorted({r.user_id for r in records})
 
@@ -716,8 +722,8 @@ def test_quoted_and_plain_chunks_parse_alike(monkeypatch):
     rows[3] = '"u,3",2012-06-01T12:00:00Z,1.5,2.5,,"t\nx"'
     text = HEADER + "\n" + "\n".join(rows) + "\n\nshort,row\n"
     table, report = parse_events(io.StringIO(text))
-    assert [e.user_id for e in table] == ["u0", "u1", "u2", "u,3", "u4"]
-    assert [e.dataset_tag for e in table] == ["t", "t", "t", "t\nx", "t"]
+    assert [e.user_id for e in oracles.records(table)] == ["u0", "u1", "u2", "u,3", "u4"]
+    assert [e.dataset_tag for e in oracles.records(table)] == ["t", "t", "t", "t\nx", "t"]
     assert report.rejection_reasons == {"missing field": 1}
     with pytest.raises(IngestError) as exc:
         parse_events(io.StringIO(text), strict=True)
@@ -725,7 +731,7 @@ def test_quoted_and_plain_chunks_parse_alike(monkeypatch):
     # the last row may lack its newline, in a plain chunk as in a quoted one
     for last in ("u9,2012-06-01T12:00:00Z,1.5,2.5,,t", '"u9",2012-06-01T12:00:00Z,1.5,2.5,,t'):
         table, _ = parse_events(io.StringIO(HEADER + "\n" + last))
-        assert [(e.user_id, e.dataset_tag) for e in table] == [("u9", "t")]
+        assert [(e.user_id, e.dataset_tag) for e in oracles.records(table)] == [("u9", "t")]
 
 
 def test_clean_utf8_csv_stays_on_the_byte_path(monkeypatch):
@@ -753,7 +759,7 @@ def test_clean_utf8_csv_stays_on_the_byte_path(monkeypatch):
         calls.clear()
         table, report = parse_events(source)
         assert not calls  # not even for the header
-        assert (list(table), report) == want
+        assert (oracles.records(table), report) == want
         assert list(table.user_ids) == sorted({r.user_id for r in want[0]})
 
 
@@ -818,7 +824,7 @@ def test_wide_fields_keep_chunk_memory_in_proportion_to_the_text(monkeypatch):
     finally:
         tracemalloc.stop()
     assert not calls
-    assert (list(table), report) == want
+    assert (oracles.records(table), report) == want
     assert peak < 40 * wide  # about 1.1 MB; rows times the widest field would be 25.6 MB a column
 
 
@@ -833,19 +839,25 @@ def test_user_ids_keep_trailing_nuls():
     table, report = parse_events(io.StringIO(text), format="jsonl")
     assert report.accepted == 5
     assert table.user_ids == ("t\x00", "u", "u\x00", "u\x00\x00")
-    assert [e.user_id for e in table] == users
+    assert [e.user_id for e in oracles.records(table)] == users
     again, _ = parse_events(io.StringIO(events_to_csv(table)))
-    assert [e.user_id for e in again] == users
+    assert [e.user_id for e in oracles.records(again)] == users
 
 
-@pytest.mark.parametrize("build", ["parse", "from_records"])
+@pytest.mark.parametrize("build", ["parse", "from_columns"])
 def test_table_columns_are_read_only(build):
     table, _ = parse_events(csv_stream("u1,2012-06-01T12:00:00Z,40.4,-3.7,ES,t"))
-    if build == "from_records":
-        table = EventTable.from_records(table)
+    if build == "from_columns":
+        table = table_of(oracles.records(table))
     for name in ("user", "seconds", "month", "lat", "lon", "origin", "tag"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(table, name)[0] = 0
+
+
+def test_from_columns_needs_columns_of_one_length():
+    assert len(EventTable.from_columns([], [], [], [], [], [])) == 0
+    with pytest.raises(ValueError, match="differ in length"):
+        EventTable.from_columns(["u1", "u2"], [0], [0.0], [0.0], [None], ["t"])
 
 
 # --- the CSV block reader against csv.reader alone ----------------------------
@@ -875,10 +887,9 @@ SOURCES = {  # ours, then the stream csv.reader alone reads
 
 def _outcome_of(parse, source, strict):
     try:
-        table, report = parse(source, strict=strict)
+        return parse(source, strict=strict)
     except IngestError as exc:
         return exc.line, exc.reason
-    return list(table), report
 
 
 @pytest.mark.parametrize("block_bytes", [1, 7, 16, 23, 40, 64, 1 << 19])
@@ -893,7 +904,7 @@ def test_block_reader_matches_csv_reader(tmp_path, monkeypatch, case, source, bl
     for strict in (False, True):
         with reference(data, path) as stream:
             want = _outcome_of(oracles.parse_events, stream, strict)
-        got = _outcome_of(parse_events, ours(data, path), strict)
+        got = _outcome_of(parse_rows, ours(data, path), strict)
         assert got == want
     assert isinstance(want[0], int)  # strict mode stopped at the bad row
 
@@ -950,7 +961,7 @@ def _decided_in_batches(monkeypatch, text, format, reader, block_bytes):
     calls = _count_calls(monkeypatch, reader)
     table, report = parse_events(io.StringIO(text), format=format)
     assert report == ref_report and report.accepted == 20_000
-    assert list(table) == records
+    assert oracles.records(table) == records
     assert len(calls) == len(blocks) > 1
 
 

@@ -6,7 +6,6 @@ from datetime import timedelta
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from cityattract.events import EventRecord, EventTable
 from cityattract.home import (
     UNDETERMINED,
     Homes,
@@ -18,6 +17,7 @@ from cityattract.home import (
 from cityattract.output import write_text
 
 import oracles
+from oracles import EventRecord
 from conftest import T0, assignment_of, ev, home_of, table_of
 
 
@@ -215,7 +215,7 @@ def test_homes_match_dict_reference(raw, min_events):
         for u, s, _, declared in raw
     ]
     countries = [c for _, _, c, _ in raw]
-    table = EventTable.from_records(events)
+    table = table_of(events)
     stats, unresolved = accumulate_stats_seq(table, assignment_of(countries))
     homes = infer_all(stats, min_events=min_events)
     ref_stats, ref_unresolved = oracles.accumulate_stats_seq(events, countries)

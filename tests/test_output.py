@@ -77,7 +77,7 @@ def _expected_events(table: EventTable) -> str:
     stamp = "%Y-%m-%dT%H:%M:%SZ"
     rows = (
         (e.user_id, e.timestamp.strftime(stamp), repr(e.lat), repr(e.lon), e.origin_country, e.dataset_tag)
-        for e in table
+        for e in oracles.records(table)
     )
     return oracles.rows_to_csv(CANONICAL_COLUMNS, rows)
 

@@ -368,6 +368,27 @@ def test_non_integer_config_counts_exit_2(world, tmp_path, capsys, key, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("target_country", None, "target_country must be a string"),
+        ("dataset_tag", None, "dataset_tag must be a string"),
+        ("city_layer_paths", "ab", "city_layer_paths must be a list of strings"),
+    ],
+)
+def test_non_string_config_fields_exit_2(world, tmp_path, capsys, key, value, message):
+    # str() would run a null target as "None", a null tag as "None", and
+    # tuple() the paths "ab" as the two layers "a" and "b"
+    raw = _config(world, tmp_path / "out")
+    (raw["event_sources"][0] if key == "dataset_tag" else raw)[key] = value
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["pipeline", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert "error [input-error]" in err and message in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_integral_config_counts_are_taken(world, tmp_path):
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(_config(world, tmp_path / "out"), bins=3.0, min_events=2)))

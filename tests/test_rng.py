@@ -80,3 +80,19 @@ def test_u64_is_deterministic_and_bounded(seed, counter):
 def test_uniform_bounds_property(seed, counter):
     u = CounterRng(seed).uniform(counter)
     assert 0.0 < u <= 1.0
+
+
+WORD = st.integers(min_value=0, max_value=2**64 - 1)
+
+
+@given(st.lists(st.tuples(WORD, WORD | st.sampled_from([0, 2**64 - 1]))), WORD)
+def test_array_draws_match_the_scalar_stream(pairs, seed):
+    # wrapping uint64 arithmetic must give the bits of the masked int code
+    seeds = np.array([s for s, _ in pairs], dtype=np.uint64)
+    counters = np.array([i for _, i in pairs], dtype=np.uint64)
+    got = CounterRng(seeds).u64(counters)
+    assert got.dtype == np.uint64
+    assert got.tolist() == [CounterRng(s).u64(i) for s, i in pairs]
+    assert CounterRng(seeds).uniform(counters).tolist() == [CounterRng(s).uniform(i) for s, i in pairs]
+    # one seed broadcast over the counters
+    assert CounterRng(seed).u64(counters).tolist() == [CounterRng(seed).u64(i) for _, i in pairs]

@@ -1,11 +1,20 @@
 """Generator ground truth: exact counts, recoverable exponents, determinism."""
 
+import contextlib
 import dataclasses
+import io
+import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cityattract.geo import assign_events
+import oracles
+from cityattract.cli import main
+from cityattract.events import events_to_csv, parse_events
+from cityattract.geo import assign_events, load_layer, region_contains_bulk
+from cityattract.output import dumps_stable
 from cityattract.scaling import fit_power_law
 from cityattract.synthetic import (
     SyntheticSpec,
@@ -20,7 +29,7 @@ from cityattract.synthetic import (
 )
 
 from conftest import table_of
-from oracles import point_in_region
+from oracles import point_in_region, records
 
 
 def base_spec(**overrides):
@@ -131,7 +140,7 @@ def test_event_counts_match_truth_exactly():
     bundle = generate_events(spec)
     truth = bundle.truth
     assignment = assign_events(
-        table_of(e for e in bundle.events if not e.user_id.startswith("d")), bundle.city_layer
+        table_of(e for e in records(bundle.events) if not e.user_id.startswith("d")), bundle.city_layer
     )
     foreign_city = {
         rid: count
@@ -153,7 +162,7 @@ def test_events_land_inside_their_regions():
     bundle = generate_events(spec)
     by_id = bundle.city_layer.by_id()
     country_by_id = bundle.country_layer.by_id()
-    for e in bundle.events:
+    for e in records(bundle.events):
         if e.user_id.startswith("d"):
             continue
         city_hits = [r.id for r in bundle.city_layer.regions if point_in_region(e.lat, e.lon, r)]
@@ -193,7 +202,7 @@ def test_resident_share_realized_exactly():
     resident = truth["total_resident_events"]
     # resident events are apportioned to hit the requested share of city events
     assert resident == round(foreign * 0.3 / 0.7)
-    resident_seen = sum(1 for e in bundle.events if e.user_id.startswith("d"))
+    resident_seen = sum(1 for e in records(bundle.events) if e.user_id.startswith("d"))
     assert resident_seen == resident
 
 
@@ -201,7 +210,7 @@ def test_total_events_accounting():
     spec = events_per_unit_for_total(base_spec(n_regions=4), 3_000)
     bundle = generate_events(spec)
     assert len(bundle.events) == bundle.truth["total_events"]
-    stamps = [e.timestamp for e in bundle.events]
+    stamps = bundle.events.seconds.tolist()
     assert stamps == sorted(stamps)
 
 
@@ -209,7 +218,7 @@ def test_same_seed_same_events():
     spec = events_per_unit_for_total(base_spec(n_regions=4), 1_500)
     a = generate_events(spec)
     b = generate_events(spec)
-    assert a.events == b.events
+    assert events_to_csv(a.events) == events_to_csv(b.events)  # EventTable compares by identity
     assert a.truth == b.truth
 
 
@@ -237,13 +246,25 @@ def test_layers_are_disjoint_and_stable():
 @pytest.mark.parametrize("n_regions", [593, 594, 1200, 2000])
 def test_wide_target_country_loads_in_rings_of_at_most_180_degrees(n_regions):
     # load_layer refuses a wider ring as an unsplit antimeridian crossing;
-    # up to 593 regions the target stays the one rectangle it always was
+    # up to 593 regions the target stays the one rectangle it always was,
+    # and from 600 on the cities wrap onto further rows of 600
     (target,) = [r for r in make_country_layer(base_spec(n_regions=n_regions)).regions if r.id == "ES"]
-    assert len(target.polygons) == (1 if n_regions <= 593 else math.ceil((n_regions * 0.3 + 2.0) / 180.0))
+    span = min(n_regions, 600) * 0.3
+    assert len(target.polygons) == (1 if n_regions <= 593 else 2)
     for outer, _ in target.polygons:
         lons = [lon for _, lon in outer]
         assert max(lons) - min(lons) <= 180.0
-    assert target.bbox[:3] == (38.0, -1.0, 44.0) and target.bbox[3] == pytest.approx(n_regions * 0.3 + 1.0)
+    assert target.bbox[:3] == (38.0, -1.0, 44.0) and target.bbox[3] == pytest.approx(span + 1.0)
+
+
+def test_layers_hold_at_most_30_rows_of_cities():
+    # the target country must stay south of the foreign squares at lat 50;
+    # a table needs no layer
+    generate_table(base_spec(n_regions=18_001))
+    (target,) = [r for r in make_country_layer(base_spec(n_regions=18_000)).regions if r.id == "ES"]
+    assert target.bbox[2] == pytest.approx(49.9)
+    with pytest.raises(ValueError, match="at most 18000 cities"):
+        make_country_layer(base_spec(n_regions=18_001))
 
 
 def test_seasonal_weights_modulate_monthly_counts():
@@ -256,3 +277,58 @@ def test_seasonal_weights_modulate_monthly_counts():
     biggest = max(range(len(pops)), key=lambda r: pops[r])
     w = wm[biggest]
     assert w[6] < w[0]  # July weight drops for large cities when b drops
+
+
+# --- the column generator against the scalar one ----------------------------------
+
+CODES = st.sampled_from(("DE", "FR", "GB", "IT", "NL", "US"))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_regions=st.integers(min_value=3, max_value=40),
+    seed=st.integers(min_value=-(2**63), max_value=2**64),
+    b_true=st.floats(min_value=0.5, max_value=2.0),
+    noise_sigma=st.sampled_from([0.0, 0.2]) | st.floats(min_value=0.0, max_value=1.0),
+    resident_share=st.sampled_from([0.0, 0.2]) | st.floats(min_value=0.0, max_value=0.9),
+    seasonal_b=st.none() | st.lists(st.floats(min_value=1.0, max_value=2.0), min_size=12, max_size=12).map(tuple),
+    events_total=st.integers(min_value=1, max_value=3_000),
+    year=st.integers(min_value=1999, max_value=2030),
+    countries=st.lists(CODES, min_size=1, max_size=4, unique=True).map(tuple),
+)
+def test_column_generator_matches_scalar_oracle(
+    n_regions, seed, b_true, noise_sigma, resident_share, seasonal_b, events_total, year, countries
+):
+    spec = events_per_unit_for_total(
+        base_spec(
+            n_regions=n_regions, seed=seed, b_true=b_true, noise_sigma=noise_sigma,
+            resident_share=resident_share, seasonal_b=seasonal_b, foreign_countries=countries,
+        ),
+        events_total,
+    )
+    bundle = generate_events(spec, year=year, dataset_tag="prop")
+    want, truth = oracles.generate_events(spec, year=year, dataset_tag="prop")
+    assert events_to_csv(bundle.events) == events_to_csv(table_of(want))
+    assert dumps_stable(bundle.truth) == dumps_stable(truth)
+
+
+def test_municipality_scale_world_ingests_every_event(tmp_path):
+    # Spain has about 8,100 municipalities; past 600 regions the cities wrap
+    # onto further rows, where one row ran past lon 180 and lost its events
+    argv = ["synth", "--out", str(tmp_path), "--seed", "0", "--regions", "8100", "--events-total", "20000", "--tag", "m"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0
+    truth = json.loads((tmp_path / "truth__m.json").read_text())
+    events, report = parse_events(tmp_path / "events__m.csv")
+    assert report.rejected == 0 and report.accepted == truth["total_events"]
+    cities = load_layer(tmp_path / "cities__m.geojson")
+    countries = load_layer(tmp_path / "countries__m.geojson")
+    # every corner of every city square lies inside the target country and
+    # in no foreign one
+    corners = np.array([(lat, lon) for r in cities.regions for lat, lon in r.polygons[0][0]])
+    for country in countries.regions:
+        inside = region_contains_bulk(country, corners[:, 0], corners[:, 1])
+        assert inside.all() if country.id == "ES" else not inside.any()
+    counts = assign_events(events, cities).counts()
+    expected = zip(truth["region_ids"], truth["annual_foreign_events"], truth["resident_events_by_region"])
+    assert counts == {rid: f + d for rid, f, d in expected if f + d}

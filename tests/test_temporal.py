@@ -15,6 +15,7 @@ from cityattract.temporal import (
 )
 
 from conftest import counts_of, ev, layer_of, square_feature
+from oracles import records
 
 
 def windows_of(events, origins, layer, target_country):
@@ -39,10 +40,7 @@ def flat_bundle(total=36_000, n_regions=12, seed=404):
 
 def foreign_origins(bundle):
     # windows only care about foreign vs target: ids are f... / d...
-    return {
-        e.user_id: ("ES" if e.user_id.startswith("d") else "FR")
-        for e in bundle.events
-    }
+    return {u: ("ES" if u.startswith("d") else "FR") for u in bundle.events.user_ids}
 
 
 # --- window membership -------------------------------------------------------
@@ -89,7 +87,7 @@ def test_single_month_events_fit_three_windows():
 def test_flat_generation_normalizes_to_one():
     bundle = flat_bundle()
     result = windows_of(
-        bundle.events, foreign_origins(bundle), bundle.city_layer, "ES"
+        records(bundle.events), foreign_origins(bundle), bundle.city_layer, "ES"
     )
     assert result.insufficient == 0
     assert len(result.normalized) == 12
@@ -101,7 +99,7 @@ def test_flat_generation_normalizes_to_one():
 def test_normalized_mean_is_one():
     bundle = flat_bundle(total=9_000, n_regions=6, seed=77)
     result = windows_of(
-        bundle.events, foreign_origins(bundle), bundle.city_layer, "ES"
+        records(bundle.events), foreign_origins(bundle), bundle.city_layer, "ES"
     )
     included = [result.normalized[w.center_month] for w in result.windows if w.fit is not None]
     assert abs(math.fsum(included) / len(included) - 1.0) < 1e-9
@@ -124,7 +122,7 @@ def test_seasonal_dip_lands_on_summer():
     )
     bundle = generate_events(spec)
     result = windows_of(
-        bundle.events, foreign_origins(bundle), bundle.city_layer, "ES"
+        records(bundle.events), foreign_origins(bundle), bundle.city_layer, "ES"
     )
     lowest = min(result.normalized, key=result.normalized.get)
     assert lowest in (6, 7, 8)
@@ -136,8 +134,9 @@ def test_seasonal_dip_lands_on_summer():
 def test_reorder_invariance():
     bundle = flat_bundle(total=6_000, n_regions=6, seed=19)
     origins = foreign_origins(bundle)
-    base = windows_of(bundle.events, origins, bundle.city_layer, "ES")
-    shuffled = list(bundle.events)
+    events = records(bundle.events)
+    base = windows_of(events, origins, bundle.city_layer, "ES")
+    shuffled = events[:]
     random.Random(1).shuffle(shuffled)
     again = windows_of(shuffled, origins, bundle.city_layer, "ES")
     for w0, w1 in zip(base.windows, again.windows):
@@ -160,7 +159,7 @@ def test_no_fittable_window_raises():
 def test_windows_csv_shape():
     bundle = flat_bundle(total=6_000, n_regions=6, seed=23)
     result = windows_of(
-        bundle.events, foreign_origins(bundle), bundle.city_layer, "ES"
+        records(bundle.events), foreign_origins(bundle), bundle.city_layer, "ES"
     )
     lines = windows_to_csv(result).splitlines()
     assert lines[0] == "center_month,b,b_normalized,n,r2,p_value"
@@ -187,7 +186,7 @@ def test_windows_csv_blank_markers():
 def test_windows_json_summary():
     bundle = flat_bundle(total=6_000, n_regions=6, seed=29)
     result = windows_of(
-        bundle.events, foreign_origins(bundle), bundle.city_layer, "ES"
+        records(bundle.events), foreign_origins(bundle), bundle.city_layer, "ES"
     )
     doc = windows_to_json(result)
     assert doc["dataset"] == result.dataset_tag
