@@ -39,6 +39,12 @@ string keys and string, number or null values (``_json_block``).  Any
 other nonblank line is flagged and decoded by json's scanner.  Any other
 block, and every block from the first one where most lines are not such
 objects, is read line by line with that scanner, one dict per line.
+
+Timestamps have one grammar, decoded a column at a time: ``_stamp_column``
+rewrites the shorter and longer accepted forms to the canonical
+YYYY-MM-DDTHH:MM:SSZ, and ``_decode_stamps`` checks the digits,
+separators and calendar of every value in that form together.  The byte
+paths decode canonical stamps where they lie and flag the others.
 """
 
 from __future__ import annotations
@@ -50,7 +56,6 @@ import json.scanner
 import math
 import operator
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
 from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import IO, Callable, Generator, Iterable, Iterator, Sequence
@@ -67,7 +72,6 @@ BLOCK_BYTES = 1 << 19  # input bytes read at a time; a CSV block of plain lines 
 
 CODE = np.int32  # dtype of the string-field codes
 
-_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _DAY = 86400
 
 # the canonical YYYY-MM-DDTHH:MM:SSZ form: digit and separator positions
@@ -152,12 +156,6 @@ class IngestReport:
         self.rejected += count
         self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + count
 
-    def merge(self, other: "IngestReport") -> None:
-        self.accepted += other.accepted
-        self.rejected += other.rejected
-        for reason, count in other.rejection_reasons.items():
-            self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + count
-
     def to_json(self) -> str:
         return dumps_stable(
             {
@@ -172,8 +170,8 @@ class IngestReport:
 # timestamps
 #
 # The calendar helpers below use only integer arithmetic and elementwise
-# operators, so the scalar parser and the column parser run the very same
-# expressions on ints and on int arrays.
+# operators on int64 arrays: the decoder checks and converts with the
+# first two, and ``_format_seconds`` writes the canonical form with the third.
 
 def _valid_instant(year, month, day, hour, minute, second):
     """Whether the fields name a real UTC instant in years 1-9999."""
@@ -212,59 +210,41 @@ def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return yoe + era * 400 + (month <= 2), month, day
 
 
-def _is_digits(s: str) -> bool:
-    return s.isascii() and s.isdigit()
-
-
-def timestamp_seconds(value: str) -> int:
-    """Epoch seconds of an ISO-8601 UTC instant.
+def _stamp_column(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """Epoch seconds of timestamp strings, and the mask of valid ones.
 
     The accepted grammar is exactly ``YYYY-MM-DD`` (midnight),
     ``YYYY-MM-DDTHH:MMZ`` and ``YYYY-MM-DDTHH:MM:SS[.f+]Z`` with ASCII
     digits; sub-second digits are truncated.  Anything else, offsets other
-    than the ``Z`` suffix included, raises ValueError.
+    than the ``Z`` suffix included, is invalid.  Values not 20 characters
+    long are rewritten to the canonical form first (``_canonical_stamp``);
+    then every ASCII value of 20 characters goes to ``_decode_stamps``.
     """
-    if len(value) == 10:
-        date, clock = value, "00:00:00"
-    elif value[10:11] == "T" and value.endswith("Z"):
-        date, clock = value[:10], value[11:-1]
-        if len(clock) == 5:
-            clock += ":00"
-        elif len(clock) > 8 and clock[8] == "." and _is_digits(clock[9:]):
-            clock = clock[:8]
-        elif len(clock) != 8:
-            raise ValueError(f"timestamp must be UTC with Z suffix: {value!r}")
-    else:
-        raise ValueError(f"timestamp must be UTC with Z suffix: {value!r}")
-    parts = (date[0:4], date[5:7], date[8:10], clock[0:2], clock[3:5], clock[6:8])
-    if date[4] + date[7] + clock[2] + clock[5] != "--::" or not all(map(_is_digits, parts)):
-        raise ValueError(f"not a valid timestamp: {value!r}")
-    fields = [int(p) for p in parts]
-    if not _valid_instant(*fields):
-        raise ValueError(f"not a valid timestamp: {value!r}")
-    return int(_epoch_seconds(*fields))
-
-
-def parse_timestamp(value: str) -> datetime:
-    """The instant of ``timestamp_seconds`` as a timezone-aware UTC datetime."""
-    return _EPOCH + timedelta(seconds=timestamp_seconds(value))
-
-
-def _stamp_column(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """Epoch seconds of timestamp strings, and the mask of valid ones.
-    Values of 20 ASCII characters go to ``_decode_stamps`` together, the
-    others to ``timestamp_seconds`` one at a time, for the other accepted
-    forms."""
     n = len(values)
-    fixed = (np.fromiter(map(len, values), np.intp, n) == _STAMP_WIDTH) & np.fromiter(map(str.isascii, values), bool, n)
+    fixed = np.fromiter(map(len, values), np.intp, n) == _STAMP_WIDTH
+    other = np.flatnonzero(~fixed).tolist()
+    if other:
+        values = list(values)
+        for i in other:
+            values[i] = _canonical_stamp(values[i])
+            fixed[i] = len(values[i]) == _STAMP_WIDTH
+    fixed &= np.fromiter(map(str.isascii, values), bool, n)
     text = "".join(compress(values, fixed.tolist()))
-    seconds, ok = _decode_stamps(fixed, np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _STAMP_WIDTH))
-    for i in np.flatnonzero(~fixed).tolist():
-        try:
-            seconds[i], ok[i] = timestamp_seconds(values[i]), True
-        except ValueError:
-            pass
-    return seconds, ok
+    return _decode_stamps(fixed, np.frombuffer(text.encode("ascii"), dtype=np.uint8).reshape(-1, _STAMP_WIDTH))
+
+
+def _canonical_stamp(value: str) -> str:
+    """A value in one of the shorter or longer accepted forms rewritten to
+    YYYY-MM-DDTHH:MM:SSZ, any other value as it is; ``_decode_stamps``
+    checks the digits, separators and calendar of the result."""
+    if len(value) == 10:
+        return value + "T00:00:00Z"
+    if len(value) == 17 and value[16] == "Z":
+        return value[:16] + ":00Z"
+    fraction = value[20:-1]
+    if len(value) >= 22 and value[19] == "." and value[-1] == "Z" and fraction.isascii() and fraction.isdigit():
+        return value[:19] + "Z"
+    return value
 
 
 def _decode_stamps(fixed: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -273,7 +253,7 @@ def _decode_stamps(fixed: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.n
 
     ``raw`` holds the 20 bytes of each value that ``fixed`` marks, one row
     per value.  Values in the other accepted forms come out unmasked, like
-    invalid ones, and are left to ``timestamp_seconds``.
+    invalid ones; ``_stamp_column`` rewrites them to this form first.
     """
     digits = raw[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
     d = [digits[:, k] * 10 + digits[:, k + 1] for k in range(0, 14, 2)]
@@ -303,10 +283,6 @@ def _format_seconds(seconds: np.ndarray) -> list[str]:
     return chars.view(f"S{_STAMP_WIDTH}").ravel().astype(str).tolist()
 
 
-def format_timestamp(dt: datetime) -> str:
-    return _format_seconds(np.array([(dt - _EPOCH) // timedelta(seconds=1)]))[0]
-
-
 # ---------------------------------------------------------------------------
 # row validation
 
@@ -323,7 +299,7 @@ def _decide(fields: list[list], bad_json: np.ndarray | bool = False) -> tuple[li
 
     A row is rejected for the first rule it breaks: the line holds no JSON
     object (``bad_json``); the user, tag or timestamp is not a non-empty
-    string; the timestamp is outside ``timestamp_seconds``' grammar; a
+    string; the timestamp is outside ``_stamp_column``'s grammar; a
     coordinate is not a number (booleans included); lat, then lon, is out
     of range; the declared origin is neither falsy nor a country code.
     The columns hold epoch seconds, float coordinates and the declared
@@ -1075,11 +1051,6 @@ def events_csv_blocks(table: EventTable) -> Iterator[str]:
             coded_column(table.tag_ids, table.tag),
         ),
     )
-
-
-def events_to_csv(table: EventTable) -> str:
-    """Serialize events to the canonical CSV format (round-trip safe)."""
-    return "".join(events_csv_blocks(table))
 
 
 def write_events_csv(table: EventTable, path: str | Path) -> None:

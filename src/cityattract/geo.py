@@ -66,9 +66,6 @@ class RegionLayer:
     label: str
     regions: tuple[Region, ...]
 
-    def by_id(self) -> dict[str, Region]:
-        return {r.id: r for r in self.regions}
-
 
 @dataclass(eq=False)
 class Assignment:
@@ -86,10 +83,6 @@ class Assignment:
     @property
     def region_ids(self) -> list[str | None]:
         return labels_of(self.regions, self.index)
-
-    def counts(self) -> dict[str, int]:
-        tally = np.bincount(self.index[self.index >= 0], minlength=len(self.regions))
-        return {self.regions[i]: int(tally[i]) for i in np.flatnonzero(tally)}
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +352,6 @@ def assignments_csv_blocks(assignment: Assignment) -> Iterator[str]:
             coded_column(assignment.regions, assignment.index),
         ),
     )
-
-
-def assignments_to_csv(assignment: Assignment) -> str:
-    return "".join(assignments_csv_blocks(assignment))
 
 
 def write_assignments_csv(assignment: Assignment, path: str | Path) -> None:

@@ -201,9 +201,10 @@ def infer_all(stats: CountryStats, min_events: int = 1) -> Homes:
 def origin_map(events: EventTable, homes: Homes) -> Origins:
     """Resolve every event owner to an origin country.
 
-    Users whose records declare an origin keep the first declared value in
-    row order; the rest fall back to their inferred home, or UNDETERMINED
-    when the user produced no locatable events at all.
+    Users whose records declare an origin keep the code they declare most
+    often, the smallest code among equally frequent ones, so the order of
+    the rows does not matter; the rest fall back to their inferred home, or
+    UNDETERMINED when the user produced no locatable events at all.
     """
     if homes.user_ids != events.user_ids:
         raise ValueError("homes must cover exactly the users of the events")
@@ -213,8 +214,12 @@ def origin_map(events: EventTable, homes: Homes) -> Origins:
     declared_code = np.array([position[c] for c in events.origin_ids], dtype=np.int64)
     code = home_code[homes.country]
     declaring = np.flatnonzero(events.origin >= 0)
-    users, first = np.unique(events.user[declaring], return_index=True)
-    code[users] = declared_code[events.origin[declaring[first]]]
+    n = len(events.origin_ids)
+    pairs, tally = np.unique(events.user[declaring].astype(np.int64) * n + events.origin[declaring], return_counts=True)
+    user, origin = np.divmod(pairs, n)
+    best = np.lexsort((origin, -tally, user))
+    best = best[_group_starts(user[best])]
+    code[user[best]] = declared_code[origin[best]]
     return Origins(events.user_ids, tuple(names), code)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from pathlib import Path
@@ -257,6 +258,8 @@ def log_bin(table: AttractivenessTable, k: int = 5) -> BinnedTrend:
     """
     if k < 1:
         raise StatsError(f"insufficient data: bin count must be >= 1, got {k}")
+    if k > sys.maxsize:  # the edge search indexes a range, whose length is a C integer
+        raise StatsError(f"too many bins: bin count must be <= {sys.maxsize}, got {k}")
     rows = positive_rows(table)
     if not rows:
         raise StatsError("insufficient data: 0 positive rows, need >= 1 to bin")
@@ -265,21 +268,25 @@ def log_bin(table: AttractivenessTable, k: int = 5) -> BinnedTrend:
     if lo == hi:
         mean = math.fsum(row.share for row in rows) / len(rows)
         return BinnedTrend((BinRow(10.0 ** lo, mean, len(rows), 10.0 ** lo),), k)
-    edges = [lo + (hi - lo) * i / k for i in range(k + 1)]
-    edges[k] = hi  # guard against the float endpoint drifting past hi
-    members: list[list[tuple[float, float]]] = [[] for _ in range(k)]
+
+    def edge(i: int) -> float:
+        # the last edge is hi itself: the float endpoint may drift past it
+        return hi if i == k else lo + (hi - lo) * i / k
+
+    # edges are computed as the search needs them and only occupied bins
+    # are kept, so time and memory do not grow with k
+    members: dict[int, list[tuple[float, float]]] = {}
     for x, row in zip(xs, rows):
-        i = min(max(bisect_right(edges, x) - 1, 0), k - 1)
-        members[i].append((x, row.share))
+        i = min(max(bisect_right(range(k + 1), x, key=edge) - 1, 0), k - 1)
+        members.setdefault(i, []).append((x, row.share))
     bins = tuple(
         BinRow(
-            10.0 ** ((edges[i] + edges[i + 1]) / 2.0),
+            10.0 ** ((edge(i) + edge(i + 1)) / 2.0),
             math.fsum(s for _, s in pts) / len(pts),
             len(pts),
             10.0 ** (math.fsum(x for x, _ in pts) / len(pts)),
         )
-        for i, pts in enumerate(members)
-        if pts
+        for i, pts in sorted(members.items())
     )
     return BinnedTrend(bins, k)
 

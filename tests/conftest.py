@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from datetime import datetime, timedelta, timezone
 
 import pytest
 
 import numpy as np
 
-from cityattract.geo import Assignment, assign_events, load_layer
+from cityattract.events import events_csv_blocks
+from cityattract.geo import Assignment, assign_events, assignments_csv_blocks, load_layer
 from cityattract.home import HomeRecord, Origins, accumulate_stats_seq, infer_all
 from cityattract.scaling import foreign_counts
 
@@ -45,6 +47,20 @@ def assignment_of(region_ids) -> Assignment:
     regions = tuple(dict.fromkeys(r for r in region_ids if r is not None))
     index = np.array([-1 if r is None else regions.index(r) for r in region_ids], dtype=np.int64)
     return Assignment(index, regions, 0, int((index < 0).sum()))
+
+
+def region_counts(assignment: Assignment) -> dict[str, int]:
+    """Events per region id, for the regions that hold any."""
+    return dict(Counter(r for r in assignment.region_ids if r is not None))
+
+
+def events_csv(table) -> str:
+    """The canonical CSV text of an EventTable."""
+    return "".join(events_csv_blocks(table))
+
+
+def assignments_csv(assignment: Assignment) -> str:
+    return "".join(assignments_csv_blocks(assignment))
 
 
 def origins_of(mapping: dict) -> Origins:

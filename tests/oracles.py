@@ -15,7 +15,11 @@ dict-based home tallies with a tuple tie-break, and per-event
 filter-and-count attractiveness tables and windows.  Row-by-row parsing
 validates each row with _make_record, the package's earlier scalar row
 validator, whose checks in order are the reference of the column rules
-that ingest now applies to whole chunks.  generate_events is the
+that ingest now applies to whole chunks.  Its timestamps go through
+parse_timestamp, a regular expression for the grammar and datetime for
+the calendar, the reference of the package's column decoder.  log_bin is
+the package's earlier binning over materialized edges, and origin_map
+resolves declared origins with a Counter per user.  generate_events is the
 package's earlier synthetic generator, which drew one event at a time;
 it is the reference of the column generator for worlds of up to 600
 regions, whose cities lie in one row.
@@ -23,7 +27,9 @@ regions, whose cities lie in one row.
 The per-row references take and give events as EventRecord rows, the
 package's row type before events became columns; records and table_of
 convert between rows and an EventTable.  Nothing here imports a private
-name of the package, so a fault there cannot hide in its own reference.
+name of the package, nor any function that decides a row (from
+cityattract.events only types and constants), so a fault there cannot
+hide in its own reference.
 """
 
 from __future__ import annotations
@@ -32,17 +38,20 @@ import csv
 import io
 import json
 import math
+import re
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Sequence
 
 import numpy as np
 
-from cityattract.events import CANONICAL_COLUMNS, EventTable, IngestError, IngestReport, parse_timestamp
+from cityattract.events import CANONICAL_COLUMNS, EventTable, IngestError, IngestReport
 from cityattract.geo import Region, Ring
 from cityattract.home import UNDETERMINED, HomeRecord
 from cityattract.rng import CounterRng
-from cityattract.scaling import AttractivenessTable, AttractRow, StatsError, fit_xy
+from cityattract.scaling import AttractivenessTable, AttractRow, BinnedTrend, BinRow, StatsError, fit_xy
 from cityattract.synthetic import (
     country_anchor,
     epsilons,
@@ -269,6 +278,36 @@ def fit_binned(trend):
     return fit_xy(xs, ys)
 
 
+def log_bin(table, k=5):
+    """The package's earlier log-binning, which materialized all k + 1
+    edges and k member lists: the reference of the on-demand edges."""
+    rows = [row for row in table.rows if row.share > 0.0]
+    xs = [math.log10(row.population) for row in rows]
+    lo, hi = min(xs), max(xs)
+    if lo == hi:
+        mean = math.fsum(row.share for row in rows) / len(rows)
+        return BinnedTrend((BinRow(10.0 ** lo, mean, len(rows), 10.0 ** lo),), k)
+    edges = [lo + (hi - lo) * i / k for i in range(k + 1)]
+    edges[k] = hi
+    members = [[] for _ in range(k)]
+    for x, row in zip(xs, rows):
+        i = min(max(bisect_right(edges, x) - 1, 0), k - 1)
+        members[i].append((x, row.share))
+    return BinnedTrend(
+        tuple(
+            BinRow(
+                10.0 ** ((edges[i] + edges[i + 1]) / 2.0),
+                math.fsum(s for _, s in pts) / len(pts),
+                len(pts),
+                10.0 ** (math.fsum(x for x, _ in pts) / len(pts)),
+            )
+            for i, pts in enumerate(members)
+            if pts
+        ),
+        k,
+    )
+
+
 def region_lookup(layer):
     """A (lat, lon) -> region id function over the layer (None if no hit)."""
 
@@ -312,6 +351,28 @@ def read_homes_csv(path) -> dict:
         reader = csv.reader(fh)
         assert next(reader, None) == ["user_id", "country", "event_count", "timespan_seconds"]
         return {row[0]: HomeRecord(row[0], row[1], int(row[2]), int(row[3])) for row in reader if row}
+
+
+# ---------------------------------------------------------------------------
+# timestamps: a regular expression for the grammar, datetime for the calendar
+
+_TIMESTAMP = re.compile(r"(\d{4})-(\d{2})-(\d{2})(?:T(\d{2}):(\d{2})(?::(\d{2})(?:\.\d+)?)?Z)?", re.ASCII)
+
+
+def parse_timestamp(value: str) -> datetime:
+    """The UTC instant of ``YYYY-MM-DD``, ``YYYY-MM-DDTHH:MMZ`` or
+    ``YYYY-MM-DDTHH:MM:SS[.f+]Z`` with ASCII digits, sub-second digits
+    truncated; ValueError for anything else, or for a date or time that
+    the calendar does not have."""
+    match = _TIMESTAMP.fullmatch(value)
+    if match is None:
+        raise ValueError(f"not a valid timestamp: {value!r}")
+    return datetime(*(int(g or 0) for g in match.groups()), tzinfo=timezone.utc)
+
+
+def format_timestamp(dt: datetime) -> str:
+    """A UTC datetime in the canonical YYYY-MM-DDTHH:MM:SSZ form."""
+    return f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:{dt.minute:02d}:{dt.second:02d}Z"
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +522,16 @@ def resolve_origin(home, declared):
 
 
 def origin_map(events, homes) -> dict:
-    """First declared origin in row order, else the inferred home."""
+    """The most often declared origin, the first in sorted order among
+    equally frequent ones, else the inferred home."""
     declared: dict = {}
     users: dict = {}
     for event in events:
         users.setdefault(event.user_id, None)
         if event.origin_country is not None:
-            declared.setdefault(event.user_id, event.origin_country)
-    return {uid: resolve_origin(homes.get(uid), declared.get(uid)) for uid in users}
+            declared.setdefault(event.user_id, Counter())[event.origin_country] += 1
+    most = {uid: min(tally, key=lambda c: (-tally[c], c)) for uid, tally in declared.items()}
+    return {uid: resolve_origin(homes.get(uid), most.get(uid)) for uid in users}
 
 
 # ---------------------------------------------------------------------------

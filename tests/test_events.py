@@ -5,8 +5,9 @@ import csv
 import io
 import json
 import math
+import random
 import tracemalloc
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from itertools import compress
 
 import pytest
@@ -19,15 +20,12 @@ from cityattract.events import (
     EventTable,
     IngestError,
     IngestReport,
-    events_to_csv,
-    format_timestamp,
     parse_events,
-    parse_timestamp,
-    timestamp_seconds,
 )
 
 import oracles
-from oracles import EventRecord, table_of
+from conftest import events_csv
+from oracles import EventRecord, format_timestamp, parse_timestamp, table_of
 
 HEADER = ",".join(CANONICAL_COLUMNS)
 
@@ -181,7 +179,9 @@ def test_unknown_format_rejected():
 )
 def test_timestamp_forms(value, expected):
     assert parse_timestamp(value) == expected
-    assert timestamp_seconds(value) == int(expected.timestamp())
+    for row in (f"u1,{value},0,0,,t", f'"u1",{value},0,0,,t'):  # a quote sends the block to csv.reader
+        table, report = parse_events(csv_stream(row))
+        assert report.accepted == 1 and table.seconds.tolist() == [int(expected.timestamp())], row
 
 
 def test_timestamp_rejects_offsets_and_bare_times():
@@ -206,8 +206,8 @@ def test_timestamp_rejects_offsets_and_bare_times():
 
 @pytest.mark.parametrize("year", [1, 4, 100, 400, 1900, 2000, 2012, 2013, 9999])
 def test_month_lengths_follow_the_calendar(year):
-    # the date-only form takes the scalar check on ints, the canonical form
-    # the column check on arrays; both use the same calendar expressions
+    # the date-only form is rewritten to the canonical one, which the
+    # column check decodes on the byte path; the oracle asks datetime
     dates = [f"{year:04d}-{month:02d}-{day:02d}" for month in range(14) for day in range(33)]
     valid = [
         1 <= int(d[5:7]) <= 12 and 1 <= int(d[8:]) <= calendar.monthrange(year, int(d[5:7]))[1]
@@ -215,27 +215,27 @@ def test_month_lengths_follow_the_calendar(year):
     ]
     for date, ok in zip(dates, valid):
         try:
-            timestamp_seconds(date)
+            parse_timestamp(date)
             assert ok, date
         except ValueError:
             assert not ok, date
-    records, _ = parse_rows(csv_stream(*(f"u1,{d}T00:00:00Z,0,0,,t" for d in dates)))
-    assert [format_timestamp(r.timestamp)[:10] for r in records] == list(compress(dates, valid))
+    for suffix in ("T00:00:00Z", ""):
+        records, _ = parse_rows(csv_stream(*(f"u1,{d}{suffix},0,0,,t" for d in dates)))
+        assert [format_timestamp(r.timestamp)[:10] for r in records] == list(compress(dates, valid))
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)))
-def test_timestamp_column_path_matches_scalar(dt):
-    # the fixed-width form goes through the column parser, which must agree
-    # with timestamp_seconds and round-trip through format_timestamp
-    stamp = dt.strftime("%Y-%m-%dT%H:%M:%SZ").rjust(20, "0")
-    table, report = parse_events(csv_stream(f"u1,{stamp},0,0,,t"))
+def test_timestamp_column_path_matches_oracle(dt):
+    # the fixed-width form goes through the column decoder, which must agree
+    # with the oracle grammar, and the writer must give the stamp back
     expected = dt.replace(microsecond=0, tzinfo=timezone.utc)
+    stamp = format_timestamp(expected)
+    table, report = parse_events(csv_stream(f"u1,{stamp},0,0,,t"))
     assert report.accepted == 1
-    assert table.seconds[0] == timestamp_seconds(stamp)
     assert oracles.records(table)[0].timestamp == expected
     assert table.month[0] == expected.month
-    assert format_timestamp(expected) == stamp
+    assert events_csv(table).splitlines()[1].split(",")[1] == stamp
 
 
 def test_jsonl_matches_csv_semantics():
@@ -485,17 +485,9 @@ def test_csv_round_trip_is_exact():
         "u2,2012-12-31T23:59:59Z,-89.99999999999999,179.99999999999997,,photo",
     )
     table, _ = parse_events(stream)
-    again, report = parse_events(io.StringIO(events_to_csv(table)))
+    again, report = parse_events(io.StringIO(events_csv(table)))
     assert report.rejected == 0
     assert oracles.records(again) == oracles.records(table)
-
-
-def test_report_merge_accumulates():
-    a = IngestReport(accepted=2, rejected=1, rejection_reasons={"bad json": 1})
-    b = IngestReport(accepted=3, rejected=2, rejection_reasons={"bad json": 1, "missing field": 1})
-    a.merge(b)
-    assert a.accepted == 5 and a.rejected == 3
-    assert a.rejection_reasons == {"bad json": 2, "missing field": 1}
 
 
 def test_report_json_shape():
@@ -528,7 +520,7 @@ def test_round_trip_property(raw):
         )
         for uid, ts, lat, lon, origin in raw
     ]
-    again, report = parse_events(io.StringIO(events_to_csv(table_of(records))))
+    again, report = parse_events(io.StringIO(events_csv(table_of(records))))
     assert report.rejected == 0
     assert oracles.records(again) == records
 
@@ -536,6 +528,55 @@ def test_round_trip_property(raw):
 def test_format_timestamp_round_trip():
     dt = datetime(2012, 2, 29, 23, 59, 59, tzinfo=timezone.utc)
     assert parse_timestamp(format_timestamp(dt)) == dt
+    text = events_csv(table_of([EventRecord("u1", dt, 0.0, 0.0, None, "t")]))
+    assert text.splitlines()[1].split(",")[1] == format_timestamp(dt)
+
+
+# the accepted forms, mutated by up to three replacements, insertions or
+# deletions of characters that a timestamp holds or that resemble them
+STAMP_FORMS = ("2012-06-01", "2012-06-01T12:34Z", "2012-06-01T12:34:56Z", "2000-02-29T23:59:59.123456Z", "1900-02-28T00:00:00.5Z")
+STAMP_CHARS = "0123456789-:TZz.+ \t\u0661\uff12"
+
+
+def mutated_stamps(rnd: random.Random, n: int) -> list[str]:
+    """n accepted forms, each mutated at uniformly drawn positions."""
+    stamps = []
+    for _ in range(n):
+        value = rnd.choice(STAMP_FORMS)
+        for _ in range(rnd.randint(0, 3)):
+            i, char = rnd.randint(0, len(value)), rnd.choice(STAMP_CHARS)
+            value = rnd.choice([value[:i] + char + value[i + 1 :], value[:i] + char + value[i:], value[:i] + value[i + 1 :]])
+        stamps.append(value)
+    return stamps
+
+
+def _oracle_seconds(value: str) -> int | None:
+    try:
+        return (parse_timestamp(value) - oracles.EPOCH) // timedelta(seconds=1)
+    except ValueError:
+        return None
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.randoms(use_true_random=False), st.booleans())
+def test_ingest_accepts_exactly_the_oracle_timestamps(rnd, ensure_ascii):
+    # CSV fields are stripped; a quoted user sends CSV to csv.reader, and
+    # escapes (tabs, or non-ASCII under ensure_ascii) send JSONL line by line
+    stamps = mutated_stamps(rnd, 200)
+    plain = "".join(f"u{i},{s},0,0,,t\n" for i, s in enumerate(stamps))
+    quoted = "".join(f'"u{i}",{s},0,0,,t\n' for i, s in enumerate(stamps))
+    jsonl = "".join(
+        json.dumps({"user_id": f"u{i}", "timestamp": s, "lat": 0, "lon": 0, "dataset_tag": "t"}, ensure_ascii=ensure_ascii) + "\n"
+        for i, s in enumerate(stamps)
+    )
+    stripped = [s.strip() for s in stamps]
+    for format, text, values in (
+        ("csv", f"{HEADER}\n{plain}", stripped), ("csv", f"{HEADER}\n{quoted}", stripped), ("jsonl", jsonl, stamps),
+    ):
+        table, report = parse_events(io.StringIO(text), format=format)
+        want = {f"u{i}": seconds for i, v in enumerate(values) if (seconds := _oracle_seconds(v)) is not None}
+        assert dict(zip((table.user_ids[u] for u in table.user.tolist()), table.seconds.tolist())) == want
+        assert report.rejection_reasons.get("bad timestamp", 0) == sum(map(bool, values)) - len(want)
 
 
 # --- columnar ingest against the row-by-row reference ---------------------------
@@ -674,7 +715,7 @@ def _same_outcome(text: str, format: str, strict: bool) -> None:
     table, report = parse_events(io.StringIO(text), format=format, strict=strict)
     records, ref_report = want
     assert oracles.records(table) == records
-    assert events_to_csv(table) == events_to_csv(table_of(records))  # tells -0.0 from 0.0
+    assert events_csv(table) == events_csv(table_of(records))  # tells -0.0 from 0.0
     assert report == ref_report
     assert list(table.user_ids) == sorted({r.user_id for r in records})
 
@@ -840,7 +881,7 @@ def test_user_ids_keep_trailing_nuls():
     assert report.accepted == 5
     assert table.user_ids == ("t\x00", "u", "u\x00", "u\x00\x00")
     assert [e.user_id for e in oracles.records(table)] == users
-    again, _ = parse_events(io.StringIO(events_to_csv(table)))
+    again, _ = parse_events(io.StringIO(events_csv(table)))
     assert [e.user_id for e in oracles.records(again)] == users
 
 

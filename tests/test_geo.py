@@ -17,14 +17,23 @@ from cityattract.geo import (
     LayerError,
     RegionLayer,
     assign_events,
-    assignments_to_csv,
     layer_to_geojson,
     load_layer,
     region_contains_bulk,
     write_layer_geojson,
 )
 
-from conftest import ev, layer_of, multipolygon_feature, polygon_feature, shape_regions, square_feature, table_of
+from conftest import (
+    assignments_csv,
+    ev,
+    layer_of,
+    multipolygon_feature,
+    polygon_feature,
+    region_counts,
+    shape_regions,
+    square_feature,
+    table_of,
+)
 from oracles import (
     distance_to_boundary,
     pnpoly_region,
@@ -343,7 +352,7 @@ def test_assign_basic(unit_square_layer):
     assert assignment.region_ids == ["sq", None]
     assert assignment.unassigned == 1
     assert assignment.overlap_events == 0
-    assert assignment.counts() == {"sq": 1}
+    assert region_counts(assignment) == {"sq": 1}
 
 
 def test_assign_counts_match_pointwise_oracle():
@@ -364,7 +373,7 @@ def test_assign_counts_match_pointwise_oracle():
         if any(distance_to_boundary(e.lat, e.lon, polys[r.id]) < 1e-9 for r in regions)
     ]
     assert not boundary  # random draws never land exactly on edges
-    assert assignment.counts() == expected
+    assert region_counts(assignment) == expected
 
 
 def test_overlap_first_region_wins():
@@ -382,7 +391,7 @@ def test_assign_reorder_invariance():
     shuffled = events[:]
     rnd.shuffle(shuffled)
     again = assign_events(table_of(shuffled), layer)
-    assert base.counts() == again.counts()
+    assert region_counts(base) == region_counts(again)
     assert base.unassigned == again.unassigned
 
 
@@ -397,7 +406,7 @@ def test_region_lookup_matches_assign(unit_square_layer):
 
 def test_assignments_csv_round_trip(tmp_path, unit_square_layer):
     assignment = assign_events(table_of([ev(lat=0.5, lon=0.5), ev(lat=5.0, lon=5.0)]), unit_square_layer)
-    text = assignments_to_csv(assignment)
+    text = assignments_csv(assignment)
     assert text.splitlines()[0] == "event_index,region_id"
     path = tmp_path / "assign.csv"
     path.write_text(text)
@@ -422,7 +431,7 @@ def test_assign_events_matches_oracle_across_slices(points):
     assert assignment.overlap_events == sum(len(ids) > 1 for ids in expected)
     assert assignment.unassigned == sum(not ids for ids in expected)
     wide = replace(assignment, index=assignment.index.astype(np.int64))
-    assert assignments_to_csv(assignment) == assignments_to_csv(wide)
+    assert assignments_csv(assignment) == assignments_csv(wide)
 
 
 def _assign_work_bytes(n: int) -> int:

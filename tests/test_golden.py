@@ -4,7 +4,10 @@ The digests were recorded with the per-row implementation that the
 columnar one replaced.  A change that alters any output byte (a different
 tie-break, float formatting, row order, rejection count) fails here, so
 performance work cannot change results silently.  Only the run manifest is
-left out: it holds wall-clock timestamps.
+left out: it holds wall-clock timestamps.  The digests of the tweets
+(dirty JSONL) outputs downstream of origins were re-recorded when a
+user's declared origin became the most often declared code instead of the
+first one in row order, because the world declares conflicting origins.
 """
 
 from __future__ import annotations
@@ -129,38 +132,38 @@ def cli_digests(root: Path) -> dict[str, str]:
 
 PIPELINE_DIGESTS = {
     "attractiveness__photos__cities.csv": "750f2ad41d02c45e3a8ec942280ce2bfd0f502045d7d93431308d7d9a5a92a9c",
-    "attractiveness__tweets__cities.csv": "4c159c51c5d5f9e59a553c45218c7d5a84443498b5e3132a67b35c48d06c77ed",
+    "attractiveness__tweets__cities.csv": "fed2e43cdbcdb958f53d7d2a2681ea3ee7d378553aced3c4314693396ca9560e",
     "binned__photos__cities.csv": "3d263b442d913d56d4dacd4733e326f95a8caf7ef76a32843b669e9b91834fc4",
-    "binned__tweets__cities.csv": "8de01292aa5afe018065e1ee7ef9a056de12525a4f8516752f54b3f613cb498b",
-    "correlations.csv": "236cea97ba9da461c024b85d0549b87d5c29e9687ecf49d4656699a230447425",
+    "binned__tweets__cities.csv": "3b47978aea4e9ca064f6829eeee1dbaf2896372902ab03de0ad4c6f674fa7ed1",
+    "correlations.csv": "45785e107f167d2128afddfacbabcedfaf1e6774981da93a51647c95faac45aa",
     "fit__photos__cities.json": "1a9a387cbc05e152f50fa72aae0609ee2926b2a02a6e11066b83975286f0bbea",
-    "fit__tweets__cities.json": "62d2e74c2e5f83e9ecba31a19710fc4799d4babbbf31e32940f05082911c0597",
+    "fit__tweets__cities.json": "97b462965e969b897b37ba8d10ec68ea5471d0843e8915c52c63a66c70687661",
     "homes__photos.csv": "1dcbd04ae4db8b2893128bb44adc8da831db4464a1da88f1573cb2f4306f047d",
     "homes__tweets.csv": "db4c916b4f59983c01d4f72a5a6a32a20f3661650780b6f32d31f2424dc5361f",
     "ingest__photos.json": "9cd4a3cdd94062cb93604feff8e135bdf0d9cbf7c823f2c1ef4885b24ee7f5d7",
     "ingest__tweets.json": "e1fa3eb5b890248777664649648f42c3792250d7d4be4f152f505508ae076a49",
     "residuals__photos__cities.csv": "37d11537c2e6ae0b84e9782b31ab5dc21ff87182aadd83ad5b99daa65a2d55b9",
-    "residuals__tweets__cities.csv": "fe66af8d72dae37d0db87f07a9c12c627cf1c3298fe076bba6bbe3e2d019fc67",
+    "residuals__tweets__cities.csv": "138b52757d4b8aecb994a3521746d980484a8b2e11f64a13e2583291331e3a50",
     "scatter__photos__cities.csv": "46f7ebc669fd795a4e364697b1195900db139d3076e524f16b7d13fcba563a93",
-    "scatter__tweets__cities.csv": "fa577d86acda82a1ed3dddded207bc08dbae87bdc7ccb0e65407b7c60b2106b1",
+    "scatter__tweets__cities.csv": "8b2ada1e6dfe1ee3a9452bc701bc5aedc8dd709b40fa57dbca9de96906ae95b0",
     "temporal__photos__cities.csv": "1158e5d1ef9c4b8ea25e93e699b9efe9fd5a4c7d4a0abe6d7541c8cd7e2d6718",
     "temporal__photos__cities.json": "58774468a541a0631e7e25107fc30cd7f13d85673cf1783db0eacc676d0ccf65",
-    "temporal__tweets__cities.csv": "7bf94ca2147daf61b7925fe0db7df17577ea7c3de1bdb2256c0510a9129ae155",
-    "temporal__tweets__cities.json": "198ef20173ea2e2d4847d13b277571e56c1d43dc23fc11dd6146430aea8bbd9a",
+    "temporal__tweets__cities.csv": "85628e8640af4c1e0a174ccc9735b9e320b24395fc6196beb12f10e71d8bc742",
+    "temporal__tweets__cities.json": "1cf6d807540f69fe20a2b5eb0689b229a56af4f717fe39b8fee4ae1379c766e2",
 }
 
 CLI_DIGESTS = {
     "assign__golden__cities.csv": "8638e05579388c67d0483a7b595b7042d55b19db13e16b2708901d372e4c4676",
-    "attractiveness__golden__cities.csv": "4c159c51c5d5f9e59a553c45218c7d5a84443498b5e3132a67b35c48d06c77ed",
-    "binned__golden__cities.csv": "cb5f07e25bb664214f8d3c7b55c77131f29f90eb34cfc3785d11370f6cd049ef",
+    "attractiveness__golden__cities.csv": "fed2e43cdbcdb958f53d7d2a2681ea3ee7d378553aced3c4314693396ca9560e",
+    "binned__golden__cities.csv": "d488c56edd3999b468e42780ae57e7bf6e14cec4298b5200e2ed492e613e1e29",
     "events__golden.csv": "0c10d8dd42dca7e688db3eccc3f71a9dd6adef996923ea76deb9da9d00695bb5",
-    "fit__golden__cities.json": "4798e8858249c57ad06c750981e57ccc103776db08457eab11c0aaf17b9cc466",
+    "fit__golden__cities.json": "0466436c73f31626ed84cc692fb80508eab9ef385bdbd2f0f7f96111616fb924",
     "homes__golden.csv": "507ed1c326d3c16c5a4d7d1364afb6fd94ab0824227948e68824feacccd9e899",
     "ingest__golden.json": "e1fa3eb5b890248777664649648f42c3792250d7d4be4f152f505508ae076a49",
-    "residuals__golden__cities.csv": "4f159dbebb7f5baf2ab9e49080efe2bb1986cd01e2c4df8e75c89fa8ca071aed",
-    "scatter__golden__cities.csv": "afc7d9ebc02864462827d53fbdbd7524bc36601831adf58f32a2a30d459a801b",
-    "temporal__golden__cities.csv": "7bf94ca2147daf61b7925fe0db7df17577ea7c3de1bdb2256c0510a9129ae155",
-    "temporal__golden__cities.json": "de4050ee58813cfb2224e25d999bffddcf0cf4c44bacb5dc44bac377ac25fb39",
+    "residuals__golden__cities.csv": "9bacb03f8fa226ce5d9f00ddd4171f1cc4f49775c54c56e6c3225f2761c2f3ab",
+    "scatter__golden__cities.csv": "a96299a5314b4f2acbca2916823b5d3f77fcafffdf08ee0e388d1b232225c2ad",
+    "temporal__golden__cities.csv": "85628e8640af4c1e0a174ccc9735b9e320b24395fc6196beb12f10e71d8bc742",
+    "temporal__golden__cities.json": "9ca05cf85737e8c039d8d51c56188f96744d7f1f794aed943027093e4f012e97",
 }
 
 

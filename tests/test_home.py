@@ -4,6 +4,7 @@ import random
 from datetime import timedelta
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from cityattract.home import (
@@ -192,6 +193,21 @@ def test_origin_map_prefers_declared():
     homes = infer_all(stats)
     origins = origin_map(table, homes)
     assert origins == {"a": "FR", "b": "ES", "c": UNDETERMINED}
+
+
+@pytest.mark.parametrize(
+    "declared,want", [(["DE", "FR"], "DE"), (["DE", "FR", "FR"], "FR"), (["FR", "DE", "DE", "FR"], "DE")]
+)
+def test_declared_origin_does_not_depend_on_row_order(declared, want):
+    # the most often declared code wins, the smallest one among ties
+    events = [ev(user="a", origin=code, ts=f"2012-06-0{i + 1}T12:00:00Z") for i, code in enumerate(declared)]
+    events += [ev(user="b", origin="GB"), ev(user="a")]
+    results = []
+    for rows in (events, events[::-1]):
+        table = table_of(rows)
+        stats, _ = accumulate_stats_seq(table, assignment_of(["ES"] * len(rows)))
+        results.append(origin_map(table, infer_all(stats)))
+    assert results[0] == results[1] == {"a": want, "b": "GB"}
 
 
 # --- columnar inference against the dict-tally reference -------------------------

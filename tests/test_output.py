@@ -16,8 +16,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cityattract import output
 from cityattract.cli import main
-from cityattract.events import CANONICAL_COLUMNS, EventTable, events_to_csv, parse_events, write_events_csv
-from cityattract.geo import Assignment, assignments_to_csv
+from cityattract.events import CANONICAL_COLUMNS, EventTable, parse_events, write_events_csv
+from cityattract.geo import Assignment
 from cityattract.home import Homes, homes_csv_blocks
 from cityattract.output import BLOCK_ROWS, csv_fields, fmt_num
 from cityattract.pipeline import write_correlations
@@ -40,6 +40,7 @@ from cityattract.scaling import (
 from cityattract.temporal import WindowedExponents, WindowFit, window_months, windows_to_csv
 
 import oracles
+from conftest import assignments_csv, events_csv
 
 LABEL_CHARS = st.one_of(
     st.sampled_from([",", '"', "\r", "\n", " ", "a", "Z", "0", "é", "ß", "東", "　"]),
@@ -122,7 +123,7 @@ def test_fields_render_as_csv_writer_does(values):
 def test_events_csv_matches_csv_writer(users, origins, tags, n, seed):
     table = _events(users, origins, tags, n, seed)
     with mock.patch.object(output, "BLOCK_ROWS", SMALL_BLOCK):
-        assert events_to_csv(table) == _expected_events(table)
+        assert events_csv(table) == _expected_events(table)
 
 
 @settings(max_examples=40, deadline=None)
@@ -138,17 +139,17 @@ def test_homes_csv_matches_csv_writer(labels, countries, n, seed):
 def test_assignments_csv_matches_csv_writer(regions, n, seed):
     assignment = _assignment(regions, n, seed)
     with mock.patch.object(output, "BLOCK_ROWS", SMALL_BLOCK):
-        assert assignments_to_csv(assignment) == _expected_assignments(assignment)
+        assert assignments_csv(assignment) == _expected_assignments(assignment)
 
 
 @pytest.mark.parametrize("n", [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1])
 def test_writers_match_csv_writer_at_the_block_size(n):
     table = _events(SPECIAL, SPECIAL[:3], SPECIAL[3:], n, n)
-    assert events_to_csv(table) == _expected_events(table)
+    assert events_csv(table) == _expected_events(table)
     homes = _homes(SPECIAL, SPECIAL, n, n)
     assert homes_to_csv(homes) == _expected_homes(homes)
     assignment = _assignment(SPECIAL, n, n)
-    assert assignments_to_csv(assignment) == _expected_assignments(assignment)
+    assert assignments_csv(assignment) == _expected_assignments(assignment)
 
 
 @pytest.mark.parametrize("user", ["a\rb", "a\nb", "a\r\nb", 'a"b', "a,b"])

@@ -1,12 +1,15 @@
 """The package's public names: every export resolves, once; the CSV
 format is decided in one module; numpy is the only import from outside
-the standard library; and the test oracles use only public names."""
+the standard library; and the test oracles use only public names, and no
+function of the ingest module."""
 
 import ast
+import inspect
 import sys
 from pathlib import Path
 
 import cityattract
+from cityattract import events
 
 
 def test_every_export_resolves():
@@ -54,5 +57,19 @@ def test_oracles_import_no_private_name_from_the_package():
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "cityattract"
         for alias in node.names
         if alias.name.startswith("_")
+    ]
+    assert found == []
+
+
+def test_oracles_import_no_function_from_the_ingest_module():
+    # the row-by-row ingest reference must decide rows with its own rules:
+    # it may share the package's types and constants, not its functions
+    path = Path(__file__).with_name("oracles.py")
+    found = [
+        f"{node.lineno} {alias.name}"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module == "cityattract.events"
+        for alias in node.names
+        if inspect.isfunction(getattr(events, alias.name, None))
     ]
     assert found == []

@@ -78,6 +78,26 @@ def test_cli_commands_write_the_pipeline_bytes(world, tmp_path):
         assert (out / name).read_bytes() == (tmp_path / "run" / name).read_bytes(), name
 
 
+def test_outputs_do_not_depend_on_the_order_of_declared_origins(world, tmp_path):
+    # the busiest foreign visitor (synth names them f...) declares the
+    # target country once and another country once; whichever row comes
+    # first, the tie goes to the smaller code, so the user counts as resident
+    lines = (world / f"events__{TAG}.csv").read_text().splitlines()
+    header, rows = lines[0], [line.split(",") for line in lines[1:]]
+    user = max({r[0] for r in rows if r[0].startswith("f")}, key=lambda u: (sum(r[0] == u for r in rows), u))
+    mine = [i for i, r in enumerate(rows) if r[0] == user]
+    rows[mine[0]][4], rows[mine[-1]][4] = "FR", "ES"
+    outputs = []
+    for name, order in (("forward", rows), ("reversed", rows[::-1])):
+        source = tmp_path / f"{name}.csv"
+        source.write_text("\n".join([header, *(",".join(r) for r in order)]) + "\n")
+        config = {**_config(world, tmp_path / name), "event_sources": [{"path": str(source), "format": "csv", "dataset_tag": TAG}]}
+        (tmp_path / f"{name}.json").write_text(json.dumps(config))
+        _quiet(["pipeline", "--config", str(tmp_path / f"{name}.json")])
+        outputs.append({p.name: p.read_bytes() for p in (tmp_path / name).iterdir() if p.name != "run_manifest.json"})
+    assert outputs[0] == outputs[1]
+
+
 def test_failed_publish_leaves_no_manifest(world, tmp_path, monkeypatch):
     out_dir = tmp_path / "run"
     _run_pipeline(world, out_dir)

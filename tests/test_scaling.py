@@ -2,10 +2,12 @@
 
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cityattract.geo import assign_events
 from cityattract.rng import CounterRng
@@ -291,8 +293,9 @@ def test_log_bin_degenerate_single_population():
 
 def test_log_bin_rejects_bad_k():
     table = table_from([(1e4, 0.5), (1e5, 0.5)])
-    with pytest.raises(StatsError):
-        log_bin(table, k=0)
+    for k in (0, sys.maxsize + 1):
+        with pytest.raises(StatsError):
+            log_bin(table, k=k)
 
 
 def test_log_bin_partitions_all_rows():
@@ -305,6 +308,33 @@ def test_log_bin_partitions_all_rows():
         centers = [b.p_center for b in trend.bins]
         assert centers == sorted(centers)
         assert all(b.member_count >= 1 for b in trend.bins)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.floats(min_value=1.0, max_value=1e9), min_size=1, max_size=40),
+    st.integers(min_value=1, max_value=60),
+)
+@example([1.8235754721991744, 16607.051468203645], 5)  # lo + (hi - lo) * k / k > hi
+def test_log_bin_matches_materialized_edges(populations, k):
+    table = table_from([(p, 0.01 * (i + 1)) for i, p in enumerate(populations)])
+    assert log_bin(table, k=k) == oracles.log_bin(table, k=k)
+
+
+def test_log_bin_huge_k_costs_no_memory():
+    # edges are computed on demand: k = 10**12 must not build 10**12 of them
+    table = table_from([(10.0 ** (2 + 0.5 * i), 0.1) for i in range(9)])
+    tracemalloc.start()
+    try:
+        trend = log_bin(table, k=10**12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert trend.k == 10**12
+    assert [b.member_count for b in trend.bins] == [1] * 9
+    for b in trend.bins:
+        assert abs(b.p_center / b.p_members - 1) < 1e-6
 
 
 def test_binned_fit_equals_raw_on_exact_data():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cityattract.cli import main
-from cityattract.events import events_to_csv, parse_events
+from cityattract.events import parse_events
 from cityattract.geo import assign_events, load_layer, region_contains_bulk
 from cityattract.output import dumps_stable
 from cityattract.scaling import fit_power_law
@@ -28,7 +28,7 @@ from cityattract.synthetic import (
     weight_matrix,
 )
 
-from conftest import table_of
+from conftest import events_csv, region_counts, table_of
 from oracles import point_in_region, records
 
 
@@ -142,11 +142,7 @@ def test_event_counts_match_truth_exactly():
     assignment = assign_events(
         table_of(e for e in records(bundle.events) if not e.user_id.startswith("d")), bundle.city_layer
     )
-    foreign_city = {
-        rid: count
-        for rid, count in assignment.counts().items()
-    }
-    assert foreign_city == {
+    assert region_counts(assignment) == {
         rid: n
         for rid, n in zip(truth["region_ids"], truth["annual_foreign_events"])
         if n
@@ -160,8 +156,7 @@ def test_event_counts_match_truth_exactly():
 def test_events_land_inside_their_regions():
     spec = events_per_unit_for_total(base_spec(n_regions=5), 2_000)
     bundle = generate_events(spec)
-    by_id = bundle.city_layer.by_id()
-    country_by_id = bundle.country_layer.by_id()
+    country_by_id = {r.id: r for r in bundle.country_layer.regions}
     for e in records(bundle.events):
         if e.user_id.startswith("d"):
             continue
@@ -176,7 +171,7 @@ def test_events_land_inside_their_regions():
                 if point_in_region(e.lat, e.lon, region)
             ]
             assert len(hits) == 1 and hits[0] != spec.target_country
-    assert set(by_id) == set(bundle.truth["region_ids"])
+    assert {r.id for r in bundle.city_layer.regions} == set(bundle.truth["region_ids"])
 
 
 def test_two_region_weight_ratio():
@@ -218,7 +213,7 @@ def test_same_seed_same_events():
     spec = events_per_unit_for_total(base_spec(n_regions=4), 1_500)
     a = generate_events(spec)
     b = generate_events(spec)
-    assert events_to_csv(a.events) == events_to_csv(b.events)  # EventTable compares by identity
+    assert events_csv(a.events) == events_csv(b.events)  # EventTable compares by identity
     assert a.truth == b.truth
 
 
@@ -308,7 +303,7 @@ def test_column_generator_matches_scalar_oracle(
     )
     bundle = generate_events(spec, year=year, dataset_tag="prop")
     want, truth = oracles.generate_events(spec, year=year, dataset_tag="prop")
-    assert events_to_csv(bundle.events) == events_to_csv(table_of(want))
+    assert events_csv(bundle.events) == events_csv(table_of(want))
     assert dumps_stable(bundle.truth) == dumps_stable(truth)
 
 
@@ -329,6 +324,6 @@ def test_municipality_scale_world_ingests_every_event(tmp_path):
     for country in countries.regions:
         inside = region_contains_bulk(country, corners[:, 0], corners[:, 1])
         assert inside.all() if country.id == "ES" else not inside.any()
-    counts = assign_events(events, cities).counts()
+    counts = region_counts(assign_events(events, cities))
     expected = zip(truth["region_ids"], truth["annual_foreign_events"], truth["resident_events_by_region"])
     assert counts == {rid: f + d for rid, f, d in expected if f + d}
