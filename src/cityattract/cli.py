@@ -320,6 +320,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, flag in (("min_events", "--min-events"), ("k", "-k")):  # as a config's min_events, bins
+            if getattr(args, dest, 1) < 1:
+                raise PipelineError("input-error", f"{flag} must be >= 1, got {getattr(args, dest)}")
         return args.func(args)
     except PipelineError as exc:
         print(f"error [{exc.stage}]: {exc}", file=sys.stderr)

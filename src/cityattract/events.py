@@ -43,8 +43,9 @@ objects, is read line by line with that scanner, one dict per line.
 Timestamps have one grammar, decoded a column at a time: ``_stamp_column``
 rewrites the shorter and longer accepted forms to the canonical
 YYYY-MM-DDTHH:MM:SSZ, and ``_decode_stamps`` checks the digits,
-separators and calendar of every value in that form together.  The byte
-paths decode canonical stamps where they lie and flag the others.
+separators and calendar of every value in that form together, with
+numpy's datetime64 as the calendar.  The byte paths decode canonical
+stamps where they lie and flag the others.  The table keeps epoch seconds.
 """
 
 from __future__ import annotations
@@ -72,8 +73,6 @@ BLOCK_BYTES = 1 << 19  # input bytes read at a time; a CSV block of plain lines 
 
 CODE = np.int32  # dtype of the string-field codes
 
-_DAY = 86400
-
 # the canonical YYYY-MM-DDTHH:MM:SSZ form: digit and separator positions
 _STAMP_WIDTH = 20
 _STAMP_DIGITS = np.array([0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18])
@@ -98,14 +97,12 @@ class EventTable:
     sorted with Python's string order: ``user`` indexes ``user_ids``,
     ``tag`` indexes ``tag_ids``, and ``origin`` indexes ``origin_ids``,
     with -1 where the event declares no origin.  ``seconds`` is the epoch
-    second of each timestamp and ``month`` its UTC calendar month (1-12).
-    The columns are read-only.
+    second of each timestamp.  The columns are read-only.
     """
 
     user: np.ndarray
     user_ids: tuple[str, ...]
     seconds: np.ndarray
-    month: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
     origin: np.ndarray
@@ -120,9 +117,7 @@ class EventTable:
     def from_columns(cls, users, seconds, lat, lon, origins, tags) -> "EventTable":
         """A table of events given as columns of equal length: user ids,
         epoch seconds, coordinates, declared origins (None for none) and
-        dataset tags, the string columns as sequences of str.  They are
-        appended CHUNK_ROWS rows at a time, as ingest appends them, which
-        bounds the memory of the month computation."""
+        dataset tags, the string columns as sequences of str."""
         columns = (
             list(users),
             np.asarray(seconds, dtype=np.int64),
@@ -134,8 +129,7 @@ class EventTable:
         if len(set(map(len, columns))) > 1:
             raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
         accumulator = _TableAccumulator()
-        for start in range(0, len(columns[0]), CHUNK_ROWS):
-            accumulator.append(*(column[start : start + CHUNK_ROWS] for column in columns))
+        accumulator.append(*columns)
         return accumulator.table()
 
 
@@ -169,46 +163,8 @@ class IngestReport:
 # ---------------------------------------------------------------------------
 # timestamps
 #
-# The calendar helpers below use only integer arithmetic and elementwise
-# operators on int64 arrays: the decoder checks and converts with the
-# first two, and ``_format_seconds`` writes the canonical form with the third.
-
-def _valid_instant(year, month, day, hour, minute, second):
-    """Whether the fields name a real UTC instant in years 1-9999."""
-    leap = (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
-    february = month == 2
-    # 31 days in odd months up to July and even ones from August, else 30
-    month_days = 30 + (month + (month >= 8)) % 2 - 2 * february + (february & leap)
-    return (
-        (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= month_days)
-        & (hour <= 23) & (minute <= 59) & (second <= 59)
-    )
-
-
-def _epoch_seconds(year, month, day, hour, minute, second):
-    """Epoch seconds of a proleptic-Gregorian UTC instant (H. Hinnant's
-    days_from_civil)."""
-    y = year - (month <= 2)
-    era = y // 400
-    yoe = y - era * 400
-    doy = (153 * ((month + 9) % 12) + 2) // 5 + day - 1
-    doe = yoe * 365 + yoe // 4 - yoe // 100 + doy
-    days = era * 146097 + doe - 719468
-    return days * _DAY + hour * 3600 + minute * 60 + second
-
-
-def _civil_from_days(days: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Year, month and day of epoch day numbers (inverse of the above)."""
-    z = days + 719468
-    era = z // 146097
-    doe = z - era * 146097
-    yoe = (doe - doe // 1460 + doe // 36524 - doe // 146096) // 365
-    doy = doe - (365 * yoe + yoe // 4 - yoe // 100)
-    mp = (5 * doy + 2) // 153
-    day = doy - (153 * mp + 2) // 5 + 1
-    month = np.where(mp < 10, mp + 3, mp - 9)
-    return yoe + era * 400 + (month <= 2), month, day
-
+# numpy's datetime64 is the one calendar: the decoder takes each month's
+# first day and length from it, and ``events_csv_blocks`` formats with it.
 
 def _stamp_column(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Epoch seconds of timestamp strings, and the mask of valid ones.
@@ -257,30 +213,21 @@ def _decode_stamps(fixed: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.n
     """
     digits = raw[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
     d = [digits[:, k] * 10 + digits[:, k + 1] for k in range(0, 14, 2)]
-    fields = (d[0] * 100 + d[1], d[2], d[3], d[4], d[5], d[6])
+    year, month, day, hour, minute, second = d[0] * 100 + d[1], *d[2:]
+    # the first day of the month and of the next, as epoch day numbers
+    months = ((year - 1970) * 12 + month - 1)[:, None] + np.arange(2)
+    first, after = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64).T
     good = (
         ((digits >= 0) & (digits <= 9)).all(axis=1)
         & (raw[:, _STAMP_SEPARATORS] == _STAMP_SEPARATOR_CODES).all(axis=1)
-        & _valid_instant(*fields)
+        & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= after - first)
+        & (hour <= 23) & (minute <= 59) & (second <= 59)
     )
     seconds = np.zeros(len(fixed), dtype=np.int64)
-    seconds[fixed] = _epoch_seconds(*fields)
+    seconds[fixed] = (first + day - 1) * 86400 + hour * 3600 + minute * 60 + second
     ok = np.zeros(len(fixed), dtype=bool)
     ok[fixed] = good
     return seconds, ok
-
-
-def _format_seconds(seconds: np.ndarray) -> list[str]:
-    """Epoch seconds as canonical YYYY-MM-DDTHH:MM:SSZ strings."""
-    days, secs = np.divmod(np.asarray(seconds, dtype=np.int64), _DAY)
-    year, month, day = _civil_from_days(days)
-    numbers = (year // 100, year % 100, month, day, secs // 3600, secs // 60 % 60, secs % 60)
-    chars = np.empty((len(days), _STAMP_WIDTH), dtype=np.uint8)
-    for k, number in enumerate(numbers):
-        chars[:, _STAMP_DIGITS[2 * k]] = number // 10 + ord("0")
-        chars[:, _STAMP_DIGITS[2 * k + 1]] = number % 10 + ord("0")
-    chars[:, _STAMP_SEPARATORS] = _STAMP_SEPARATOR_CODES
-    return chars.view(f"S{_STAMP_WIDTH}").ravel().astype(str).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +326,7 @@ class _TableAccumulator:
     def __init__(self) -> None:
         self.codes: tuple[dict, dict, dict] = ({}, {None: -1}, {})  # user, origin, tag
         self.strings: tuple[list, list, list] = ([], [], [])  # parts of the user, origin, tag columns
-        self.numbers: tuple[list, list, list, list] = ([], [], [], [])  # seconds, month, lat, lon
+        self.numbers: tuple[list, list, list] = ([], [], [])  # seconds, lat, lon
 
     @staticmethod
     def _encode(values: list | np.ndarray, codes: dict) -> np.ndarray:
@@ -391,18 +338,17 @@ class _TableAccumulator:
     def append(self, users, seconds, lat, lon, origins, tags) -> None:
         for parts, values, codes in zip(self.strings, (users, origins, tags), self.codes):
             parts.append(self._encode(values, codes))
-        month = _civil_from_days(seconds // _DAY)[1].astype(np.int8)
-        for parts, values in zip(self.numbers, (seconds, month, lat, lon)):
+        for parts, values in zip(self.numbers, (seconds, lat, lon)):
             parts.append(values)
 
     def table(self) -> EventTable:
         """The rows appended so far; each column's parts are released as
         soon as they are joined, which bounds the peak memory."""
         (user_ids, user), (origin_ids, origin), (tag_ids, tag) = map(_sorted_codes, self.strings, self.codes)
-        seconds, month, lat, lon = map(_joined, self.numbers, (np.int64, np.int8, np.float64, np.float64))
-        for column in (user, seconds, month, lat, lon, origin, tag):
+        seconds, lat, lon = map(_joined, self.numbers, (np.int64, np.float64, np.float64))
+        for column in (user, seconds, lat, lon, origin, tag):
             column.setflags(write=False)
-        return EventTable(user, user_ids, seconds, month, lat, lon, origin, origin_ids, tag, tag_ids)
+        return EventTable(user, user_ids, seconds, lat, lon, origin, origin_ids, tag, tag_ids)
 
 
 def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
@@ -1044,7 +990,7 @@ def events_csv_blocks(table: EventTable) -> Iterator[str]:
         len(table),
         (
             coded_column(table.user_ids, table.user),
-            lambda start, stop: _format_seconds(table.seconds[start:stop]),
+            lambda start, stop: np.datetime_as_string(table.seconds[start:stop].view("datetime64[s]"), timezone="UTC").tolist(),
             lambda start, stop: map(repr, table.lat[start:stop].tolist()),
             lambda start, stop: map(repr, table.lon[start:stop].tolist()),
             coded_column(table.origin_ids, table.origin),

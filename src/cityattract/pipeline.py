@@ -15,8 +15,9 @@ All files are written into a temporary staging directory and moved into
 output_dir only when the whole run succeeds.  Any old manifest is removed
 before the first file moves and the new one moves last, so a
 run_manifest.json in output_dir means every file it lists was published.
-Every file is deterministic: reruns with the same inputs are
-byte-identical, and wall-clock timestamps appear only in the manifest.
+Then the files that only the old manifest listed are removed.  Every
+file is deterministic: reruns with the same inputs are byte-identical,
+and wall-clock timestamps appear only in the manifest.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import os
 import re
 import shutil
 import tempfile
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -161,8 +162,8 @@ def validate_config(config: PipelineConfig) -> None:
     if config.min_events < 1:
         raise PipelineError("input-error", f"min_events must be >= 1, got {config.min_events}")
     tags = [s.dataset_tag for s in config.event_sources]
-    if len(set(tags)) != len(tags):
-        raise PipelineError("input-error", f"dataset tags must be unique, got {tags}")
+    if len(set(map(slug, tags))) != len(tags):
+        raise PipelineError("input-error", f"dataset tags must be distinct as file names, got {tags}")
     for s in config.event_sources:
         if s.format not in VALID_FORMATS:
             raise PipelineError(
@@ -375,6 +376,7 @@ def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
     files are added to output_dir.
     """
     started = datetime.now(timezone.utc)
+    validate_config(config)
     paths = [s.path for s in config.event_sources] + [config.country_layer_path, *config.city_layer_paths]
     require_files(paths)
     country_layer = read_layer(config.country_layer_path)
@@ -429,12 +431,25 @@ def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
         write_text(tmp / MANIFEST, dumps_stable(manifest))
 
         out_dir.mkdir(exist_ok=True)
+        stale = _listed_outputs(out_dir / MANIFEST).difference(outputs)
         (out_dir / MANIFEST).unlink(missing_ok=True)
         for name in [*outputs, MANIFEST]:
             os.replace(tmp / name, out_dir / name)
+        for name in stale:  # the new manifest already lists this run's files
+            with suppress(OSError):
+                (out_dir / name).unlink()
         return manifest
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
+
+
+def _listed_outputs(manifest: Path) -> set[str]:
+    """The bare file names an old manifest lists as outputs; none if it is absent or unreadable."""
+    try:
+        names = json.loads(manifest.read_text(encoding="utf-8"))["outputs"].keys()
+    except (OSError, ValueError, RecursionError, LookupError, TypeError, AttributeError):
+        return set()
+    return {n for n in names if n not in ("", ".", "..", MANIFEST) and not set(n) & set("/\\\0")}
 
 
 def write_correlations(

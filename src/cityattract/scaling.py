@@ -154,7 +154,8 @@ def foreign_counts(
     n = len(layer.regions)
     row_of = np.array([position.get(rid, n) for rid in assignment.regions], dtype=np.int64)
     counted = foreign[events.user] & (assignment.index >= 0)
-    cells = row_of[assignment.index[counted]] * 12 + (events.month[counted] - 1)
+    month = events.seconds[counted].view("datetime64[s]").astype("datetime64[M]").astype(np.int64) % 12
+    cells = row_of[assignment.index[counted]] * 12 + month
     by_month = np.bincount(cells, minlength=(n + 1) * 12).reshape(n + 1, 12)
     return ForeignCounts(layer, target_country, dataset_tag, by_month)
 

@@ -443,3 +443,25 @@ def test_synth_overflowing_number_exits_2(tmp_path, capsys, option):
     assert code == 2
     assert capsys.readouterr().err.startswith("error [input-error]: parameters out of range: ")
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+@pytest.mark.parametrize("command", ["infer-home", "attractiveness", "temporal", "bin"])
+def test_counts_below_one_exit_2(world, tmp_path, capsys, command, value):
+    # a config rejects min_events and bins below 1 as input errors; so does
+    # the CLI, before it reads any input
+    table = tmp_path / "table.csv"
+    table.write_text("region_id,population,events,share\nr1,1000,1,0.5\nr2,2000,1,0.5\n")
+    events = ["--events", str(world / "events__demo.csv"), "--countries", str(world / "countries__demo.geojson"),
+              "--tag", "demo"]
+    layer = ["--layer", str(world / "cities__demo.geojson")]
+    argv, option = {
+        "infer-home": (events, "--min-events"),
+        "attractiveness": ([*events, *layer], "--min-events"),
+        "temporal": ([*events, *layer], "--min-events"),
+        "bin": (["--table", str(table), "--dataset", "d", "--layer", "l"], "-k"),
+    }[command]
+    code = main([command, *argv, "--out", str(tmp_path / "out"), option, value])
+    assert code == 2
+    assert capsys.readouterr().err == f"error [input-error]: {option} must be >= 1, got {value}\n"
+    assert not (tmp_path / "out").exists()

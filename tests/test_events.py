@@ -234,7 +234,6 @@ def test_timestamp_column_path_matches_oracle(dt):
     table, report = parse_events(csv_stream(f"u1,{stamp},0,0,,t"))
     assert report.accepted == 1
     assert oracles.records(table)[0].timestamp == expected
-    assert table.month[0] == expected.month
     assert events_csv(table).splitlines()[1].split(",")[1] == stamp
 
 
@@ -890,7 +889,7 @@ def test_table_columns_are_read_only(build):
     table, _ = parse_events(csv_stream("u1,2012-06-01T12:00:00Z,40.4,-3.7,ES,t"))
     if build == "from_columns":
         table = table_of(oracles.records(table))
-    for name in ("user", "seconds", "month", "lat", "lon", "origin", "tag"):
+    for name in ("user", "seconds", "lat", "lon", "origin", "tag"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(table, name)[0] = 0
 

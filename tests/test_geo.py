@@ -442,7 +442,7 @@ def _assign_work_bytes(n: int) -> int:
     rng = np.random.default_rng(1)
     lat, lon = rng.uniform(0.0, 20.0, n), rng.uniform(0.0, 20.0, n)
     codes = np.zeros(n, dtype=np.int32)
-    table = EventTable(codes, ("u",), np.zeros(n, np.int64), np.ones(n, np.int8), lat, lon, codes - 1, (), codes, ("t",))
+    table = EventTable(codes, ("u",), np.zeros(n, np.int64), lat, lon, codes - 1, (), codes, ("t",))
     assign_events(table_of([ev()]), layer)  # builds the regions' cached ring arrays
     tracemalloc.start()
     try:

@@ -64,7 +64,6 @@ def _events(users, origins, tags, n, seed) -> EventTable:
         user=rng.integers(0, len(users), n).astype(np.int32),
         user_ids=users,
         seconds=rng.integers(0, 2**33, n),
-        month=np.ones(n, dtype=np.int8),
         lat=rng.uniform(-90.0, 90.0, n),
         lon=rng.uniform(-180.0, 180.0, n),
         origin=rng.integers(-1, len(origins), n).astype(np.int32),

@@ -415,3 +415,74 @@ def test_integral_config_counts_are_taken(world, tmp_path):
     loaded = pipeline.load_config(config)
     assert (loaded.bins, loaded.min_events) == (3, 2)
     assert type(loaded.bins) is int
+
+
+def _tagged_config(world, out_dir, *tags):
+    """The world's config with one event source per tag, all reading the
+    same events file."""
+    source = {"path": str(world / f"events__{TAG}.csv"), "format": "csv"}
+    return dict(_config(world, out_dir), event_sources=[dict(source, dataset_tag=t) for t in tags])
+
+
+def test_dataset_tags_naming_one_file_exit_2(world, tmp_path, capsys):
+    # "a b" and "a-b" both slug to a-b, so their outputs would overwrite
+    # each other and correlate the dataset with itself
+    raw = _tagged_config(world, tmp_path / "out", "a b", "a-b")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(raw))
+    assert main(["pipeline", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error [input-error]: dataset tags must be distinct as file names")
+    assert not (tmp_path / "out").exists()
+    # run_pipeline checks a config built in code as load_config does
+    direct = pipeline.PipelineConfig(
+        event_sources=tuple(pipeline.EventSource(s["path"], s["format"], s["dataset_tag"]) for s in raw["event_sources"]),
+        country_layer_path=raw["country_layer_path"],
+        city_layer_paths=tuple(raw["city_layer_paths"]),
+        output_dir=raw["output_dir"],
+    )
+    with pytest.raises(pipeline.PipelineError, match="distinct as file names") as exc:
+        pipeline.run_pipeline(direct)
+    assert exc.value.stage == "input-error"
+    assert not (tmp_path / "out").exists()
+
+
+def _run_tags(world, out_dir, *tags):
+    config = out_dir.parent / f"{out_dir.name}-{'-'.join(tags)}.json"
+    config.write_text(json.dumps(_tagged_config(world, out_dir, *tags)))
+    _quiet(["pipeline", "--config", str(config)])
+    return json.loads((out_dir / pipeline.MANIFEST).read_text())
+
+
+def test_rerun_removes_the_outputs_only_the_old_manifest_lists(world, tmp_path):
+    out_dir = tmp_path / "run"
+    first = _run_tags(world, out_dir, "a", "c")
+    (out_dir / "notes.txt").write_text("mine")
+    second = _run_tags(world, out_dir, "b", "c")
+    assert any("__a" in name for name in first["outputs"])
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*second["outputs"], pipeline.MANIFEST, "notes.txt"])
+
+
+def test_old_manifest_entries_that_are_not_bare_file_names_stay(world, tmp_path):
+    out_dir = tmp_path / "run"
+    (out_dir / "sub").mkdir(parents=True)
+    for path in (tmp_path / "outside.txt", out_dir / "sub" / "x.txt", out_dir / "gone.txt", out_dir / "kept.txt"):
+        path.write_text("x")
+    listed = ["../outside.txt", "sub/x.txt", "sub", "..", ".", "", "a\x00b", pipeline.MANIFEST, "gone.txt"]
+    (out_dir / pipeline.MANIFEST).write_text(json.dumps({"outputs": dict.fromkeys(listed, "")}))
+    manifest = _run_tags(world, out_dir, "a")
+    assert not (out_dir / "gone.txt").exists()
+    assert (tmp_path / "outside.txt").is_file() and (out_dir / "sub" / "x.txt").is_file()
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*manifest["outputs"], pipeline.MANIFEST, "kept.txt", "sub"])
+
+
+@pytest.mark.parametrize(
+    "old", ["{not json", '["a.csv"]', '{"outputs": "gone.txt"}', '{"outputs": ["gone.txt"]}', "", '{"outputs": ' * 100_000]
+)
+def test_unreadable_old_manifest_removes_nothing(world, tmp_path, old):
+    out_dir = tmp_path / "run"
+    out_dir.mkdir()
+    (out_dir / "gone.txt").write_text("x")
+    (out_dir / pipeline.MANIFEST).write_text(old)
+    manifest = _run_tags(world, out_dir, "a")
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted([*manifest["outputs"], pipeline.MANIFEST, "gone.txt"])

@@ -1,10 +1,13 @@
 """Power-law fitting, binning, residuals, correlations vs oracles."""
 
+import calendar
 import math
 import random
 import sys
 import tracemalloc
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 import scipy.stats
 from hypothesis import example, given, settings, strategies as st
@@ -37,7 +40,7 @@ from cityattract.temporal import window_exponents, window_months
 
 import oracles
 from conftest import counts_of, ev, layer_of, square_feature, table_of
-from oracles import fit_binned, ols_grid_search, pearson_direct
+from oracles import EventRecord, fit_binned, ols_grid_search, pearson_direct
 
 
 def table_from(pairs, tag="syn", total=None) -> AttractivenessTable:
@@ -155,19 +158,36 @@ def test_assignment_length_must_match_events():
         counts_of([ev(user="a")], {"a": "FR"}, layer, region_ids=["X", "X"])
 
 
+def _month_edges(year: int, month: int) -> list[datetime]:
+    """The first and the last second of a calendar month."""
+    first = datetime(year, month, 1)
+    return [first, first + timedelta(days=calendar.monthrange(year, month)[1], seconds=-1)]
+
+
+# month boundaries, before and after the epoch, and the end of February
+# in 2000 (a leap year) and in 1899-1901 (none is)
+MONTH_EDGES = [
+    *(t for y, m in ((1, 1), (1899, 2), (1900, 2), (1901, 2), (1969, 12), (1970, 1), (2000, 2), (2012, 12), (9999, 12))
+      for t in _month_edges(y, m)),
+    datetime(2000, 2, 29, 12),
+]
+INSTANTS = st.one_of(
+    st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+    st.sampled_from(MONTH_EDGES),
+)
+LONS = [0.5, 2.5, 4.5, 6.5, 9.0]  # A, B, C, no-population D, outside
 COUNT_EVENTS = st.lists(
-    st.tuples(
-        st.sampled_from(["f1", "f2", "d1", "und", "f\x00"]),
-        st.integers(min_value=1, max_value=12),
-        st.sampled_from([0.5, 2.5, 4.5, 6.5, 9.0]),  # lon: A, B, C, no-population D, outside
-    ),
+    st.tuples(st.sampled_from(["f1", "f2", "d1", "und", "f\x00"]), INSTANTS, st.sampled_from(LONS)),
     max_size=80,
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(COUNT_EVENTS)
+@example([("f1", t, LONS[i % 3]) for i, t in enumerate(MONTH_EDGES)])
 def test_count_matrix_matches_event_filter_reference(raw):
+    # the month of each counted event is taken from its epoch seconds where
+    # the events are counted, so the instants span the accepted years
     layer = layer_of(
         square_feature("A", 0, 0, 1, population=10_000),
         square_feature("B", 0, 2, 1, population=100_000),
@@ -175,9 +195,15 @@ def test_count_matrix_matches_event_filter_reference(raw):
         square_feature("D", 0, 6, 1),
     )
     origins = {"f1": "FR", "f2": "DE", "d1": "ES", "und": "UNDETERMINED", "f\x00": "GB"}
-    events = [ev(user=u, ts=f"2012-{m:02d}-15T12:00:00Z", lat=0.5, lon=lon) for u, m, lon in raw]
+    events = [EventRecord(u, t.replace(microsecond=0, tzinfo=timezone.utc), 0.5, lon, None, "t") for u, t, lon in raw]
     region_ids = assign_events(table_of(events), layer).region_ids
     counts = counts_of(events, origins, layer, region_ids=region_ids, dataset_tag="d")
+    by_month = np.zeros((len(layer.regions) + 1, 12), dtype=np.int64)
+    rows = {r.id: i for i, r in enumerate(layer.regions)}
+    for event, rid in zip(events, region_ids):
+        if rid is not None and origins[event.user_id] not in ("ES", "UNDETERMINED"):
+            by_month[rows[rid], event.timestamp.month - 1] += 1
+    assert counts.by_month.tolist() == by_month.tolist()
 
     def outcome(make):
         try:
