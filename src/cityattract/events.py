@@ -20,7 +20,8 @@ one batch per block.
 A CSV block holding no quote, carriage return or NUL, no line longer
 than csv's field size limit, exactly the header's number of commas on
 every line and only UTF-8 is checked as one byte buffer, with no Python
-string per line: numpy finds the field bounds, and user and tag fields
+string per line: numpy finds the field bounds, plain decimal coordinates
+are decoded from 8-byte words (``_decimals``), and user and tag fields
 stay fixed-width ``S`` arrays until the table codes them with one sort.
 That suits short ids and tags; a block's column with a field wider than
 64 bytes is read as Python strings instead, so memory stays proportional
@@ -317,16 +318,26 @@ def _origin_column(values: list) -> tuple[list, np.ndarray]:
     return values, ok
 
 
+_FIRST_CAPACITY = 1 << 16  # rows of a numeric column's first buffer
+
+
 class _TableAccumulator:
     """Accumulates validated chunks.  A string column arrives either as a
     list, whose values get provisional codes, one per distinct value, or
     as a UTF-8 ``S`` array from the byte path, with ``b""`` for a missing
-    value.  ``table`` codes both to sorted order."""
+    value.  ``table`` codes both to sorted order.
+
+    Each numeric column is filled in place: one buffer per column, from
+    _FIRST_CAPACITY rows on, grows by doubling and is trimmed once by
+    ``table``.  Joining per-chunk parts instead would leave the parts'
+    freed memory as holes under the joined columns, which the allocator
+    keeps resident."""
 
     def __init__(self) -> None:
         self.codes: tuple[dict, dict, dict] = ({}, {None: -1}, {})  # user, origin, tag
         self.strings: tuple[list, list, list] = ([], [], [])  # parts of the user, origin, tag columns
-        self.numbers: tuple[list, list, list] = ([], [], [])  # seconds, lat, lon
+        self.numbers = (np.empty(0, np.int64), np.empty(0, np.float64), np.empty(0, np.float64))  # seconds, lat, lon
+        self.rows = 0  # the filled length of each numeric buffer
 
     @staticmethod
     def _encode(values: list | np.ndarray, codes: dict) -> np.ndarray:
@@ -338,14 +349,25 @@ class _TableAccumulator:
     def append(self, users, seconds, lat, lon, origins, tags) -> None:
         for parts, values, codes in zip(self.strings, (users, origins, tags), self.codes):
             parts.append(self._encode(values, codes))
-        for parts, values in zip(self.numbers, (seconds, lat, lon)):
-            parts.append(values)
+        rows = self.rows + len(seconds)
+        capacity = len(self.numbers[0])
+        if rows > capacity:
+            capacity = max(capacity, _FIRST_CAPACITY)
+            while capacity < rows:
+                capacity *= 2
+            for column in self.numbers:  # realloc: no second copy while the buffer grows
+                column.resize(capacity, refcheck=False)
+        for column, values in zip(self.numbers, (seconds, lat, lon)):
+            column[self.rows : rows] = values
+        self.rows = rows
 
     def table(self) -> EventTable:
-        """The rows appended so far; each column's parts are released as
-        soon as they are joined, which bounds the peak memory."""
+        """The rows appended so far; each string column's parts are released
+        as soon as they are coded, which bounds the peak memory."""
         (user_ids, user), (origin_ids, origin), (tag_ids, tag) = map(_sorted_codes, self.strings, self.codes)
-        seconds, lat, lon = map(_joined, self.numbers, (np.int64, np.float64, np.float64))
+        for column in self.numbers:
+            column.resize(self.rows, refcheck=False)
+        seconds, lat, lon = self.numbers
         for column in (user, seconds, lat, lon, origin, tag):
             column.setflags(write=False)
         return EventTable(user, user_ids, seconds, lat, lon, origin, origin_ids, tag, tag_ids)
@@ -394,13 +416,23 @@ def _byte_codes(parts: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
     """The distinct values of UTF-8 ``S`` arrays, decoded, in sorted order,
     and each value's rank among them, -1 for ``b""``; empties ``parts``.
 
-    One stable argsort orders the values; UTF-8 byte order is the code
-    point order that Python sorts strings by.  The values hold no NUL,
-    which ``S`` arrays would drop from their ends.  Neighbours in that
-    order are compared, and distinct values decoded, CHUNK_ROWS at a time,
-    so no sorted copy of the values is held.
+    UTF-8 byte order is the code point order that Python sorts strings
+    by, and the values hold no NUL, which ``S`` arrays would drop from
+    their ends.  Values at most two bytes wide are ranked through a table
+    of every big-endian 16-bit key, whose order is their byte order.  For
+    wider values one stable argsort orders them; neighbours in that order
+    are compared, and distinct values decoded, CHUNK_ROWS at a time, so no
+    sorted copy of the values is held.
     """
     values = _joined(parts, "S1")
+    if values.itemsize <= 2:
+        keys = values.astype("S2", copy=False).view(">u2")
+        present = np.zeros(1 << 16, dtype=bool)
+        present[keys] = True
+        present[0] = False  # b""
+        rank = np.cumsum(present, dtype=CODE)
+        rank -= 1
+        return [v.decode() for v in np.flatnonzero(present).astype(">u2").view("S2").tolist()], rank[keys]
     order = np.argsort(values, kind="stable")
     first = np.ones(len(values), dtype=bool)
     for start in range(1, len(values), CHUNK_ROWS):
@@ -629,7 +661,7 @@ def _byte_columns(data: bytes, padded: np.ndarray, start: np.ndarray, length: np
     fixed = length[:, 1] == _STAMP_WIDTH
     seconds, ok = _decode_stamps(fixed, sliding_window_view(padded, _STAMP_WIDTH)[start[fixed, 1]])
     flagged |= ~ok
-    lat, lon = (_byte_floats(data, padded, start[:, k], length[:, k]) for k in (2, 3))
+    lat, lon = _byte_floats(data, padded, start[:, 2:4].ravel(), length[:, 2:4].ravel()).reshape(-1, 2).T
     flagged |= ~((lat >= -90.0) & (lat <= 90.0) & (lon >= -180.0) & (lon <= 180.0))  # NaN included
     pair = np.stack((padded[start[:, 4]], padded[start[:, 4] + 1]), axis=1)
     two = length[:, 4] == 2
@@ -657,21 +689,113 @@ def _byte_floats(data: bytes, padded: np.ndarray, start: np.ndarray, length: np.
     """``float`` of each field ``data[start:start + length]``, NaN where
     the field is empty or ``float`` raises.
 
-    numpy's cast parses each value as Python's ``float`` does, and raises
-    ValueError for the whole array at the first value it cannot parse,
-    non-ASCII ones included; the values are then parsed one by one.
+    ``_decimals`` decodes the plain decimals that make up nearly every
+    coordinate.  The other fields go to numpy's cast, which parses each
+    value as Python's ``float`` does, and raises ValueError for the whole
+    array at the first value it cannot parse, non-ASCII ones included;
+    the values are then parsed one by one.
     """
     floats = np.full(len(start), math.nan)
-    some = length > 0
-    values = _field_bytes(data, padded, start[some], length[some])
+    decoded, values = _decimals(padded, start, length)
+    floats[decoded] = values
+    rest = ~decoded & (length > 0)
+    if not rest.any():
+        return floats
+    values = _field_bytes(data, padded, start[rest], length[rest])
     if isinstance(values, list):
-        floats[some] = _float_column(values)
+        floats[rest] = _float_column(values)
         return floats
     try:
-        floats[some] = values.astype(np.float64)
+        floats[rest] = values.astype(np.float64)
     except ValueError:
-        floats[some] = np.fromiter((_float_or_nan(v.decode()) for v in values.tolist()), np.float64, len(values))
+        floats[rest] = np.fromiter((_float_or_nan(v.decode()) for v in values.tolist()), np.float64, len(values))
     return floats
+
+
+# 8-byte words of one repeated byte, for tests on every byte of a word at once
+_REPEAT = np.uint64(0x0101010101010101)
+_ZEROS, _DOTS, _HIGH_BITS, _HIGH_NIBBLES, _SIXES = (_REPEAT * np.uint64(b) for b in (0x30, 0x2E, 0x80, 0xF0, 6))
+
+# _decimals' mantissas are below 10**19 < 2**64, and its divisors are powers
+# of ten up to 10**16; a 64-bit significand holds both exactly, so their
+# quotient is rounded once.  Where longdouble is narrower, every value takes
+# numpy's cast.
+_EXACT_QUOTIENT = np.finfo(np.longdouble).nmant >= 63
+_POWERS = np.uint64(10) ** np.arange(17, dtype=np.uint64)
+_LONG_POWERS = _POWERS.astype(np.longdouble)
+
+
+def _decimals(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of the fields ``padded[start:start + length]`` decoded
+    here, and ``float`` of each of them.
+
+    A field is decoded when it matches ``-?D{1,8}\\.D{1,16}`` with at most
+    19 ASCII digits D in all, from 8-byte words.  The dot is the first
+    zero byte of the word after the first digit once that word is XORed
+    with dots.  The integer digits, the first eight fraction digits and
+    the rest each fill one word, shifted to its high end behind '0' bytes;
+    every byte is checked to be a digit, and the word is folded into a
+    number by multiplying pairs of digits, then pairs of pairs.  The
+    digits make one integer ``m`` below 10**19 and the value is
+    ``m / 10**b`` for ``b`` fraction digits; that quotient is taken in
+    longdouble and rounded to float64.  Rounding twice differs from
+    rounding once only where the longdouble quotient lies exactly halfway
+    between two float64 values, so such fields are left to the cast.  The
+    sign is applied last, so ``-0.0`` keeps it.
+    """
+    decoded = np.zeros(len(start), dtype=bool)
+    if not _EXACT_QUOTIENT:
+        return decoded, np.zeros(0)
+    words = _words(padded)
+    minus = padded[start] == ord("-")
+    first = start + minus
+    dots = words[first + 1] ^ _DOTS
+    dot_bits = (dots - _REPEAT) & ~dots & _HIGH_BITS  # the lowest is the first dot's
+    # the lowest bit is 2**(8 * whole - 1), and frexp's exponent 8 * whole
+    whole = np.frexp((dot_bits & (~dot_bits + np.uint64(1))).astype(np.float64))[1] // 8  # 0: no dot
+    fraction = length - minus - whole - 1
+    rows = np.flatnonzero((whole >= 1) & (fraction >= 1) & (fraction <= 16) & (whole + fraction <= 19))
+    first, whole, fraction = first[rows], whole[rows], fraction[rows]
+    head = np.minimum(fraction, 8)
+    groups = [
+        _digit_group(words[at], n)
+        for at, n in ((first, whole), (first + whole + 1, head), (first + whole + 9, fraction - head))
+    ]
+    digits = np.ones(len(rows), dtype=bool)
+    for group in groups:
+        digits &= ((group & _HIGH_NIBBLES) == _ZEROS) & (((group + _SIXES) & _HIGH_NIBBLES) == _ZEROS)
+    whole_part, head_part, tail_part = map(_eight_digits, groups)
+    mantissa = whole_part * _POWERS[fraction] + head_part * _POWERS[fraction - head] + tail_part
+    quotient = mantissa.astype(np.longdouble) / _LONG_POWERS[fraction]
+    value = quotient.astype(np.float64)
+    off = np.abs((quotient - value).astype(np.float64))  # exact: at most 11 significant bits
+    ulp = np.spacing(value)
+    digits &= (2 * off != ulp) & (4 * off != ulp)  # 4: halfway below a power of two
+    rows = rows[digits]
+    decoded[rows] = True
+    value = value[digits]
+    np.negative(value, out=value, where=minus[rows])
+    return decoded, value
+
+
+def _digit_group(word: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """The words' ``n`` low bytes (``n`` up to 8) shifted to their high end,
+    behind '0' bytes: as text, the same ``n`` characters with leading
+    zeros.  numpy shifts a uint64 by 64 to 0."""
+    bits = n.astype(np.uint64) << np.uint64(3)
+    return (word << (np.uint64(64) - bits)) | (_ZEROS >> bits)
+
+
+def _eight_digits(group: np.ndarray) -> np.ndarray:
+    """The number that each word of eight ASCII digits, the first in the
+    low byte, spells."""
+    group = group - _ZEROS
+    group = group * np.uint64(10) + (group >> np.uint64(8))  # pairs, in bytes 0, 2, 4, 6
+    pairs = np.uint64(0x000000FF000000FF)
+    return (
+        (group & pairs) * np.uint64(100 + (1_000_000 << 32))
+        + ((group >> np.uint64(16)) & pairs) * np.uint64(1 + (10_000 << 32))
+    ) >> np.uint64(32)
 
 
 def _is_utf8(data: bytes) -> bool:

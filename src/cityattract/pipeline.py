@@ -405,10 +405,18 @@ def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
                 "rejected": report.rejected,
                 "users": len(homes),
                 "events_outside_countries": unresolved,
+                "layers": {},
             }
             for layer in city_layers:
                 counts = count_foreign(events, layer, origins, config.target_country, tag)
                 table = write_attractiveness(tmp, counts)
+                assignment = assign_layer(events, layer)  # the one count_foreign used, reused
+                dataset_summaries[tag]["layers"][layer.label] = {
+                    "overlap_events": assignment.overlap_events,
+                    "unassigned": assignment.unassigned,
+                    "excluded_events": table.excluded_events,
+                    "excluded_regions": len(table.excluded_regions),
+                }
                 fit = write_fit(tmp, table)
                 write_binned(tmp, table, config.bins)
                 residual_lists[(tag, layer.label)] = write_residuals(tmp, table, fit)

@@ -12,7 +12,7 @@ from itertools import compress
 
 import pytest
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cityattract.events as events_module
 from cityattract.events import (
@@ -827,6 +827,125 @@ def test_numpy_byte_cast_parses_as_float(value):
         want = _outcome(float, value)
         assert want != "ValueError"
         assert math.isnan(got) and math.isnan(want) or got == want and math.copysign(1, got) == math.copysign(1, want)
+
+
+def _field_floats(values: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The byte path's floats of the values as the fields of one line, and
+    the mask of those that ``_decimals`` decoded."""
+    data = ",".join(values).encode() + b"\n"
+    length = np.array([len(v.encode()) for v in values])
+    start = np.concatenate(([0], np.cumsum(length + 1)[:-1]))
+    padded = events_module._padded(data)
+    return events_module._byte_floats(data, padded, start, length), events_module._decimals(padded, start, length)[0]
+
+
+def _same_float(got: float, value: str) -> bool:
+    """Whether ``got`` is ``float(value)`` bit for bit, or NaN where that raises."""
+    want = _outcome(float, value)
+    if want == "ValueError" or math.isnan(want):
+        return math.isnan(got)
+    return got == want and math.copysign(1, got) == math.copysign(1, want)
+
+
+# longdouble quotients of these lie exactly halfway between two float64
+# values, and rounding them to float64 is 1 ulp off
+HALFWAY_QUOTIENTS = [
+    "312.122369612898666", "37.008290659816236", "-37.008290659816236", "67.30396244981970",
+    "712.2099973976608567", "78.3522638832006848",
+]
+DECIMAL_EDGES = [
+    "9007199254740993.0", "12345678.5", "-99999999.25", "123456789.5", "0.1234567890123456",
+    "1.0000000000000002", "0.12345678901234567", "123.4567890123456789", "99999999.99999999999",
+    "99999999.999999999999", "12345678.123456789012", "-0.0", "00012.5", "0.0", "-90.000", "180.0000000000000001",
+]
+DECIMALS = st.builds(
+    "{}{}.{}".format,
+    st.sampled_from(["", "-", "+"]),
+    st.text("0123456789", max_size=10),
+    st.text("0123456789", max_size=19),
+)
+FLOAT_TEXTS = st.lists(
+    st.one_of(
+        DECIMALS,
+        st.floats(allow_nan=False).map(repr),
+        st.floats(-200, 200).map("{:.17f}".format),
+        st.sampled_from(NUMBER_EDGES),
+        st.text(st.characters(blacklist_characters="\x00"), max_size=6),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(FLOAT_TEXTS)
+@example(HALFWAY_QUOTIENTS)
+@example(DECIMAL_EDGES)
+@example(NUMBER_EDGES)
+def test_byte_path_floats_are_float_bit_for_bit(values):
+    floats, _ = _field_floats(values)
+    for value, got in zip(values, floats.tolist()):
+        assert _same_float(got, value), value
+
+
+@settings(max_examples=100, deadline=None)
+@given(FLOAT_TEXTS)
+@example(HALFWAY_QUOTIENTS + DECIMAL_EDGES)
+def test_without_an_exact_longdouble_quotient_every_value_takes_the_cast(values):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(events_module, "_EXACT_QUOTIENT", False)
+        floats, decoded = _field_floats(values)
+    assert not decoded.any()
+    for value, got in zip(values, floats.tolist()):
+        assert _same_float(got, value), value
+
+
+@pytest.mark.parametrize(
+    "value, decoded",
+    [
+        ("12345678.5", True), ("-99999999.25", True), ("123456789.5", False),  # 8 and 9 integer digits
+        ("0.1234567890123456", True), ("0.12345678901234567", False),  # 16 and 17 fraction digits
+        ("123.4567890123456789", True), ("99999999.99999999999", True),  # 19 digits
+        ("12345678.123456789012", False), ("99999999.999999999999", False),  # 20 digits
+        ("-0.0", True), ("00012.5", True), ("9007199254740993.0", False),
+        ("+1.5", False), (".5", False), ("5.", False), ("5", False), ("1e5", False), ("1_0.5", False),
+        ("--1.5", False), ("1.5 ", False), ("１.5", False), ("1.2.3", False), ("", False),
+        *((value, False) for value in HALFWAY_QUOTIENTS),
+        # the one value of the grammar whose quotient lies halfway below a
+        # power of two (2**19); float rounds it up, as the quotient would
+        ("524287.9999999999709", False),
+    ],
+)
+def test_decimals_take_exactly_their_grammar_less_the_halfway_quotients(value, decoded):
+    floats, mask = _field_floats(["1.5", value, "-2.25"])
+    assert mask.tolist() == [True, decoded, True]
+    assert _same_float(floats[1], value)
+
+
+def test_numeric_columns_fill_across_chunks_from_a_capacity_of_one(monkeypatch):
+    monkeypatch.setattr(events_module, "_FIRST_CAPACITY", 1)
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 256)  # blocks of about five rows
+    rows = [
+        f"u{i % 7},2012-{1 + i % 12:02d}-{1 + i % 28:02d}T{i % 24:02d}:00:00Z,{i / 7 - 40:.6f},{i / 3:.13f},"
+        f"{'ES' if i % 3 else ''},t{i % 2}"
+        for i in range(400)
+    ]
+    rows[123] = "u1,2012-06-01T12:00:00Z,91.5,0.5,,t"  # rejected
+    rows[300] = 'u1,2012-06-01T12:00:00Z,1.5,"2.5",,t'  # csv.reader reads from here on
+    text = HEADER + "\n" + "\n".join(rows) + "\n"
+    table, report = parse_events(io.StringIO(text))
+    assert (oracles.records(table), report) == oracles.parse_events(text)
+    assert table.seconds.shape == table.lat.shape == table.lon.shape == (399,)
+
+
+@pytest.mark.parametrize("kinds", [("S2", "S1"), ("S1",), ("S2",), ("S1", "S2", "S1")])
+def test_narrow_byte_columns_code_like_python_strings(kinds):
+    values = ["", "b", "é", "ab", "a", "", "~", "é", "Z", "ab"]
+    parts = [np.array([v.encode() for v in values if len(v.encode()) <= int(k[1])], dtype=k) for k in kinds]
+    strings = [v.decode() for part in parts for v in part.tolist()]
+    ids, codes = events_module._byte_codes(list(parts))
+    assert ids == sorted(set(strings) - {""})
+    assert codes.tolist() == [ids.index(s) if s else -1 for s in strings]
 
 
 def test_wide_fields_keep_chunk_memory_in_proportion_to_the_text(monkeypatch):

@@ -17,6 +17,8 @@ import pytest
 from cityattract import pipeline
 from cityattract.cli import main
 
+from conftest import square_feature
+
 TAG = "demo"
 
 
@@ -486,3 +488,41 @@ def test_unreadable_old_manifest_removes_nothing(world, tmp_path, old):
     (out_dir / pipeline.MANIFEST).write_text(old)
     manifest = _run_tags(world, out_dir, "a")
     assert sorted(p.name for p in out_dir.iterdir()) == sorted([*manifest["outputs"], pipeline.MANIFEST, "gone.txt"])
+
+
+def test_manifest_keeps_the_layer_diagnostics(tmp_path):
+    # city E overlaps A, D has no population, and two events lie in no city;
+    # f1 is a foreign visitor and r1 a resident
+    world = tmp_path / "world"
+    world.mkdir()
+    countries = {"type": "FeatureCollection", "name": "countries", "features": [square_feature("ES", 0.0, 0.0, 10.0)]}
+    cities = {
+        "type": "FeatureCollection",
+        "name": "cities",
+        "features": [
+            square_feature("A", 0.0, 0.0, 1.0, population=1000),
+            square_feature("B", 0.0, 2.0, 1.0, population=2000),
+            square_feature("C", 0.0, 4.0, 1.0, population=4000),
+            square_feature("D", 0.0, 6.0, 1.0),
+            square_feature("E", 0.5, 0.5, 1.0, population=500),
+        ],
+    }
+    (world / "countries.geojson").write_text(json.dumps(countries))
+    (world / "cities.geojson").write_text(json.dumps(cities))
+    points = [("f1", 0.2, 0.2)] * 2 + [("f1", 0.75, 0.75)] + [("f1", 0.5, 2.5)] * 3 + [("f1", 0.5, 4.5)] * 5
+    points += [("f1", 0.5, 6.5)] * 4 + [("f1", 5.0, 5.0)] * 2 + [("r1", 0.5, 6.6)]
+    rows = [f"{user},2012-06-01T12:00:00Z,{lat},{lon},{'FR' if user == 'f1' else 'ES'},{TAG}" for user, lat, lon in points]
+    (world / "events.csv").write_text("\n".join(["user_id,timestamp,lat,lon,origin_country,dataset_tag", *rows]) + "\n")
+    config = {
+        "event_sources": [{"path": str(world / "events.csv"), "format": "csv", "dataset_tag": TAG}],
+        "country_layer_path": str(world / "countries.geojson"),
+        "city_layer_paths": [str(world / "cities.geojson")],
+        "output_dir": str(tmp_path / "run"),
+        "target_country": "ES",
+    }
+    (tmp_path / "config.json").write_text(json.dumps(config))
+    _quiet(["pipeline", "--config", str(tmp_path / "config.json")])
+    manifest = json.loads((tmp_path / "run" / pipeline.MANIFEST).read_text())
+    assert manifest["datasets"][TAG]["layers"] == {
+        "cities": {"overlap_events": 1, "unassigned": 2, "excluded_events": 4, "excluded_regions": 1}
+    }
