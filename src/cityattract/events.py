@@ -416,23 +416,13 @@ def _byte_codes(parts: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
     """The distinct values of UTF-8 ``S`` arrays, decoded, in sorted order,
     and each value's rank among them, -1 for ``b""``; empties ``parts``.
 
-    UTF-8 byte order is the code point order that Python sorts strings
-    by, and the values hold no NUL, which ``S`` arrays would drop from
-    their ends.  Values at most two bytes wide are ranked through a table
-    of every big-endian 16-bit key, whose order is their byte order.  For
-    wider values one stable argsort orders them; neighbours in that order
-    are compared, and distinct values decoded, CHUNK_ROWS at a time, so no
-    sorted copy of the values is held.
+    One stable argsort orders the values; UTF-8 byte order is the code
+    point order that Python sorts strings by.  The values hold no NUL,
+    which ``S`` arrays would drop from their ends.  Neighbours in that
+    order are compared, and distinct values decoded, CHUNK_ROWS at a time,
+    so no sorted copy of the values is held.
     """
     values = _joined(parts, "S1")
-    if values.itemsize <= 2:
-        keys = values.astype("S2", copy=False).view(">u2")
-        present = np.zeros(1 << 16, dtype=bool)
-        present[keys] = True
-        present[0] = False  # b""
-        rank = np.cumsum(present, dtype=CODE)
-        rank -= 1
-        return [v.decode() for v in np.flatnonzero(present).astype(">u2").view("S2").tolist()], rank[keys]
     order = np.argsort(values, kind="stable")
     first = np.ones(len(values), dtype=bool)
     for start in range(1, len(values), CHUNK_ROWS):
@@ -717,10 +707,12 @@ _REPEAT = np.uint64(0x0101010101010101)
 _ZEROS, _DOTS, _HIGH_BITS, _HIGH_NIBBLES, _SIXES = (_REPEAT * np.uint64(b) for b in (0x30, 0x2E, 0x80, 0xF0, 6))
 
 # _decimals' mantissas are below 10**19 < 2**64, and its divisors are powers
-# of ten up to 10**16; a 64-bit significand holds both exactly, so their
-# quotient is rounded once.  Where longdouble is narrower, every value takes
-# numpy's cast.
-_EXACT_QUOTIENT = np.finfo(np.longdouble).nmant >= 63
+# of ten up to 10**16; a significand of 64 bits or more holds both exactly,
+# and IEEE division rounds their quotient once.  Only x87 extended (63
+# stored mantissa bits) and IEEE quad (112) are taken: elsewhere, float64
+# or the double-double of ppc64 whose division is not correctly rounded,
+# every value takes numpy's cast.
+_EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
 _POWERS = np.uint64(10) ** np.arange(17, dtype=np.uint64)
 _LONG_POWERS = _POWERS.astype(np.longdouble)
 

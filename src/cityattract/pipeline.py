@@ -408,9 +408,9 @@ def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
                 "layers": {},
             }
             for layer in city_layers:
-                counts = count_foreign(events, layer, origins, config.target_country, tag)
+                assignment = assign_layer(events, layer)
+                counts = foreign_counts(events, assignment, origins, layer, config.target_country, dataset_tag=tag)
                 table = write_attractiveness(tmp, counts)
-                assignment = assign_layer(events, layer)  # the one count_foreign used, reused
                 dataset_summaries[tag]["layers"][layer.label] = {
                     "overlap_events": assignment.overlap_events,
                     "unassigned": assignment.unassigned,

@@ -938,16 +938,6 @@ def test_numeric_columns_fill_across_chunks_from_a_capacity_of_one(monkeypatch):
     assert table.seconds.shape == table.lat.shape == table.lon.shape == (399,)
 
 
-@pytest.mark.parametrize("kinds", [("S2", "S1"), ("S1",), ("S2",), ("S1", "S2", "S1")])
-def test_narrow_byte_columns_code_like_python_strings(kinds):
-    values = ["", "b", "é", "ab", "a", "", "~", "é", "Z", "ab"]
-    parts = [np.array([v.encode() for v in values if len(v.encode()) <= int(k[1])], dtype=k) for k in kinds]
-    strings = [v.decode() for part in parts for v in part.tolist()]
-    ids, codes = events_module._byte_codes(list(parts))
-    assert ids == sorted(set(strings) - {""})
-    assert codes.tolist() == [ids.index(s) if s else -1 for s in strings]
-
-
 def test_wide_fields_keep_chunk_memory_in_proportion_to_the_text(monkeypatch):
     # a field wider than the fixed-width columns allow is read as a Python
     # string: memory follows the text, not rows times the widest field, and
