@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
+from typing import Callable
 
 from . import __version__, pipeline
-from .events import write_events_csv
-from .geo import write_assignments_csv, write_layer_geojson
+from .events import EventTable, IngestReport, write_events_csv
+from .geo import Assignment, RegionLayer, write_assignments_csv, write_layer_geojson
 from .output import dumps_stable, write_text
 from .pipeline import PipelineError
-from .scaling import table_to_csv
+from .scaling import foreign_counts, table_to_csv
 from .synthetic import (
     SyntheticSpec,
     events_per_unit_for_total,
@@ -32,20 +34,67 @@ def _out_dir(args) -> Path:
     return out
 
 
+# Results kept for scripts that call main() more than once in a process:
+# stage name -> (key, result).  "events" holds the last successful parse,
+# keyed by the file's sha256, format and strictness, so a file rewritten in
+# place is parsed again; "origins" and "assign" hold the latest result on
+# that table, keyed by the content of their other inputs.  A new parse
+# drops them all, so the process keeps at most one table alive.
+_memo: dict[str, tuple] = {}
+
+
+def _memoized(stage: str, key, compute: Callable, events: EventTable | None = None):
+    """``compute()``, or the result it gave before for ``stage`` and
+    ``key``; nothing is kept when it raises.  A stage on ``events`` other
+    than the memoized table is computed afresh and not kept."""
+    if stage == "events":
+        if _memo.get(stage, (None,))[0] != key:
+            _memo.clear()
+    elif _memo.get("events", (None, (None,)))[1][0] is not events:
+        return compute()
+    held = _memo.pop(stage, None)
+    if held is None or held[0] != key:
+        held = (key, compute())
+    _memo[stage] = held
+    return held[1]
+
+
+def _layer_key(layer: RegionLayer) -> tuple:
+    """The content assignment depends on: region ids and geometry, in order."""
+    return tuple((region.id, region.polygons) for region in layer.regions)
+
+
+def _read_events(args, path: str) -> tuple[EventTable, IngestReport]:
+    """The events at ``path``, parsed once per content, format and
+    strictness; the report is a fresh copy."""
+    key = (pipeline.sha256_file(path), args.format, args.strict)
+    events, report = _memoized("events", key, lambda: pipeline.read_events(path, args.format, args.tag, args.strict))
+    return events, replace(report, rejection_reasons=dict(report.rejection_reasons))
+
+
 def _inputs(args, *layer_paths: str):
     """Check that the events and layers exist, load the layers, then read
     the events."""
     pipeline.require_files([args.events, *layer_paths])
     layers = [pipeline.read_layer(p) for p in layer_paths]
-    events, _ = pipeline.read_events(args.events, args.format, args.tag, args.strict)
+    events, _ = _read_events(args, args.events)
     return events, layers
+
+
+def _origins(args, events: EventTable, country_layer: RegionLayer):
+    key = (_layer_key(country_layer), args.min_events)
+    return _memoized("origins", key, lambda: pipeline.resolve_origins(events, country_layer, args.min_events), events)
+
+
+def _assignment(events: EventTable, layer: RegionLayer) -> Assignment:
+    return _memoized("assign", _layer_key(layer), lambda: pipeline.assign_layer(events, layer), events)
 
 
 def _foreign_counts(args):
     """Read the events and count foreign visitors per region and month."""
     events, (layer, country_layer) = _inputs(args, args.layer, args.countries)
-    origins, _, _ = pipeline.resolve_origins(events, country_layer, args.min_events)
-    return pipeline.count_foreign(events, layer, origins, args.target, args.tag)
+    origins, _, _ = _origins(args, events, country_layer)
+    return foreign_counts(events, _assignment(events, layer), origins, layer, args.target, dataset_tag=args.tag)
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +102,7 @@ def _foreign_counts(args):
 
 def _cmd_ingest(args) -> int:
     pipeline.require_files([args.input])
-    events, report = pipeline.read_events(args.input, args.format, args.tag, args.strict)
+    events, report = _read_events(args, args.input)
     out = _out_dir(args)
     path = out / pipeline.output_name("events", args.tag)
     write_events_csv(events, path)
@@ -64,7 +113,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_infer_home(args) -> int:
     events, (country_layer,) = _inputs(args, args.countries)
-    _, homes, _ = pipeline.resolve_origins(events, country_layer, args.min_events)
+    _, homes, _ = _origins(args, events, country_layer)
     out = _out_dir(args)
     pipeline.write_homes(out, args.tag, homes)
     print(f"inferred homes for {len(homes)} users -> {out / pipeline.output_name('homes', args.tag)}")
@@ -73,7 +122,7 @@ def _cmd_infer_home(args) -> int:
 
 def _cmd_assign(args) -> int:
     events, (layer,) = _inputs(args, args.layer)
-    assignment = pipeline.assign_layer(events, layer)
+    assignment = _assignment(events, layer)
     out = _out_dir(args)
     path = out / pipeline.output_name("assign", args.tag, layer.label)
     write_assignments_csv(assignment, path)

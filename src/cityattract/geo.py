@@ -230,13 +230,13 @@ def write_layer_geojson(layer: RegionLayer, path: str | Path) -> None:
 
 def _region_arrays(region: Region) -> list[tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]]:
     """Per polygon: its rings as (lats, lons) arrays, outer ring first,
-    and the sorted unique longitudes of all its vertices."""
+    and the longitudes of all its vertices, sorted for ``np.searchsorted``."""
     cache = region._arrays
     if cache is None:
         cache = []
         for outer, holes in region.polygons:
             rings = [np.asarray(ring, dtype=np.float64) for ring in (outer, *holes)]
-            vlons = np.unique(np.concatenate([ring[:, 1] for ring in rings]))
+            vlons = np.sort(np.concatenate([ring[:, 1] for ring in rings]))
             cache.append(([(ring[:, 0], ring[:, 1]) for ring in rings], vlons))
         region._arrays = cache
     return cache
@@ -291,10 +291,8 @@ def _polygons_contain(region: Region, lats: np.ndarray, lons: np.ndarray) -> np.
     for rings, vlons in _region_arrays(region):
         # step the ray meridian off this polygon's vertex longitudes
         rx = lons
-        hit = np.isin(rx, vlons)
-        while hit.any():
+        while (hit := vlons[np.searchsorted(vlons, rx).clip(max=len(vlons) - 1)] == rx).any():
             rx = np.where(hit, rx + _RAY_SHIFT, rx)
-            hit = np.isin(rx, vlons)
         edge, inside = _ring_masks_bulk(lats, lons, rx, *rings[0])
         on_edge |= edge
         for hole in rings[1:]:

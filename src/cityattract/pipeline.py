@@ -28,10 +28,10 @@ import re
 import shutil
 import tempfile
 from contextlib import contextmanager, suppress
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -66,8 +66,6 @@ from .temporal import WindowedExponents, window_exponents, windows_to_csv, windo
 MANIFEST = "run_manifest.json"
 
 VALID_FORMATS = ("csv", "jsonl")
-
-T = TypeVar("T")
 
 
 class PipelineError(Exception):
@@ -206,53 +204,15 @@ def read_layer(path: str) -> RegionLayer:
         raise PipelineError("input-error", f"cannot load layer {path}: {exc}") from exc
 
 
-# The last successful parse, keyed by the file's sha256, format and
-# strictness: (key, table, report, stages).  The key holds no path or
-# mtime, so a file rewritten in place is parsed again, and one entry bounds
-# what a long-lived process keeps alive to one table.  ``stages`` maps a
-# stage name to (key, result): that stage's latest result on this table,
-# keyed by the content of its other inputs.
-_last_parse: tuple[tuple[str, str, bool], EventTable, IngestReport, dict] | None = None
-
-
-def read_events(
-    path: str, format: str, dataset_tag: str, strict: bool = False, *, digest: str | None = None
-) -> tuple[EventTable, IngestReport]:
-    """Parse an event file, or return the table of the last parse when the
-    file's content, ``format`` and ``strict`` are the same.  ``digest`` is
-    the file's sha256 when the caller has it already.  Tables are
-    read-only, so a shared one is safe; the report is a fresh copy."""
-    global _last_parse
-    key = (digest or sha256_file(path), format, strict)
-    if _last_parse is None or _last_parse[0] != key:
-        try:
-            events, report = parse_events(path, format=format, strict=strict)
-        except (IngestError, UnicodeDecodeError) as exc:
-            raise PipelineError("ingest", f"{dataset_tag}: {exc}") from exc
-        _last_parse = (key, events, report, {})
-    _, events, report, _ = _last_parse
+def read_events(path: str, format: str, dataset_tag: str, strict: bool = False) -> tuple[EventTable, IngestReport]:
+    """Parse an event file into a read-only table and its report."""
+    try:
+        events, report = parse_events(path, format=format, strict=strict)
+    except (IngestError, UnicodeDecodeError) as exc:
+        raise PipelineError("ingest", f"{dataset_tag}: {exc}") from exc
     if not events:
         raise PipelineError("ingest", f"{dataset_tag}: no events accepted")
-    return events, replace(report, rejection_reasons=dict(report.rejection_reasons))
-
-
-def _reuse(events: EventTable, stage: str, key, compute: Callable[[], T]) -> T:
-    """``compute()``, or the result it gave before when ``events`` is the
-    memoized table and ``key`` is the same.  Only the stage's latest result
-    is kept, and only for that table."""
-    if _last_parse is None or _last_parse[1] is not events:
-        return compute()
-    stages = _last_parse[3]
-    held = stages.pop(stage, None)
-    if held is None or held[0] != key:
-        held = (key, compute())
-    stages[stage] = held
-    return held[1]
-
-
-def _layer_key(layer: RegionLayer) -> tuple:
-    """The content assignment depends on: region ids and geometry, in order."""
-    return tuple((region.id, region.polygons) for region in layer.regions)
+    return events, report
 
 
 def _read_only(*arrays: np.ndarray) -> None:
@@ -277,41 +237,23 @@ def read_residuals(path: str) -> list[ResidualScore]:
 
 
 def assign_layer(events: EventTable, layer: RegionLayer) -> Assignment:
-    """The events' assignment to ``layer``; a process reuses it for the
-    memoized table and a layer of the same regions and geometry."""
-
-    def compute() -> Assignment:
-        assignment = assign_events(events, layer)
-        _read_only(assignment.index)
-        return assignment
-
-    return _reuse(events, "assign", _layer_key(layer), compute)
+    """The events' assignment to ``layer``, with a read-only index."""
+    assignment = assign_events(events, layer)
+    _read_only(assignment.index)
+    return assignment
 
 
 def resolve_origins(
     events: EventTable, country_layer: RegionLayer, min_events: int
 ) -> tuple[Origins, Homes, int]:
-    """Country assignment, then the per-user tally, homes and origins;
-    also returns the number of events outside every country.  A process
-    reuses the result for the memoized table, a country layer of the same
-    regions and geometry, and the same ``min_events``."""
-
-    def compute() -> tuple[Origins, Homes, int]:
-        stats, unresolved = accumulate_stats_seq(events, assign_events(events, country_layer))
-        homes = infer_all(stats, min_events=min_events)
-        origins = origin_map(events, homes)
-        _read_only(homes.country, homes.event_count, homes.timespan_seconds, origins.code)
-        return origins, homes, unresolved
-
-    return _reuse(events, "origins", (_layer_key(country_layer), min_events), compute)
-
-
-def count_foreign(
-    events: EventTable, layer: RegionLayer, origins: Origins, target_country: str, dataset_tag: str
-) -> ForeignCounts:
-    """Assign the events to ``layer`` and count foreign visitors per region and month."""
-    assignment = assign_layer(events, layer)
-    return foreign_counts(events, assignment, origins, layer, target_country, dataset_tag=dataset_tag)
+    """Country assignment, then the per-user tally, homes and origins, as
+    read-only arrays; also returns the number of events outside every
+    country."""
+    stats, unresolved = accumulate_stats_seq(events, assign_events(events, country_layer))
+    homes = infer_all(stats, min_events=min_events)
+    origins = origin_map(events, homes)
+    _read_only(homes.country, homes.event_count, homes.timespan_seconds, origins.code)
+    return origins, homes, unresolved
 
 
 def fit_table(table: AttractivenessTable) -> ScalingFit:
@@ -394,9 +336,7 @@ def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
         dataset_summaries: dict[str, dict] = {}
         for source in config.event_sources:
             tag = source.dataset_tag
-            events, report = read_events(
-                source.path, source.format, tag, strict, digest=inputs[source.path]
-            )
+            events, report = read_events(source.path, source.format, tag, strict)
             write_ingest_report(tmp, tag, report)
             origins, homes, unresolved = resolve_origins(events, country_layer, config.min_events)
             write_homes(tmp, tag, homes)

@@ -870,7 +870,7 @@ FLOAT_TEXTS = st.lists(
         st.floats(allow_nan=False).map(repr),
         st.floats(-200, 200).map("{:.17f}".format),
         st.sampled_from(NUMBER_EDGES),
-        st.text(st.characters(blacklist_characters="\x00"), max_size=6),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\x00"), max_size=6),
     ),
     min_size=1,
     max_size=12,
@@ -1026,6 +1026,13 @@ BLOCK_CASES = {
     + "\r\n".join([GOOD.format(6), BAD, GOOD.format(7)]) + "\r\n",
     "CRLF header": "\r\n".join([HEADER, GOOD.format(1), BAD]) + "\r\n",
     "blank lines": "\n\n\n" + "\n".join([HEADER, "", GOOD.format(1)] + [""] * 5 + [GOOD.format(2), BAD, "", ""]) + "\n\n",
+    "extra field between plain blocks": "\n".join(
+        [HEADER] + [GOOD.format(i) for i in range(6)] + [GOOD.format(6) + ",x", BAD] + [GOOD.format(i) for i in range(7, 13)]
+    ) + "\n",
+    "CR, NUL and blank lines between plain blocks": "\n".join(
+        [HEADER] + [GOOD.format(i) for i in range(4)] + [GOOD.format(4) + "\r"] + [GOOD.format(i) for i in range(5, 9)]
+        + ["", GOOD.format("\0"), BAD] + [GOOD.format(i) for i in range(10, 14)]
+    ) + "\n",
 }
 SOURCES = {  # ours, then the stream csv.reader alone reads
     "path": (lambda data, path: path, lambda data, path: open(path, encoding="utf-8", newline="")),

@@ -1,20 +1,25 @@
 """One stage path: the CLI subcommands and run_pipeline write the same
-files, a failed publish never leaves a manifest behind, and in-process
-readers of one event file share one parse and the stage results on it."""
+files, a failed publish never leaves a manifest behind, CLI commands run
+in one process share one parse of an event file and the stage results on
+it, and run_pipeline keeps nothing alive."""
 
+import argparse
 import contextlib
 import gc
 import hashlib
 import io
 import json
 import os
+import re
+import subprocess
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from cityattract import pipeline
+from cityattract import cli, pipeline
 from cityattract.cli import main
 
 from conftest import square_feature
@@ -47,10 +52,14 @@ def _config(world, out_dir):
     }
 
 
-def _run_pipeline(world, out_dir):
+def _write_config(world, out_dir):
     config_path = out_dir.parent / f"{out_dir.name}.json"
     config_path.write_text(json.dumps(_config(world, out_dir)))
-    _quiet(["pipeline", "--config", str(config_path)])
+    return config_path
+
+
+def _run_pipeline(world, out_dir):
+    _quiet(["pipeline", "--config", str(_write_config(world, out_dir))])
 
 
 def test_cli_commands_write_the_pipeline_bytes(world, tmp_path):
@@ -146,8 +155,8 @@ def test_manifest_moves_last(world, tmp_path, monkeypatch):
 
 @pytest.fixture
 def parses(monkeypatch):
-    """Empty the parse memo and count the real parses from here on."""
-    monkeypatch.setattr(pipeline, "_last_parse", None)
+    """Empty the CLI's memo and count the real parses from here on."""
+    monkeypatch.setattr(cli, "_memo", {})
     calls = []
     real_parse = pipeline.parse_events
 
@@ -165,6 +174,16 @@ ROWS = (
     "u2,2012-06-02T12:00:00Z,41.4,2.1,FR,t\n"
     "u3,2012-06-03T12:00:00Z,91.0,2.1,,t\n"
 )
+
+
+def _ingest(path, out, *options):
+    """``ingest`` of ``path`` into ``out``: its exit code, its events CSV
+    lines and its report, both None on failure."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["ingest", "--input", str(path), "--tag", "t", "--out", str(out), *options])
+    if code:
+        return code, None, None
+    return code, (out / "events__t.csv").read_text().splitlines(), json.loads((out / "ingest__t.json").read_text())
 
 
 def test_cli_chain_parses_the_events_once(world, tmp_path, parses):
@@ -188,52 +207,55 @@ def test_rewritten_file_is_parsed_again(tmp_path, parses):
     path = tmp_path / "events.csv"
     path.write_text(ROWS)
     before = os.stat(path)
-    events, _ = pipeline.read_events(str(path), "csv", "t")
-    assert events.user_ids == ("u1", "u2")
+    _, lines, _ = _ingest(path, tmp_path)
+    assert [line.split(",")[0] for line in lines[1:]] == ["u1", "u2"]
     # same size, same mtime, other content
     path.write_text(ROWS.replace("u2,", "v2,"))
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     assert os.stat(path).st_size == before.st_size
     assert os.stat(path).st_mtime_ns == before.st_mtime_ns
-    again, _ = pipeline.read_events(str(path), "csv", "t")
+    _, lines, _ = _ingest(path, tmp_path)
     assert len(parses) == 2
-    assert again.user_ids == ("u1", "v2")
+    assert [line.split(",")[0] for line in lines[1:]] == ["u1", "v2"]
 
 
 def test_memo_hit_returns_the_table_and_a_fresh_report(tmp_path, parses):
     path = tmp_path / "events.csv"
     path.write_text(ROWS)
-    events, report = pipeline.read_events(str(path), "csv", "t")
+    args = argparse.Namespace(format="csv", strict=False, tag="t")
+    events, report = cli._read_events(args, str(path))
     report.accepted = 0
     report.rejection_reasons["edited"] = 9
-    again, fresh = pipeline.read_events(str(path), "csv", "t")
+    again, fresh = cli._read_events(args, str(path))
     assert len(parses) == 1
     assert again is events
     assert (fresh.accepted, fresh.rejected, fresh.rejection_reasons) == (2, 1, {"lat out of range": 1})
+    _, _, written = _ingest(path, tmp_path)
+    assert (written["accepted"], written["rejection_reasons"]) == (2, {"lat out of range": 1})
+    assert len(parses) == 1
     # format and strictness are part of the key
-    with pytest.raises(pipeline.PipelineError, match="line 4: lat out of range"):
-        pipeline.read_events(str(path), "csv", "t", strict=True)
+    assert _ingest(path, tmp_path, "--strict")[0] == 1
     assert len(parses) == 2
+    assert _ingest(path, tmp_path, "--format", "jsonl")[0] == 1
+    assert len(parses) == 3
 
 
-def test_ingest_errors_are_not_memoized(tmp_path, parses):
+def test_ingest_errors_are_not_memoized(tmp_path, parses, capsys):
     path = tmp_path / "events.csv"
     # the undecodable bytes lie well past the first read of the text decoder
     good_row = ROWS.splitlines(keepends=True)[1]
     path.write_bytes((ROWS + good_row * 500).encode() + b"\xff\xfe,2012-06-01T12:00:00Z,40.4,-3.7,,t\n")
     for _ in range(2):
         # the bad row fails before the later undecodable bytes
-        with pytest.raises(pipeline.PipelineError, match="t: line 4: lat out of range") as exc:
-            pipeline.read_events(str(path), "csv", "t", strict=True)
-        assert exc.value.stage == "ingest"
+        assert _ingest(path, tmp_path, "--strict")[0] == 1
+        assert "error [ingest]: t: line 4: lat out of range" in capsys.readouterr().err
     assert len(parses) == 2
-    with pytest.raises(pipeline.PipelineError, match="t: .*can't decode") as exc:
-        pipeline.read_events(str(path), "csv", "t")
-    assert exc.value.stage == "ingest"
+    assert _ingest(path, tmp_path)[0] == 1
+    assert re.search(r"error \[ingest\]: t: .*can't decode", capsys.readouterr().err)
     assert len(parses) == 3
 
 
-def test_manifest_digests_key_the_parse(world, tmp_path, monkeypatch, parses):
+def test_manifest_digests_hash_each_input_once(world, tmp_path, monkeypatch, parses):
     hashed = []
     real_hash = pipeline.sha256_file
 
@@ -249,10 +271,46 @@ def test_manifest_digests_key_the_parse(world, tmp_path, monkeypatch, parses):
     events = str(world / f"events__{TAG}.csv")
     assert hashed.count(events) == 1
     assert parses == [events]
-    # a later reader of the same content hashes it but does not parse it
-    pipeline.read_events(events, "csv", TAG)
-    assert hashed.count(events) == 2
-    assert parses == [events]
+
+
+def test_run_pipeline_keeps_no_table_alive(world, tmp_path, monkeypatch):
+    tables = []
+    real_parse = pipeline.parse_events
+
+    def holding_parse(*args, **kwargs):
+        table, report = real_parse(*args, **kwargs)
+        tables.append(weakref.ref(table))
+        return table, report
+
+    monkeypatch.setattr(pipeline, "parse_events", holding_parse)
+    pipeline.run_pipeline(pipeline.load_config(_write_config(world, tmp_path / "run")))
+    gc.collect()
+    assert len(tables) == 1
+    assert tables[0]() is None
+
+
+def test_runs_do_not_import_numpy_ma(world, tmp_path):
+    # numpy imports numpy.ma lazily, for np.unique and the sort path of
+    # np.isin; neither is on the run's path, which saves its import time
+    events, countries, layer, out = _layer_args(world, tmp_path)
+    chain = [
+        ["ingest", "--input", str(world / f"events__{TAG}.csv"), *out],
+        ["infer-home", *events, *countries, *out],
+        ["assign", *events, *layer, *out],
+        ["attractiveness", *events, *layer, *countries, *out],
+        ["temporal", *events, *layer, *countries, *out],
+    ]
+    script = (
+        "import contextlib, io, sys\n"
+        "from cityattract import cli, pipeline\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    pipeline.run_pipeline(pipeline.load_config({str(_write_config(world, tmp_path / 'run'))!r}))\n"
+        f"    assert all(cli.main(argv) == 0 for argv in {chain!r})\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (0, "False\n"), done.stderr
 
 
 @pytest.fixture
@@ -347,34 +405,57 @@ def test_shared_stage_results_are_read_only(world, tmp_path, parses):
     city_layer = pipeline.read_layer(str(world / f"cities__{TAG}.geojson"))
     origins, homes, _ = pipeline.resolve_origins(events, country_layer, 1)
     assignment = pipeline.assign_layer(events, city_layer)
-    # a later caller gets the very same objects
-    assert pipeline.resolve_origins(events, country_layer, 1)[0] is origins
-    assert pipeline.assign_layer(events, city_layer) is assignment
     for array in (assignment.index, origins.code, homes.country, homes.event_count, homes.timespan_seconds):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
+    # a later command gets the very same objects
+    args = argparse.Namespace(format="csv", strict=False, tag=TAG, min_events=1)
+    events, _ = cli._read_events(args, str(world / f"events__{TAG}.csv"))
+    origins = cli._origins(args, events, country_layer)
+    assignment = cli._assignment(events, city_layer)
+    assert cli._origins(args, events, country_layer) is origins
+    assert cli._assignment(events, city_layer) is assignment
+    assert cli._read_events(args, str(world / f"events__{TAG}.csv"))[0] is events
 
 
-def test_stages_of_other_tables_are_not_kept(world, tmp_path, stages):
+def test_stages_of_other_tables_are_not_kept(world, tmp_path, monkeypatch, stages):
     path = tmp_path / "events.csv"
     path.write_text(ROWS)
-    events, _ = pipeline.read_events(str(path), "csv", "t")
-    country_layer = pipeline.read_layer(str(world / f"countries__{TAG}.geojson"))
-    held = weakref.ref(pipeline.resolve_origins(events, country_layer, 1)[1])
-    # an equal table that is not the memoized one is computed afresh
-    pipeline.resolve_origins(replace(events), country_layer, 1)
-    assert stages["infer"] == [1, 1]
-    pipeline.resolve_origins(events, country_layer, 1)
-    assert stages["infer"] == [1, 1]
-    assert held() is not None
-    # a new parse drops the old table's results
-    path.write_text(ROWS.replace("u2,", "v2,"))
-    del events
-    again, _ = pipeline.read_events(str(path), "csv", "t")
+    held = []
+    counting_infer = pipeline.infer_all
+
+    def holding_infer(stats, min_events=1):
+        homes = counting_infer(stats, min_events=min_events)
+        held.append(weakref.ref(homes))
+        return homes
+
+    monkeypatch.setattr(pipeline, "infer_all", holding_infer)
+    countries = ["--countries", str(world / f"countries__{TAG}.geojson")]
+    argv = ["infer-home", "--events", str(path), *countries, "--tag", "t", "--out", str(tmp_path)]
+    _quiet(argv)
+    _quiet(argv)
+    assert stages["infer"] == [1]
     gc.collect()
-    assert held() is None
-    pipeline.resolve_origins(again, country_layer, 1)
+    assert held[0]() is not None
+    # an equal table that is not the memoized one is computed afresh and
+    # leaves the memoized results in place
+    args = argparse.Namespace(format="csv", strict=False, tag="t", min_events=1)
+    events, _ = cli._read_events(args, str(path))
+    country_layer = pipeline.read_layer(countries[1])
+    cli._origins(args, replace(events), country_layer)
+    cli._assignment(replace(events), country_layer)
+    assert (stages["infer"], len(stages["assign"])) == ([1, 1], 3)
+    assert cli._origins(args, events, country_layer)[1] is held[0]()
+    cli._assignment(events, country_layer)
+    assert (stages["infer"], len(stages["assign"])) == ([1, 1], 4)
+    # a new parse drops the old table's results
+    del events
+    path.write_text(ROWS.replace("u2,", "v2,"))
+    _ingest(path, tmp_path)
+    gc.collect()
+    assert held[0]() is None
+    _quiet(argv)
     assert stages["infer"] == [1, 1, 1]
 
 
