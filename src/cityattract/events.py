@@ -21,11 +21,13 @@ A CSV block holding no quote, carriage return or NUL, no line longer
 than csv's field size limit, exactly the header's number of commas on
 every line and only UTF-8 is checked as one byte buffer, with no Python
 string per line: numpy finds the field bounds, plain decimal coordinates
-are decoded from 8-byte words (``_decimals``), and user and tag fields
-stay fixed-width ``S`` arrays until the table codes them with one sort.
-That suits short ids and tags; a block's column with a field wider than
-64 bytes is read as Python strings instead, so memory stays proportional
-to the text.  A row with a field that may carry padding ``str.strip``
+are decoded from 8-byte words (``_decimals``), and user, origin and tag
+fields stay fixed-width ``S`` arrays, copied into one growing buffer per
+column that the table codes where it lies: with one sort, or with one
+comparison when the column holds one value.  That suits short ids and
+tags; a block's column with a field wider than 64 bytes is read as
+Python strings instead, so memory stays proportional to the text.  A
+row with a field that may carry padding ``str.strip``
 removes is flagged like any other, and only a flagged row's line is
 decoded.  From the first other block on, ``csv.reader`` reads the rest
 of the stream, decoded block by block.  Either way the accepted rows,
@@ -318,111 +320,111 @@ def _origin_column(values: list) -> tuple[list, np.ndarray]:
     return values, ok
 
 
-_FIRST_CAPACITY = 1 << 16  # rows of a numeric column's first buffer
+_FIRST_CAPACITY = 1 << 16  # rows of each column's first buffer
 
 
 class _TableAccumulator:
-    """Accumulates validated chunks.  A string column arrives either as a
-    list, whose values get provisional codes, one per distinct value, or
-    as a UTF-8 ``S`` array from the byte path, with ``b""`` for a missing
-    value.  ``table`` codes both to sorted order.
+    """Accumulates validated chunks in one buffer per column.
 
-    Each numeric column is filled in place: one buffer per column, from
-    _FIRST_CAPACITY rows on, grows by doubling and is trimmed once by
-    ``table``.  Joining per-chunk parts instead would leave the parts'
-    freed memory as holes under the joined columns, which the allocator
-    keeps resident."""
+    Each buffer is filled in place: from _FIRST_CAPACITY rows on it grows
+    by doubling, and ``table`` trims it once.  Joining per-chunk parts
+    instead would leave the parts' freed memory as holes under the joined
+    columns, which the allocator keeps resident.
+
+    A string column arrives either as a UTF-8 ``S`` array from the byte
+    path, with ``b""`` for a missing value, or as a list.  ``S`` values go
+    into the column's ``S`` buffer, widened to the widest value so far.  A
+    list's values get provisional codes, one per distinct value, kept
+    beside the buffer with the list's first row; its rows stay ``b""`` in
+    the buffer.  ``table`` codes both to sorted order where they lie, a
+    buffer of one value without a sort."""
 
     def __init__(self) -> None:
         self.codes: tuple[dict, dict, dict] = ({}, {None: -1}, {})  # user, origin, tag
-        self.strings: tuple[list, list, list] = ([], [], [])  # parts of the user, origin, tag columns
+        self.strings = [np.empty(0, "S1") for _ in range(3)]  # user, origin, tag
+        self.texts: tuple[list, list, list] = ([], [], [])  # (first row, provisional codes) of each list
         self.numbers = (np.empty(0, np.int64), np.empty(0, np.float64), np.empty(0, np.float64))  # seconds, lat, lon
-        self.rows = 0  # the filled length of each numeric buffer
-
-    @staticmethod
-    def _encode(values: list | np.ndarray, codes: dict) -> np.ndarray:
-        if isinstance(values, np.ndarray):
-            return values
-        codes.update(zip(set(values).difference(codes), count(len(codes))))
-        return np.fromiter(map(codes.__getitem__, values), CODE, len(values))
+        self.rows = 0  # the filled length of each buffer
 
     def append(self, users, seconds, lat, lon, origins, tags) -> None:
-        for parts, values, codes in zip(self.strings, (users, origins, tags), self.codes):
-            parts.append(self._encode(values, codes))
         rows = self.rows + len(seconds)
         capacity = len(self.numbers[0])
         if rows > capacity:
             capacity = max(capacity, _FIRST_CAPACITY)
             while capacity < rows:
                 capacity *= 2
-            for column in self.numbers:  # realloc: no second copy while the buffer grows
+            for column in (*self.numbers, *self.strings):  # realloc: no second copy; new rows are zeros, b""
                 column.resize(capacity, refcheck=False)
         for column, values in zip(self.numbers, (seconds, lat, lon)):
             column[self.rows : rows] = values
+        for k, (values, codes) in enumerate(zip((users, origins, tags), self.codes)):
+            if isinstance(values, np.ndarray):
+                if values.itemsize > self.strings[k].itemsize:
+                    self.strings[k] = self.strings[k].astype(values.dtype)
+                self.strings[k][self.rows : rows] = values
+            else:
+                codes.update(zip(set(values).difference(codes), count(len(codes))))
+                self.texts[k].append((self.rows, np.fromiter(map(codes.__getitem__, values), CODE, len(values))))
         self.rows = rows
 
     def table(self) -> EventTable:
-        """The rows appended so far; each string column's parts are released
-        as soon as they are coded, which bounds the peak memory."""
-        (user_ids, user), (origin_ids, origin), (tag_ids, tag) = map(_sorted_codes, self.strings, self.codes)
-        for column in self.numbers:
+        """The rows appended so far; each string buffer is released as soon
+        as it is coded, which bounds the peak memory."""
+        for column in (*self.numbers, *self.strings):
             column.resize(self.rows, refcheck=False)
+        strings, self.strings = self.strings, []
+        (user_ids, user), (origin_ids, origin), (tag_ids, tag) = (
+            _sorted_codes(strings, texts, codes) for texts, codes in zip(self.texts, self.codes)
+        )
         seconds, lat, lon = self.numbers
         for column in (user, seconds, lat, lon, origin, tag):
             column.setflags(write=False)
         return EventTable(user, user_ids, seconds, lat, lon, origin, origin_ids, tag, tag_ids)
 
 
-def _joined(parts: list[np.ndarray], dtype) -> np.ndarray:
-    """The parts as one array; empties ``parts``."""
-    column = np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
-    parts.clear()
-    return column
-
-
-def _sorted_codes(parts: list[np.ndarray], codes: dict) -> tuple[tuple[str, ...], np.ndarray]:
+def _sorted_codes(strings: list[np.ndarray], texts: list, codes: dict) -> tuple[tuple[str, ...], np.ndarray]:
     """One string column's distinct values in sorted order, and each row's
-    rank among them, -1 where the value is missing; empties ``parts``.
+    rank among them, -1 where the value is missing.
 
-    ``S`` parts are coded here together; the other parts hold provisional
-    codes from ``codes``.
+    The column's one ``S`` buffer, the first of ``strings``, is coded where
+    it lies by ``_byte_codes``, with no sort when it holds one value; then
+    the rows of each list in ``texts`` get the ranks of their provisional
+    codes from ``codes``.  Takes the buffer off ``strings`` and empties
+    ``texts``.
     """
-    layout = [(p.dtype.kind == "S", len(p)) for p in parts]
-    text_parts = iter([p for p in parts if p.dtype.kind != "S"])
-    byte_parts = [p for p in parts if p.dtype.kind == "S"]
-    parts.clear()
-    byte_ids, byte_codes = _byte_codes(byte_parts)
+    byte_ids, column = _byte_codes(strings)
     text_ids = sorted(v for v in codes if v is not None)
     rank = np.full(max(codes.values(), default=-1) + 2, -1, dtype=CODE)  # last slot serves code -1
     if text_ids and byte_ids:
         ids = sorted({*text_ids, *byte_ids})
         position = dict(zip(ids, count()))
         rank[[codes[v] for v in text_ids]] = [position[v] for v in text_ids]
-        byte_codes = np.array([position[v] for v in byte_ids] + [-1], dtype=CODE)[byte_codes]
+        column = np.array([position[v] for v in byte_ids] + [-1], dtype=CODE)[column]
     else:
         ids = text_ids or byte_ids
         rank[[codes[v] for v in text_ids]] = np.arange(len(text_ids))
-    columns, start = [], 0
-    for from_bytes, n in layout:
-        if from_bytes:
-            columns.append(byte_codes[start : start + n])
-            start += n
-        else:
-            columns.append(rank[next(text_parts)])
-    return tuple(ids), _joined(columns, CODE)
+    for row, part in texts:
+        column[row : row + len(part)] = rank[part]
+    texts.clear()
+    return tuple(ids), column
 
 
-def _byte_codes(parts: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
-    """The distinct values of UTF-8 ``S`` arrays, decoded, in sorted order,
-    and each value's rank among them, -1 for ``b""``; empties ``parts``.
+def _byte_codes(strings: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
+    """The distinct values of the UTF-8 ``S`` array that is the first of
+    ``strings``, decoded, in sorted order, and each value's rank among
+    them, -1 for ``b""``; takes the array off ``strings``.
 
-    One stable argsort orders the values; UTF-8 byte order is the code
-    point order that Python sorts strings by.  The values hold no NUL,
-    which ``S`` arrays would drop from their ends.  Neighbours in that
-    order are compared, and distinct values decoded, CHUNK_ROWS at a time,
-    so no sorted copy of the values is held.
+    A column of one value, or of none, is coded from one comparison with
+    its first value.  Otherwise one stable argsort orders the values;
+    UTF-8 byte order is the code point order that Python sorts strings
+    by.  The values hold no NUL, which ``S`` arrays would drop from their
+    ends.  Neighbours in that order are compared, and distinct values
+    decoded, CHUNK_ROWS at a time, so no sorted copy of the values is held.
     """
-    values = _joined(parts, "S1")
+    values = strings.pop(0)
+    if not (values != values[:1]).any():
+        ids = [v.decode() for v in values[:1].tolist() if v]
+        return ids, np.full(len(values), len(ids) - 1, dtype=CODE)
     order = np.argsort(values, kind="stable")
     first = np.ones(len(values), dtype=bool)
     for start in range(1, len(values), CHUNK_ROWS):
@@ -515,19 +517,19 @@ def parse_events(
 def _commit(chunk: Chunk, strict: bool, report: IngestReport, accumulator: _TableAccumulator) -> None:
     """Count a chunk's rejected rows by reason, or in strict mode raise at
     the first one in row order, then append the accepted rows to the
-    table."""
+    table: all the columns as they are when no row is rejected."""
     line_nos, columns, reason = chunk
     rejected = np.flatnonzero(reason)
-    if len(rejected) and strict:
-        raise IngestError(_REASONS[reason[rejected[0]]], line=int(line_nos[rejected[0]]))
-    for code, n in zip(*np.unique(reason[rejected], return_counts=True)):
-        report.reject(_REASONS[code], int(n))
-    keep = reason == 0
-    kept = keep.tolist()
-    report.accepted += len(kept) - len(rejected)
-    accumulator.append(
-        *(column[keep] if isinstance(column, np.ndarray) else list(compress(column, kept)) for column in columns)
-    )
+    if len(rejected):
+        if strict:
+            raise IngestError(_REASONS[reason[rejected[0]]], line=int(line_nos[rejected[0]]))
+        for code, n in zip(*np.unique(reason[rejected], return_counts=True)):
+            report.reject(_REASONS[code], int(n))
+        keep = reason == 0
+        kept = keep.tolist()
+        columns = [column[keep] if isinstance(column, np.ndarray) else list(compress(column, kept)) for column in columns]
+    report.accepted += len(reason) - len(rejected)
+    accumulator.append(*columns)
 
 
 def _second_look(data: bytes, start: np.ndarray, end: np.ndarray, columns: list, flagged: np.ndarray, read: Callable) -> tuple[list, np.ndarray]:

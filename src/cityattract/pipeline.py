@@ -4,7 +4,8 @@ A run reads every configured event source, infers user origins against
 the country layer, and produces per dataset x city-layer the
 attractiveness table, power-law fit, binned trend, residual ranking,
 scatter data, and seasonal window series, plus one residual correlation
-matrix across datasets and a manifest of input/output digests.
+matrix across datasets and a manifest of input/output digests and of
+each stage's seconds and peak RSS.
 
 Its stage functions, which the CLI subcommands call too, are the one
 place that decides stage tags and output file names: each writer computes
@@ -17,7 +18,7 @@ before the first file moves and the new one moves last, so a
 run_manifest.json in output_dir means every file it lists was published.
 Then the files that only the old manifest listed are removed.  Every
 file is deterministic: reruns with the same inputs are byte-identical,
-and wall-clock timestamps appear only in the manifest.
+and wall-clock timestamps and stage figures appear only in the manifest.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ import json
 import os
 import re
 import shutil
+import sys
 import tempfile
+import time
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
@@ -63,7 +66,15 @@ from .scaling import (
 from .output import csv_text, dumps_stable, fmt_num, sha256_file, write_text
 from .temporal import WindowedExponents, window_exponents, windows_to_csv, windows_to_json
 
+try:
+    import resource
+except ImportError:  # not on every platform; stages then record no peak RSS
+    resource = None
+
 MANIFEST = "run_manifest.json"
+
+# run_pipeline's stages in run order, as the manifest's ``stages`` names them
+STAGES = ("parse", "origins", "city_assignment", "attractiveness", "fit_bin_residuals", "temporal", "write")
 
 VALID_FORMATS = ("csv", "jsonl")
 
@@ -311,6 +322,29 @@ def write_temporal(out: Path, counts: ForeignCounts) -> WindowedExponents:
     return windows
 
 
+def _peak_rss_mb() -> float | None:
+    """The process's peak resident set size so far, in MiB."""
+    if resource is None:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (1 << 20 if sys.platform == "darwin" else 1 << 10)  # bytes on macOS, KiB elsewhere
+
+
+class _StageClock:
+    """Per stage of one run: the seconds spent in it, summed over datasets
+    and layers, and the peak RSS of the process when it last ended."""
+
+    def __init__(self) -> None:
+        self.stages = {name: {"seconds": 0.0, "peak_rss_mb": None} for name in STAGES}
+
+    @contextmanager
+    def __call__(self, name: str):
+        start = time.perf_counter()
+        yield
+        self.stages[name]["seconds"] += time.perf_counter() - start
+        self.stages[name]["peak_rss_mb"] = _peak_rss_mb()
+
+
 def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
     """Execute the full analysis; returns the manifest dict.
 
@@ -332,14 +366,19 @@ def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
     tmp = Path(tempfile.mkdtemp(prefix=".stage-", dir=out_dir.parent))
     inputs = {p: sha256_file(p) for p in sorted(set(paths))}
     try:
+        clock = _StageClock()
         residual_lists: dict[tuple[str, str], list] = {}  # (tag, layer label) -> scores
         dataset_summaries: dict[str, dict] = {}
         for source in config.event_sources:
             tag = source.dataset_tag
-            events, report = read_events(source.path, source.format, tag, strict)
-            write_ingest_report(tmp, tag, report)
-            origins, homes, unresolved = resolve_origins(events, country_layer, config.min_events)
-            write_homes(tmp, tag, homes)
+            with clock("parse"):
+                events, report = read_events(source.path, source.format, tag, strict)
+            with clock("write"):
+                write_ingest_report(tmp, tag, report)
+            with clock("origins"):
+                origins, homes, unresolved = resolve_origins(events, country_layer, config.min_events)
+            with clock("write"):
+                write_homes(tmp, tag, homes)
             dataset_summaries[tag] = {
                 "events": len(events),
                 "rejected": report.rejected,
@@ -348,29 +387,34 @@ def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
                 "layers": {},
             }
             for layer in city_layers:
-                assignment = assign_layer(events, layer)
-                counts = foreign_counts(events, assignment, origins, layer, config.target_country, dataset_tag=tag)
-                table = write_attractiveness(tmp, counts)
+                with clock("city_assignment"):
+                    assignment = assign_layer(events, layer)
+                with clock("attractiveness"):
+                    counts = foreign_counts(events, assignment, origins, layer, config.target_country, dataset_tag=tag)
+                    table = write_attractiveness(tmp, counts)
                 dataset_summaries[tag]["layers"][layer.label] = {
                     "overlap_events": assignment.overlap_events,
                     "unassigned": assignment.unassigned,
                     "excluded_events": table.excluded_events,
                     "excluded_regions": len(table.excluded_regions),
                 }
-                fit = write_fit(tmp, table)
-                write_binned(tmp, table, config.bins)
-                residual_lists[(tag, layer.label)] = write_residuals(tmp, table, fit)
-                write_temporal(tmp, counts)
+                with clock("fit_bin_residuals"):
+                    fit = write_fit(tmp, table)
+                    write_binned(tmp, table, config.bins)
+                    residual_lists[(tag, layer.label)] = write_residuals(tmp, table, fit)
+                with clock("temporal"):
+                    write_temporal(tmp, counts)
 
-        write_correlations(tmp, [s.dataset_tag for s in config.event_sources], labels, residual_lists)
-
-        outputs = {f.name: sha256_file(f) for f in sorted(tmp.iterdir())}
+        with clock("write"):
+            write_correlations(tmp, [s.dataset_tag for s in config.event_sources], labels, residual_lists)
+            outputs = {f.name: sha256_file(f) for f in sorted(tmp.iterdir())}
         manifest = {
             "tool": "cityattract",
             "version": __version__,
             "config": config.to_dict(),
             "strict": strict,
             "datasets": dataset_summaries,
+            "stages": clock.stages,
             "inputs": inputs,
             "outputs": outputs,
             "started_at": started.isoformat(),

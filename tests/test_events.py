@@ -703,20 +703,25 @@ JSON_LINES = st.lists(
 )
 
 
-def _same_outcome(text: str, format: str, strict: bool) -> None:
+def _same_outcome(text: str, format: str, strict: bool) -> EventTable | None:
+    """The parse of ``text``, checked against the row reference, sorted ids
+    included; None when the reference raises, and the parse with it."""
     try:
         want = oracles.parse_events(text, format=format, strict=strict)
     except (IngestError, csv.Error) as exc:  # csv.Error: a bare carriage return
         with pytest.raises(type(exc)) as got:
             parse_events(io.StringIO(text), format=format, strict=strict)
         assert str(got.value) == str(exc)
-        return
+        return None
     table, report = parse_events(io.StringIO(text), format=format, strict=strict)
     records, ref_report = want
     assert oracles.records(table) == records
     assert events_csv(table) == events_csv(table_of(records))  # tells -0.0 from 0.0
     assert report == ref_report
     assert list(table.user_ids) == sorted({r.user_id for r in records})
+    assert list(table.origin_ids) == sorted({r.origin_country for r in records} - {None})
+    assert list(table.tag_ids) == sorted({r.dataset_tag for r in records})
+    return table
 
 
 @settings(max_examples=300, deadline=None)
@@ -936,6 +941,123 @@ def test_numeric_columns_fill_across_chunks_from_a_capacity_of_one(monkeypatch):
     table, report = parse_events(io.StringIO(text))
     assert (oracles.records(table), report) == oracles.parse_events(text)
     assert table.seconds.shape == table.lat.shape == table.lon.shape == (399,)
+
+
+# --- string columns: one buffer each, coded where it lies ---------------------
+
+def _string_kinds(monkeypatch, text: str, format: str = "csv") -> list:
+    """Per chunk that the parse of ``text`` appends to its table, whether
+    the user, origin and tag columns are ``S`` arrays rather than lists."""
+    kinds = []
+    real = events_module._TableAccumulator.append
+
+    def recorded(self, users, seconds, lat, lon, origins, tags):
+        kinds.append(tuple(isinstance(c, np.ndarray) for c in (users, origins, tags)))
+        real(self, users, seconds, lat, lon, origins, tags)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(events_module._TableAccumulator, "append", recorded)
+        parse_events(io.StringIO(text), format=format)
+    return kinds
+
+
+def test_string_buffers_grow_and_widen_from_a_capacity_of_one(monkeypatch):
+    # user ids and tags widen from block to block, and a narrow block
+    # follows the wide ones; every block stays on the byte path, so every
+    # string column arrives as an S array
+    monkeypatch.setattr(events_module, "_FIRST_CAPACITY", 1)
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 256)  # blocks of about five rows
+    rows = [
+        f"{'u' * (1 + i // 40)}{i % 9},2012-06-01T12:00:00Z,{i / 7 - 40:.6f},1.5,{'FR' if i % 4 else ''},t{'x' * (i // 60)}"
+        for i in range(300)
+    ]
+    rows[250:] = [f"v{i % 3},2012-06-01T12:00:00Z,1.5,1.5,,t" for i in range(50)]
+    text = HEADER + "\n" + "\n".join(rows) + "\n"
+    assert len(_same_outcome(text, "csv", False)) == 300
+    kinds = _string_kinds(monkeypatch, text)
+    assert len(kinds) > 50
+    assert set(kinds) == {(True, True, True)}
+
+
+def test_user_field_widens_in_a_later_block(monkeypatch):
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 128)
+    rows = [f"u{i},2012-06-01T12:00:00Z,1.5,1.5,,t" for i in range(10)]
+    rows += [f"user_{'é' * (i % 2)}{i:040d},2012-06-01T12:00:00Z,1.5,1.5,,t" for i in range(10)]
+    table = _same_outcome(HEADER + "\n" + "\n".join(rows) + "\n", "csv", False)
+    assert table.user_ids[:2] == ("u0", "u1")
+
+
+def test_csv_byte_and_list_columns_keep_row_order(monkeypatch):
+    # blocks of one or two rows: S columns; a user past 64 bytes, read as
+    # str; S columns again, one block with a padded non-ASCII row that the
+    # second look patches in; then csv.reader from the quoted row on
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 64)
+    rows = [f"u{i},2012-06-01T12:00:00Z,1.5,1.5,{'ES' if i % 2 else ''},t{i % 3}" for i in range(24)]
+    rows[4] = "w" * 70 + ",2012-06-01T12:00:00Z,1.5,1.5,,t"
+    rows[9] = " padded_user_é ,2012-06-01T12:00:00Z,1.5,1.5,FR,é"
+    rows[12] = "u12,2012-06-01T12:00:00Z,91.5,1.5,,t"  # rejected
+    rows[18] = '"u,18",2012-06-01T12:00:00Z,1.5,1.5,,"t"'
+    text = HEADER + "\n" + "\n".join(rows) + "\n"
+    _same_outcome(text, "csv", False)
+    users = [k[0] for k in _string_kinds(monkeypatch, text)]
+    assert users[0] and users[-1] is False
+    assert any(not a and b for a, b in zip(users, users[1:]))  # a byte chunk after a list chunk
+
+
+def test_jsonl_byte_and_list_columns_keep_row_order(monkeypatch):
+    # blocks of about three lines: byte-path blocks; a block with a
+    # backslash, read by json's scanner; a flagged line wider than its
+    # block's user and tag columns; a declined block, after which the
+    # scanner reads the rest
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 256)
+    monkeypatch.setattr(events_module, "_DECLINE_LINES", 0)
+    lines = [JSON_GOOD % i for i in range(40)]
+    lines[5] = lines[5].replace('"u5"', '"u\\u00e95"')
+    lines[6] = lines[6].replace('"t"}', '"t","origin_country":"DE"}')
+    lines[13] = (JSON_GOOD % "_a_much_longer_user").replace('"t"}', '"tag_longer","x":true}')
+    lines[14] = lines[14].replace("40.5", "95.5")  # rejected
+    for i in range(27, 40):
+        lines[i] = lines[i].replace('"t"}', '"t%d","geo":{"n":1}}' % (i % 2))
+    text = "\n".join(lines) + "\n"
+    _same_outcome(text, "jsonl", False)
+    users = [k[0] for k in _string_kinds(monkeypatch, text, "jsonl")]
+    assert users[0] and users[-1] is False
+    assert any(not a and b for a, b in zip(users, users[1:]))
+
+
+@pytest.mark.parametrize(
+    "rows, users, origins, tags",
+    [
+        (["u1,2012-06-01T12:00:00Z,1.5,1.5,,t"] * 3, ("u1",), (), ("t",)),  # all-empty origins
+        (["u1,2012-06-01T12:00:00Z,1.5,1.5,ES,é", "u2,2012-06-01T12:00:00Z,1.5,1.5,ES,é"], ("u1", "u2"), ("ES",), ("é",)),
+        (["ü,2012-06-01T12:00:00Z,1.5,1.5,FR,t"], ("ü",), ("FR",), ("t",)),  # a single row
+        (["u1,2012-06-01T12:00:00Z,91.5,1.5,ES,t"], (), (), ()),  # no accepted row
+    ],
+)
+def test_one_value_columns_are_coded_without_a_sort(monkeypatch, rows, users, origins, tags):
+    sorted_values = []
+    real_argsort = np.argsort
+    monkeypatch.setattr(np, "argsort", lambda a, *args, **kw: sorted_values.append(np.array(a)) or real_argsort(a, *args, **kw))
+    table = _same_outcome(HEADER + "\n" + "\n".join(rows) + "\n", "csv", False)
+    assert (table.user_ids, table.origin_ids, table.tag_ids) == (users, origins, tags)
+    assert table.origin.tolist() == [0 if origins else -1] * len(table)
+    assert table.tag.tolist() == [0] * len(table)
+    assert all(len(set(values.tolist())) > 1 for values in sorted_values)
+    assert len(sorted_values) == (len(users) > 1)
+
+
+@pytest.mark.parametrize("kind", ["bytes", "list"])
+def test_a_lone_string_buffer_is_coded_without_a_copy(monkeypatch, kind):
+    accumulator = events_module._TableAccumulator()
+    users = ["u2", "u1", "u2"]
+    columns = (users, [1, 2, 3], [1.5] * 3, [2.5] * 3, ["ES", None, "FR"], ["t"] * 3)
+    if kind == "bytes":
+        columns = (np.array([u.encode() for u in users]), *columns[1:4], np.array([b"ES", b"", b"FR"]), np.array([b"t"] * 3))
+    accumulator.append(*columns)
+    monkeypatch.setattr(np, "concatenate", lambda *a, **k: pytest.fail("np.concatenate was called"))
+    table = accumulator.table()
+    assert [table.user_ids[c] for c in table.user] == users
+    assert table.origin.tolist() == [0, -1, 1] and table.tag.tolist() == [0, 0, 0]
 
 
 def test_wide_fields_keep_chunk_memory_in_proportion_to_the_text(monkeypatch):

@@ -607,3 +607,27 @@ def test_manifest_keeps_the_layer_diagnostics(tmp_path):
     assert manifest["datasets"][TAG]["layers"] == {
         "cities": {"overlap_events": 1, "unassigned": 2, "excluded_events": 4, "excluded_regions": 1}
     }
+
+
+def test_manifest_records_each_stage_in_run_order(world, tmp_path):
+    # one dataset and one layer: every stage runs, and the peak RSS that
+    # each records when it last ended never falls in run order
+    _run_pipeline(world, tmp_path / "run")
+    stages = json.loads((tmp_path / "run" / pipeline.MANIFEST).read_text())["stages"]
+    assert sorted(stages) == sorted(pipeline.STAGES)
+    assert all(stage["seconds"] >= 0 for stage in stages.values())
+    peaks = [stages[name]["peak_rss_mb"] for name in pipeline.STAGES]
+    assert peaks[0] > 0 and peaks == sorted(peaks)
+
+
+def test_stages_record_no_peak_without_the_resource_module(world, tmp_path):
+    script = (
+        "import sys\n"
+        "sys.modules['resource'] = None  # as on a platform without it\n"
+        "from cityattract import pipeline\n"
+        f"manifest = pipeline.run_pipeline(pipeline.load_config({str(_write_config(world, tmp_path / 'run'))!r}))\n"
+        "print(sorted({str(stage['peak_rss_mb']) for stage in manifest['stages'].values()}))\n"
+    )
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+    assert (done.returncode, done.stdout) == (0, "['None']\n"), done.stderr
