@@ -7,15 +7,18 @@ required) or JSONL with the same field names; malformed rows are counted
 and skipped unless strict mode is on.
 
 Parsed events live in one EventTable of numpy columns.  Ingest reads the
-input as raw byte blocks of about BLOCK_BYTES, each cut at its last
-newline (a text stream is encoded one read at a time), and validates it
-in bounded chunks column by column.  ``_decide`` holds the row rules: it
-gives every row of a chunk its rejection reason, or none, from columns
-of raw field values.  Each format has one field reader that gives those
-values, ``_row_fields`` for split CSV rows and ``_json_fields`` for
-JSONL lines; it reads every row of a chunk on the list paths below, and
-on the byte paths only the rows that the byte checks flag, re-read in
-one batch per block.
+input, a text stream encoded one read at a time, as raw byte blocks of
+about BLOCK_BYTES, each cut at its last newline, and validates it in
+bounded chunks column by column.  The format, not the source, sets the line
+rule: a CSV line ends at LF, CR or CRLF, as csv reads a file opened with
+``newline=""``, and a JSONL line at LF alone, as JSON Lines has it.  Bytes
+that are not UTF-8, such as a text stream's lone surrogate, fail where they
+lie.  ``_decide`` holds the row rules: it gives every row of a chunk its
+rejection reason, or none, from columns of raw field values.  Each format
+has one field reader that gives those values, ``_row_fields`` for split CSV
+rows and ``_json_fields`` for JSONL lines; it reads every row of a chunk on
+the list paths below, and on the byte paths only the rows that the byte
+checks flag, re-read in one batch per block.
 
 A CSV block holding no quote, carriage return or NUL, no line longer
 than csv's field size limit, exactly the header's number of commas on
@@ -27,21 +30,22 @@ column that the table codes where it lies: with one sort, or with one
 comparison when the column holds one value.  That suits short ids and
 tags; a block's column with a field wider than 64 bytes is read as
 Python strings instead, so memory stays proportional to the text.  A
-row with a field that may carry padding ``str.strip``
-removes is flagged like any other, and only a flagged row's line is
-decoded.  From the first other block on, ``csv.reader`` reads the rest
-of the stream, decoded block by block.  Either way the accepted rows,
-rejection reasons and line numbers are the same, and a
-UnicodeDecodeError is raised only after the rows before the undecodable
-bytes have been counted, or have failed strict mode.
+row with a field that may carry padding ``str.strip`` removes is flagged
+like any other, and only a flagged row's line is decoded.  From the
+first other block on, ``csv.reader`` reads the rest of the stream,
+decoded block by block; a field past its size limit is an IngestError.
+Either way the accepted rows, rejection reasons and line numbers are the
+same, and an error reading the rows is raised only after the rows before
+it have been counted, or have failed strict mode.
 
-A JSONL block holding no backslash, carriage return or NUL and only UTF-8
-is checked as bytes too: its strings have no escapes, so numpy finds them
-by their quotes and verifies the lines that hold one flat object of
-string keys and string, number or null values (``_json_block``).  Any
-other nonblank line is flagged and decoded by json's scanner.  Any other
-block, and every block from the first one where most lines are not such
-objects, is read line by line with that scanner, one dict per line.
+A JSONL block holding no backslash and only UTF-8 is checked as bytes
+too: its strings have no escapes, so numpy finds them by their quotes
+and verifies the lines that hold one flat object of string keys and
+string, number or null values (``_json_block``), a carriage return
+between tokens being whitespace.  Any other nonblank line, one with a
+NUL say, is flagged and decoded by json's scanner.  Any other block, and
+every block from the first one where most lines are not such objects, is
+read line by line with that scanner, one dict per line.
 
 Timestamps have one grammar, decoded a column at a time: ``_stamp_column``
 rewrites the shorter and longer accepted forms to the canonical
@@ -59,7 +63,7 @@ import json
 import json.scanner
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import chain, compress, count, islice, repeat
 from pathlib import Path
 from typing import IO, Callable, Generator, Iterable, Iterator, Sequence
@@ -113,6 +117,10 @@ class EventTable:
     tag: np.ndarray
     tag_ids: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        for column in (self.user, self.seconds, self.lat, self.lon, self.origin, self.tag):
+            column.setflags(write=False)
+
     def __len__(self) -> int:
         return int(self.user.shape[0])
 
@@ -136,11 +144,6 @@ class EventTable:
         return accumulator.table()
 
 
-def labels_of(ids: Sequence, codes: np.ndarray, missing=None) -> list:
-    """``ids[c]`` for each code ``c``, with ``missing`` where ``c`` is -1."""
-    return np.array((*ids, missing), dtype=object)[codes].tolist()
-
-
 @dataclass
 class IngestReport:
     """Accepted/rejected tallies for one parsed stream."""
@@ -154,13 +157,7 @@ class IngestReport:
         self.rejection_reasons[reason] = self.rejection_reasons.get(reason, 0) + count
 
     def to_json(self) -> str:
-        return dumps_stable(
-            {
-                "accepted": self.accepted,
-                "rejected": self.rejected,
-                "rejection_reasons": dict(self.rejection_reasons),
-            }
-        )
+        return dumps_stable(asdict(self))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +374,6 @@ class _TableAccumulator:
             _sorted_codes(strings, texts, codes) for texts, codes in zip(self.texts, self.codes)
         )
         seconds, lat, lon = self.numbers
-        for column in (user, seconds, lat, lon, origin, tag):
-            column.setflags(write=False)
         return EventTable(user, user_ids, seconds, lat, lon, origin, origin_ids, tag, tag_ids)
 
 
@@ -450,7 +445,8 @@ def _byte_codes(strings: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
 def _blocks(source) -> Iterator[bytes]:
     """The stream as UTF-8 bytes in blocks of about BLOCK_BYTES, each ending
     at a newline save perhaps the last.  A text stream is encoded one read
-    at a time, a lone surrogate passed through for ``_lines`` to restore."""
+    at a time, a lone surrogate passed through as bytes that are not UTF-8,
+    so it fails where it lies, like undecodable bytes of a file."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
             yield from _blocks(fh)
@@ -469,20 +465,20 @@ def _blocks(source) -> Iterator[bytes]:
         yield b"".join(rest)
 
 
-def _lines(blocks: Iterable[bytes], text: bool) -> Iterator[str]:
-    """The text lines of the blocks, split as a text stream's iteration
-    splits them (``text``) or as a file opened with ``newline=""`` does.
-    Before raising a UnicodeDecodeError it yields every whole line in front
-    of the undecodable bytes."""
-    errors, newline = ("surrogatepass", "\n") if text else ("strict", "")
+def _lines(blocks: Iterable[bytes], newline: str) -> Iterator[str]:
+    """The lines of the blocks, decoded as strict UTF-8 and split as a file
+    opened with the format's ``newline`` splits them: ``"\\n"`` for JSONL,
+    whose lines end at LF alone, ``""`` for CSV, whose lines end at LF, CR
+    or CRLF.  Before raising a UnicodeDecodeError it yields every whole
+    line in front of the undecodable bytes."""
     for data in blocks:
         try:
-            decoded = data.decode("utf-8", errors)
+            yield from io.StringIO(data.decode(), newline=newline)
         except UnicodeDecodeError as exc:
             head = data[: exc.start]
-            yield from io.StringIO(head[: max(head.rfind(b"\n"), head.rfind(b"\r")) + 1].decode(), newline=newline)
+            cut = head.rfind(b"\n") if newline else max(head.rfind(b"\n"), head.rfind(b"\r"))
+            yield from io.StringIO(head[: cut + 1].decode(), newline=newline)
             raise
-        yield from io.StringIO(decoded, newline=newline)
 
 
 # A chunk of input rows after the column checks: (line numbers; the users,
@@ -509,7 +505,7 @@ def parse_events(
         raise IngestError(f"unknown format: {format!r}")
     accumulator = _TableAccumulator()
     report = IngestReport()
-    for chunk in chunks(_blocks(source), isinstance(source, io.TextIOBase)):
+    for chunk in chunks(_blocks(source)):
         _commit(chunk, strict, report, accumulator)
     return accumulator.table(), report
 
@@ -569,14 +565,16 @@ def _list_chunks(items: Iterator, line_no: int, blank: Callable, read: Callable)
     """Chunks of up to CHUNK_ROWS items, ``csv.reader`` rows or JSONL
     lines, numbered from ``line_no + 1``: the items that are not
     ``blank``, decided together by the field reader ``read``; returns the
-    number of the last item.  An error reading the items is raised once
-    the items before it are committed, so a bad row still fails before an
-    error later in the input."""
+    number of the last item.  An error reading the items, a csv.Error as
+    an IngestError at the row being read, is raised once the items before
+    it are committed, so a bad row still fails before an error later on."""
     while True:
         block, error = [], None
         try:
             block.extend(islice(items, CHUNK_ROWS))
-        except (csv.Error, UnicodeDecodeError) as exc:
+        except csv.Error as exc:  # a field past csv's size limit
+            error = IngestError(str(exc), line=line_no + len(block) + 1)
+        except UnicodeDecodeError as exc:
             error = exc
         nonblank = [k for k, item in enumerate(block) if not blank(item)]
         if nonblank:
@@ -800,7 +798,7 @@ def _is_utf8(data: bytes) -> bool:
     return True
 
 
-def _csv_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
+def _csv_chunks(blocks: Iterator[bytes]) -> Iterator[Chunk]:
     """Chunks of a CSV stream; line numbers count rows, as ``csv.reader``
     yields them.
 
@@ -832,7 +830,7 @@ def _csv_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
         line_no += len(chunk[0])
     else:
         return
-    reader = csv.reader(_lines(chain((data,), blocks), text))
+    reader = csv.reader(_lines(chain((data,), blocks), ""))
     if columns is None:
         for header in reader:
             line_no += 1
@@ -890,32 +888,32 @@ def _json_fields(lines: list[str]) -> tuple[list, np.ndarray]:
     return _decide([list(map(dict.get, objects, repeat(c))) for c in CANONICAL_COLUMNS], bad)
 
 
-def _jsonl_chunks(blocks: Iterator[bytes], text: bool) -> Iterator[Chunk]:
-    """Chunks of a JSONL stream: a block holding no backslash, carriage
-    return or NUL, and only UTF-8, is checked as bytes, and any other block
-    is read line by line, as is every block after one that ``_json_block``
-    declines."""
+def _jsonl_chunks(blocks: Iterator[bytes]) -> Iterator[Chunk]:
+    """Chunks of a JSONL stream: a block holding no backslash, and only
+    UTF-8, is checked as bytes, and any other block is read line by line, as
+    is every block after one that ``_json_block`` declines."""
     line_no, checked = 0, True
     for data in blocks:
-        plain = checked and b"\\" not in data and b"\r" not in data and b"\0" not in data and _is_utf8(data)
+        plain = checked and b"\\" not in data and _is_utf8(data)
         chunk = _json_block(data, line_no + 1) if plain else None
         if chunk is None:
             checked &= not plain
-            line_no = yield from _list_chunks(_lines((data,), text), line_no, str.isspace, _json_fields)
+            line_no = yield from _list_chunks(_lines((data,), "\n"), line_no, str.isspace, _json_fields)
         else:
             yield chunk
             line_no += data.count(b"\n") + (not data.endswith(b"\n"))
 
 
 # byte classes of the JSONL byte path, 0 for the other bytes, and the two
-# kinds of closing quote that the tokens outside strings tell apart
+# kinds of closing quote that the tokens outside strings tell apart; a
+# carriage return is whitespace between tokens, as a tab is
 _QUOTE, _OPEN, _CLOSE, _COLON, _COMMA, _NEWLINE, _SPACE, _TAB, _CONTROL, _KEY_END, _VALUE_END = range(1, 12)
 _JSON_CLASS = np.zeros(256, dtype=np.uint8)
 _JSON_CLASS[:32] = _CONTROL
-_JSON_CLASS[np.frombuffer(b'"{}:,\n \t', dtype=np.uint8)] = np.arange(_QUOTE, _CONTROL)
+_JSON_CLASS[np.frombuffer(b'"{}:,\n \t\r', dtype=np.uint8)] = [*range(_QUOTE, _CONTROL), _TAB]
 
 # by pair of neighbouring tokens on a line holding one flat object: 1 where
-# only spaces or tabs may lie between them, 2 where one number must (after
+# only whitespace may lie between them, 2 where one number must (after
 # a colon), 0 where the pair may not occur; indexed by 12 * first + second
 _PAIRS = np.zeros(144, dtype=np.uint8)
 _PAIRS[
@@ -965,20 +963,21 @@ _DECLINE_LINES = 64
 
 
 def _json_block(data: bytes, first_line: int) -> Chunk | None:
-    """Check a block of UTF-8 JSONL lines holding no backslash, carriage
-    return or NUL as one byte buffer, or None when it is declined (see
-    _DECLINE_LINES).
+    """Check a block of UTF-8 JSONL lines holding no backslash as one byte
+    buffer, or None when it is declined (see _DECLINE_LINES).
 
     Such a block's strings are their bytes between quotes, and its lines
     end at newlines alone.  numpy finds the quotes and, outside strings,
-    the bytes ``{ } : ,``, spaces, tabs and newlines, and verifies that a
+    the bytes ``{ } : ,``, whitespace and newlines, and verifies that a
     line holds one flat object: string keys, and values that are strings
     holding no control byte, JSON numbers of at most _BYTE_WIDTH bytes or
-    null, with spaces and tabs between tokens, and no CANONICAL_COLUMNS key
-    twice.  Any other nonblank line is flagged, and so is a row whose user,
-    timestamp, origin or tag is a number, or whose coordinate is a negative
-    zero (json reads the integer -0 as +0.0); the flagged lines are then
-    decoded with json's scanner and decided together.
+    null, with spaces, tabs and carriage returns between tokens, and no
+    CANONICAL_COLUMNS key twice.  A NUL or other control byte outside a
+    string, like one inside, fails that check.  Any other nonblank line is
+    flagged, and so is a row whose user, timestamp, origin or tag is a
+    number, or whose coordinate is a negative zero (json reads the integer
+    -0 as +0.0); the flagged lines are then decoded with json's scanner and
+    decided together.
     """
     # a newline put before the block starts the first line like the others
     data = b"\n" + data + b"\n"[data.endswith(b"\n") :]
@@ -1005,7 +1004,7 @@ def _json_block(data: bytes, first_line: int) -> Chunk | None:
         count = np.cumsum(quote, dtype=np.int32)
     after_open = (count - quote) & 1 == 1  # inside a string, or its closing quote
     outer = quote | ~after_open
-    if (kind >= _TAB).any():  # a tab between tokens is a space; any other control byte is bad
+    if (kind >= _TAB).any():  # a tab or CR between tokens is a space; any other control byte is bad
         bad[np.searchsorted(ends, where[(kind == _CONTROL) | (~outer & (kind == _TAB))])] = True
         kind[kind == _TAB] = _SPACE
 

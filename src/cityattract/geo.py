@@ -33,7 +33,7 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .events import EventTable, labels_of
+from .events import EventTable
 from .output import coded_column, csv_blocks, write_text
 
 Ring = tuple[tuple[float, float], ...]  # (lat, lon) vertices, not closed
@@ -82,7 +82,7 @@ class Assignment:
 
     @property
     def region_ids(self) -> list[str | None]:
-        return labels_of(self.regions, self.index)
+        return np.array((*self.regions, None), dtype=object)[self.index].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +123,7 @@ def _as_polygon(rings, where: str) -> PolygonRings:
     return outer, holes
 
 
-def load_layer(source: str | Path | IO[bytes] | IO[str] | dict, label: str | None = None) -> RegionLayer:
+def load_layer(source: str | Path | IO[bytes] | IO[str] | dict) -> RegionLayer:
     """Load a GeoJSON FeatureCollection of Polygon/MultiPolygon features.
 
     Features must carry ``id``, ``name``, ``layer`` and may carry
@@ -191,9 +191,7 @@ def load_layer(source: str | Path | IO[bytes] | IO[str] | dict, label: str | Non
         )
         regions.append(Region(rid, name, layer_tag, population, polygons, bbox))
 
-    if label is None:
-        label = obj.get("name") or regions[0].layer or "layer"
-    return RegionLayer(str(label), tuple(regions))
+    return RegionLayer(str(obj.get("name") or regions[0].layer or "layer"), tuple(regions))
 
 
 def layer_to_geojson(layer: RegionLayer) -> dict:

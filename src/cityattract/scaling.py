@@ -367,14 +367,12 @@ def _table_row(raw: list[str]) -> AttractRow:
     return row
 
 
-def read_table_csv(
-    path: str | Path, dataset_tag: str = "", layer: str = "", target_country: str = ""
-) -> AttractivenessTable:
+def read_table_csv(path: str | Path, dataset_tag: str = "", layer: str = "") -> AttractivenessTable:
     rows = _read_csv(path, _TABLE_HEADER, "attractiveness", _table_row)
     return AttractivenessTable(
         dataset_tag=dataset_tag,
         layer=layer,
-        target_country=target_country,
+        target_country="",
         rows=tuple(rows),
         total_events=sum(r.events for r in rows),
         excluded_events=0,

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import EventTable, labels_of
+from .events import CODE, EventTable
 from .geo import RegionLayer, load_layer
 from .rng import CounterRng
 from .scaling import AttractRow, AttractivenessTable
@@ -212,31 +212,23 @@ def _city_corner(r):
     return _CITY_LAT + r // _ROW_CITIES * _CITY_PITCH, r % _ROW_CITIES * _CITY_PITCH
 
 
-def make_city_layer(spec: SyntheticSpec, label: str = "cities") -> RegionLayer:
+def _square(properties: dict, lat0: float, lon0: float) -> dict:
+    """A GeoJSON feature: the _CITY_SIDE square with south-west corner (lat0, lon0)."""
+    east, north = lon0 + _CITY_SIDE, lat0 + _CITY_SIDE
+    ring = [[lon0, lat0], [east, lat0], [east, north], [lon0, north], [lon0, lat0]]
+    return {"type": "Feature", "properties": properties, "geometry": {"type": "Polygon", "coordinates": [ring]}}
+
+
+def make_city_layer(spec: SyntheticSpec) -> RegionLayer:
     """Disjoint population-bearing squares in rows inside the target country."""
-    ids = region_ids(spec)
-    pops = populations(spec)
-    features = []
-    for i, (rid, pop) in enumerate(zip(ids, pops)):
-        lat0, lon0 = _city_corner(i)
-        ring = [
-            [lon0, lat0],
-            [lon0 + _CITY_SIDE, lat0],
-            [lon0 + _CITY_SIDE, lat0 + _CITY_SIDE],
-            [lon0, lat0 + _CITY_SIDE],
-            [lon0, lat0],
-        ]
-        features.append(
-            {
-                "type": "Feature",
-                "properties": {"id": rid, "name": f"City {rid}", "layer": label, "population": pop},
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-            }
-        )
-    return load_layer({"type": "FeatureCollection", "name": label, "features": features})
+    features = [
+        _square({"id": rid, "name": f"City {rid}", "layer": "cities", "population": pop}, *_city_corner(i))
+        for i, (rid, pop) in enumerate(zip(region_ids(spec), populations(spec)))
+    ]
+    return load_layer({"type": "FeatureCollection", "name": "cities", "features": features})
 
 
-def make_country_layer(spec: SyntheticSpec, label: str = "countries") -> RegionLayer:
+def make_country_layer(spec: SyntheticSpec) -> RegionLayer:
     """The target country containing every city, plus far-away foreign squares."""
     if spec.n_regions > _ROW_CITIES * _MAX_ROWS:
         raise ValueError(f"at most {_ROW_CITIES * _MAX_ROWS} cities fit south of the foreign countries, got {spec.n_regions}")
@@ -251,7 +243,7 @@ def make_country_layer(spec: SyntheticSpec, label: str = "countries") -> RegionL
     features = [
         {
             "type": "Feature",
-            "properties": {"id": spec.target_country, "name": spec.target_country, "layer": label},
+            "properties": {"id": spec.target_country, "name": spec.target_country, "layer": "countries"},
             "geometry": (
                 {"type": "Polygon", "coordinates": pieces[0]}
                 if len(pieces) == 1
@@ -259,23 +251,11 @@ def make_country_layer(spec: SyntheticSpec, label: str = "countries") -> RegionL
             ),
         }
     ]
-    for j, code in enumerate(spec.foreign_countries):
-        lon0 = j * 0.5
-        ring = [
-            [lon0, _COUNTRY_LAT],
-            [lon0 + _CITY_SIDE, _COUNTRY_LAT],
-            [lon0 + _CITY_SIDE, _COUNTRY_LAT + _CITY_SIDE],
-            [lon0, _COUNTRY_LAT + _CITY_SIDE],
-            [lon0, _COUNTRY_LAT],
-        ]
-        features.append(
-            {
-                "type": "Feature",
-                "properties": {"id": code, "name": code, "layer": label},
-                "geometry": {"type": "Polygon", "coordinates": [ring]},
-            }
-        )
-    return load_layer({"type": "FeatureCollection", "name": label, "features": features})
+    features += [
+        _square({"id": code, "name": code, "layer": "countries"}, _COUNTRY_LAT, j * 0.5)
+        for j, code in enumerate(spec.foreign_countries)
+    ]
+    return load_layer({"type": "FeatureCollection", "name": "countries", "features": features})
 
 
 def country_anchor(spec: SyntheticSpec, code: str) -> tuple[float, float]:
@@ -329,11 +309,11 @@ def _city_events(root: CounterRng, key: int, counts: np.ndarray, year: int) -> t
 
 def _event_columns(
     spec: SyntheticSpec, foreign: np.ndarray, residents: np.ndarray, year: int
-) -> tuple[list[str], np.ndarray, np.ndarray, np.ndarray, int, int]:
-    """The user ids, epoch seconds, lat and lon of every event of a world
-    of ``foreign`` and ``residents`` city events per region and month,
-    sorted by time, then user id, lat and lon; and the numbers of foreign
-    and resident users.
+) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+    """The sorted user ids, and the user codes into them, epoch seconds,
+    lat and lon of every event of a world of ``foreign`` and ``residents``
+    city events per region and month, sorted by time, then user id, lat
+    and lon; and the numbers of foreign and resident users.
 
     Each (region, month) bucket of foreign events is split into users of at
     most 2 events, so a user's in-city count can never beat their 2 home
@@ -360,10 +340,12 @@ def _event_columns(
     seconds = np.concatenate([anchor_seconds, city_seconds, res_seconds])
     lat = np.concatenate([anchor_lat, city_lat, res_lat])
     lon = np.concatenate([anchor_lon, city_lon, res_lon])
-    rank = np.empty(len(names), dtype=np.int64)
-    rank[sorted(range(len(names)), key=names.__getitem__)] = np.arange(len(names))
-    order = np.lexsort((lon, lat, rank[user], seconds))
-    return labels_of(names, user[order]), seconds[order], lat[order], lon[order], n_foreign_users, n_resident_users
+    by_name = sorted(range(len(names)), key=names.__getitem__)
+    rank = np.empty(len(names), dtype=CODE)
+    rank[by_name] = np.arange(len(names))
+    user = rank[user]
+    order = np.lexsort((lon, lat, user, seconds))
+    return tuple(map(names.__getitem__, by_name)), user[order], seconds[order], lat[order], lon[order], n_foreign_users, n_resident_users
 
 
 def generate_events(
@@ -389,8 +371,10 @@ def generate_events(
     res_monthly = [largest_remainder(w, n) if n else [0] * 12 for w, n in zip(weights, res_by_region)]
 
     counts = (np.array(c, dtype=np.int64).reshape(-1, 12) for c in (monthly, res_monthly))
-    users, seconds, lat, lon, n_foreign_users, n_resident_users = _event_columns(spec, *counts, year)
-    events = EventTable.from_columns(users, seconds, lat, lon, [None] * len(users), [dataset_tag] * len(users))
+    user_ids, user, seconds, lat, lon, n_foreign_users, n_resident_users = _event_columns(spec, *counts, year)
+    # every user has events, no event declares an origin, and all share the tag
+    origin, tag = np.full(len(user), -1, dtype=CODE), np.zeros(len(user), dtype=CODE)
+    events = EventTable(user, user_ids, seconds, lat, lon, origin, (), tag, (dataset_tag,) if len(user) else ())
 
     truth = {
         "kind": "events",

@@ -425,8 +425,9 @@ def _valid_origin(origin) -> bool:
 
 
 def parse_events(source, format="csv", strict=False):
-    """Records and report of a CSV or JSONL text, validated row by row."""
-    lines = io.StringIO(source) if isinstance(source, str) else source
+    """Records and report of a CSV or JSONL text, validated row by row; a
+    str is split into lines by its format's newline, as ingest splits it."""
+    lines = io.StringIO(source, newline="" if format == "csv" else "\n") if isinstance(source, str) else source
     rows = _csv_rows(lines) if format == "csv" else _jsonl_rows(lines)
     records, report = [], IngestReport()
     for line_no, outcome in rows:

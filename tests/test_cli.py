@@ -366,6 +366,19 @@ def test_undecodable_events_exit_1(tmp_path, capsys, strict):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("strict", [False, True])
+def test_csv_field_past_the_size_limit_exits_1(tmp_path, capsys, strict):
+    path = tmp_path / "long.csv"
+    path.write_text(
+        "user_id,timestamp,lat,lon,origin_country,dataset_tag\n"
+        "u1,2012-06-01T12:00:00Z,40.4,-3.7,,t\n"
+        + "u" * 200_000 + ",2012-06-01T12:00:00Z,40.4,-3.7,,t\n"
+    )
+    argv = ["ingest", "--input", str(path), "--tag", "t", "--out", str(tmp_path / "out")]
+    assert main(argv + ["--strict"] * strict) == 1
+    assert capsys.readouterr().err == "error [ingest]: t: line 3: field larger than field limit (131072)\n"
+
+
 @pytest.mark.parametrize("command", ["fit", "bin", "residuals"])
 def test_short_table_row_exits_2(tmp_path, capsys, command):
     table = tmp_path / "table.csv"

@@ -628,7 +628,7 @@ class Raw(str):
 RAW_NUMBERS = st.sampled_from(
     ["-0", "0", "-0.0", "12", "-7", "1e400", "-1E400", "4.05e1", "0.5e-3", "1e-400", "9" * 64, "1" + "0" * 300]
 ).map(Raw)
-RAW_STRINGS = st.sampled_from(['"u\tv"', '"\x01"', '"t\x1f"', '"ES\t"']).map(Raw)  # control bytes json rejects
+RAW_STRINGS = st.sampled_from(['"u\tv"', '"\x01"', '"t\x1f"', '"ES\t"', '"u\r"', '"\x00"']).map(Raw)  # control bytes json rejects
 # values outside the JSON number grammar; json accepts NaN and -Infinity
 RAW_OTHERS = st.sampled_from(
     ["01", "1.", ".5", "+1", "-", "1e", "0x1", "1_0", "1 2", "1e5e5", "1.2.3", "--1", "tru", "[1", "NaN", "-Infinity"]
@@ -641,8 +641,8 @@ EXTRA_VALUES = st.one_of(
     JSON_VALUES, RAW_NUMBERS, RAW_STRINGS, RAW_OTHERS, st.just({"a": [1, {"b": None}]}), st.text(max_size=4), st.integers()
 )
 EXTRA_KEYS = st.sampled_from([*CANONICAL_COLUMNS, "text", "id", "lat ", "\u00fc", "user_id2"])
-SEPARATORS = st.sampled_from([(", ", ": "), (",", ":"), (" , ", " : "), ("\t,", ":\t"), (",  ", ":")])
-PADDING = st.sampled_from(["", " ", "\t", " \t "])
+SEPARATORS = st.sampled_from([(", ", ": "), (",", ":"), (" , ", " : "), ("\t,", ":\t"), (",  ", ":"), ("\r,", ":\r")])
+PADDING = st.sampled_from(["", " ", "\t", " \t ", "\r"])
 GOOD_FIELDS = st.fixed_dictionaries(
     {
         "user_id": st.sampled_from(["u1", "u2", "ü", " u3 ", "用户", "u\x85"]),
@@ -696,7 +696,7 @@ JSON_LINES = st.lists(
             "", "   ", "\t", "{not json", "[1, 2]", "7", '{"a": 1} {"b": 2}', "\ufeff{}", "{}", "\u3000",
             '\u3000{"user_id": "u1"}', '{"a": 1,}', '{"a": 01}', '{"a": 1.}', '{"a": .5}', '{"a": NaN}',
             '{"a" "b"}', '{"a": "b": "c"}', '{"a": 1 2}', '{"a":}', '{"a": "b" "c"}', '{"a": "b', "{,}",
-            "\x1c", '\x1c{"user_id": "u1"}\x1d',
+            "\x1c", '\x1c{"user_id": "u1"}\x1d', "\x00", '{"a": 1}\r{"b": 2}', "\r",
         ]),
     ),
     max_size=40,
@@ -708,7 +708,7 @@ def _same_outcome(text: str, format: str, strict: bool) -> EventTable | None:
     included; None when the reference raises, and the parse with it."""
     try:
         want = oracles.parse_events(text, format=format, strict=strict)
-    except (IngestError, csv.Error) as exc:  # csv.Error: a bare carriage return
+    except IngestError as exc:
         with pytest.raises(type(exc)) as got:
             parse_events(io.StringIO(text), format=format, strict=strict)
         assert str(got.value) == str(exc)
@@ -1210,6 +1210,99 @@ def test_bad_row_fails_before_undecodable_bytes_in_a_later_block(tmp_path, monke
     with pytest.raises(IngestError) as exc:
         oracles.parse_events(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=""), strict=True)
     assert exc.value.line == 3
+
+
+# --- one line rule per format, whatever the source ------------------------------
+
+JSON_BAD = (JSON_GOOD % 9).replace("40.5", "95.5")  # lat out of range
+# each case holds one bad row, so strict mode's line number is compared too
+CROSS_SOURCE_CASES = {
+    "CSV, a bare CR inside a row": (
+        "csv", "\n".join([HEADER, GOOD.format(1), GOOD.format(2) + "\r" + GOOD.format(3), BAD, GOOD.format(4)]) + "\n"
+    ),
+    "CSV, CRLF": ("csv", "\r\n".join([HEADER, GOOD.format(1), BAD, GOOD.format(2)]) + "\r\n"),
+    "JSONL, a CR between tokens": (
+        "jsonl", "\n".join([(JSON_GOOD % 1).replace(":40.5", ":\r40.5"), JSON_BAD, JSON_GOOD % 2]) + "\n"
+    ),
+    "JSONL, CRLF": ("jsonl", "\r\n".join([JSON_GOOD % 1, JSON_BAD, JSON_GOOD % 2]) + "\r\n"),
+    "JSONL, a lone CR between two objects": (
+        "jsonl", "\n".join([JSON_GOOD % 1, JSON_GOOD % 2 + "\r" + JSON_GOOD % 3, JSON_BAD]) + "\n"
+    ),
+    "JSONL, a NUL line": ("jsonl", "\n".join([JSON_GOOD % 1, "\0", JSON_BAD, JSON_GOOD % 2]) + "\n"),
+    "CSV, a bad row before a lone surrogate": (
+        "csv", "\n".join([HEADER, GOOD.format(1), BAD, GOOD.format("\ud800")]) + "\n"
+    ),
+    "JSONL, a bad row before a lone surrogate": (
+        "jsonl", "\n".join([JSON_GOOD % 1, JSON_BAD, JSON_GOOD % "\ud800"]) + "\n"
+    ),
+}
+
+
+def _parse_outcome(parse, source, format, strict):
+    try:
+        return parse(source, format=format, strict=strict)
+    except IngestError as exc:
+        return exc.line, exc.reason
+    except UnicodeDecodeError:
+        return UnicodeDecodeError
+
+
+@pytest.mark.parametrize("block_bytes", [16, 1 << 19])
+@pytest.mark.parametrize("source", ["path", "bytes", "text"])
+@pytest.mark.parametrize("case", CROSS_SOURCE_CASES)
+def test_every_source_splits_lines_by_the_format(tmp_path, monkeypatch, case, source, block_bytes):
+    # CSV lines end at LF, CR or CRLF and JSONL lines at LF alone, from a
+    # path, a binary stream or a text stream; a text stream's lone surrogate
+    # fails where it lies, as the undecodable bytes that encode it do
+    format, text = CROSS_SOURCE_CASES[case]
+    data = text.encode("utf-8", "surrogatepass")
+    path = tmp_path / "events"
+    path.write_bytes(data)
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", block_bytes)
+    for strict in (False, True):
+        want = _parse_outcome(oracles.parse_events, text, format, strict)
+        if "\ud800" in text and not strict:
+            want = UnicodeDecodeError
+        stream = {"path": path, "bytes": io.BytesIO(data), "text": io.StringIO(text)}[source]
+        assert _parse_outcome(parse_rows, stream, format, strict) == want
+    assert isinstance(want, tuple)  # strict mode stopped at the bad row
+
+
+def test_crlf_and_nul_jsonl_stays_on_the_byte_path(monkeypatch):
+    # a CR between tokens is whitespace on the byte path; a NUL line, and a
+    # CR or NUL inside a string, flag their lines for json's scanner to reject
+    lines = [JSON_GOOD % i for i in range(40)]
+    lines[3] = "\0"
+    lines[6] = lines[6].replace(":40.5", ":\r40.5").replace(",", "\r,")
+    lines[9] = lines[9].replace('"u9"', '"u\r9"')
+    lines[12] = lines[12].replace('"u12"', '"u\x0012"')
+    lines[15] = "\r"
+    lines[18] = lines[18].replace("40.5", "95.5")
+    text = "\r\n".join(lines) + "\r\n"
+    want = oracles.parse_events(text, format="jsonl")
+    assert want[1].accepted == 35 and want[1].rejection_reasons == {"bad json": 3, "lat out of range": 1}
+
+    def refuse(*args):
+        raise AssertionError("the line-by-line reader was called")
+
+    monkeypatch.setattr(events_module, "_list_chunks", refuse)
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 512)  # blocks of five or six lines
+    for source in (io.StringIO(text), io.BytesIO(text.encode())):
+        table, report = parse_events(source, format="jsonl")
+        assert (oracles.records(table), report) == want
+
+
+@pytest.mark.parametrize("strict", [False, True])
+def test_csv_field_past_the_size_limit_is_an_ingest_error(strict):
+    # csv.reader's error names the row it was reading, after the rows
+    # before it are committed
+    long_row = GOOD.format("x" * 200_000)
+    with pytest.raises(IngestError) as exc:
+        parse_events(csv_stream(GOOD.format(1), long_row), strict=strict)
+    assert (exc.value.line, exc.value.reason) == (3, "field larger than field limit (131072)")
+    with pytest.raises(IngestError) as exc:
+        parse_events(csv_stream(BAD, long_row), strict=True)
+    assert (exc.value.line, exc.value.reason) == (2, "lat out of range")
 
 
 # --- the second look at scale ---------------------------------------------------

@@ -146,7 +146,6 @@ def test_label_precedence():
     feats = [square_feature("a", 0, 0, 1, layer="from-prop")]
     assert load_layer({"type": "FeatureCollection", "features": feats}).label == "from-prop"
     assert load_layer({"type": "FeatureCollection", "name": "coll", "features": feats}).label == "coll"
-    assert load_layer({"type": "FeatureCollection", "name": "coll", "features": feats}, label="arg").label == "arg"
 
 
 def test_load_from_stream_and_path(tmp_path):

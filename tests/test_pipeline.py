@@ -530,6 +530,22 @@ def test_dataset_tags_naming_one_file_exit_2(world, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_csv_field_past_the_size_limit_fails_the_ingest_stage(world, tmp_path):
+    events = tmp_path / "long.csv"
+    lines = (world / f"events__{TAG}.csv").read_text().splitlines(keepends=True)
+    events.write_text("".join(lines[:2]) + "u" * 200_000 + lines[2][lines[2].index(","):])
+    raw = _config(world, tmp_path / "out")
+    config = pipeline.PipelineConfig(
+        event_sources=(pipeline.EventSource(str(events), "csv", TAG),),
+        country_layer_path=raw["country_layer_path"],
+        city_layer_paths=tuple(raw["city_layer_paths"]),
+        output_dir=raw["output_dir"],
+    )
+    with pytest.raises(pipeline.PipelineError, match=f"^{TAG}: line 3: field larger than field limit") as exc:
+        pipeline.run_pipeline(config)
+    assert exc.value.stage == "ingest"
+
+
 def _run_tags(world, out_dir, *tags):
     config = out_dir.parent / f"{out_dir.name}-{'-'.join(tags)}.json"
     config.write_text(json.dumps(_tagged_config(world, out_dir, *tags)))

@@ -566,8 +566,7 @@ def test_table_csv_round_trip(tmp_path):
     table = table_from([(1e3, 0.25), (1e6, 0.75)])
     path = tmp_path / "table.csv"
     path.write_text(table_to_csv(table))
-    again = read_table_csv(path, dataset_tag=table.dataset_tag, layer=table.layer,
-                           target_country=table.target_country)
+    again = read_table_csv(path, dataset_tag=table.dataset_tag, layer=table.layer)
     assert [r.region_id for r in again.rows] == ["r00", "r01"]
     assert [r.population for r in again.rows] == [1000, 1000000]
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from cityattract.cli import main
-from cityattract.events import parse_events
+from cityattract.events import EventTable, parse_events
 from cityattract.geo import assign_events, load_layer, region_contains_bulk
 from cityattract.output import dumps_stable
 from cityattract.scaling import fit_power_law
@@ -215,6 +215,27 @@ def test_same_seed_same_events():
     b = generate_events(spec)
     assert events_csv(a.events) == events_csv(b.events)  # EventTable compares by identity
     assert a.truth == b.truth
+
+
+@pytest.mark.parametrize("resident_share", [0.0, 0.3])
+def test_events_table_codes_like_from_columns(resident_share):
+    # the generator codes users from the rank of their names; from_columns
+    # codes the same rows from their strings
+    spec = events_per_unit_for_total(base_spec(n_regions=5, resident_share=resident_share), 2_000)
+    table = generate_events(spec, dataset_tag="tag").events
+    origins = [table.origin_ids[c] if c >= 0 else None for c in table.origin.tolist()]
+    again = EventTable.from_columns(
+        [table.user_ids[u] for u in table.user.tolist()], table.seconds, table.lat, table.lon,
+        origins, [table.tag_ids[t] for t in table.tag.tolist()],
+    )
+    for name in ("user_ids", "origin_ids", "tag_ids"):
+        assert getattr(table, name) == getattr(again, name)
+    for name in ("user", "seconds", "lat", "lon", "origin", "tag"):
+        column = getattr(table, name)
+        assert column.dtype == getattr(again, name).dtype
+        assert np.array_equal(column, getattr(again, name))
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 0
 
 
 def test_events_per_unit_for_total_hits_target():
