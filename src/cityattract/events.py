@@ -214,20 +214,36 @@ def _decode_stamps(fixed: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.n
     digits = raw[:, _STAMP_DIGITS].astype(np.int64) - ord("0")
     d = [digits[:, k] * 10 + digits[:, k + 1] for k in range(0, 14, 2)]
     year, month, day, hour, minute, second = d[0] * 100 + d[1], *d[2:]
-    # the first day of the month and of the next, as epoch day numbers
-    months = ((year - 1970) * 12 + month - 1)[:, None] + np.arange(2)
-    first, after = months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64).T
+    months = (year - 1970) * 12 + month - 1
     good = (
         ((digits >= 0) & (digits <= 9)).all(axis=1)
         & (raw[:, _STAMP_SEPARATORS] == _STAMP_SEPARATOR_CODES).all(axis=1)
-        & (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (day <= after - first)
-        & (hour <= 23) & (minute <= 59) & (second <= 59)
+        & (year >= 1) & (month >= 1) & (month <= 12)
     )
+    # the first day of the month and of the next, as epoch day numbers: one
+    # cast over the months the good rows span, unless those outnumber the
+    # rows (garbage digits make far-apart months), then two casts a row
+    known = months[good]
+    low = int(known.min()) if known.shape[0] else 0
+    width = int(known.max()) - low + 2 if known.shape[0] else 2
+    if width <= months.shape[0]:
+        days = _month_days(np.arange(low, low + width))
+        at = np.where(good, months - low, 0)
+        first, after = days[at], days[at + 1]
+    else:
+        first, after = _month_days(months[:, None] + np.arange(2)).T
+    good &= (day >= 1) & (day <= after - first) & (hour <= 23) & (minute <= 59) & (second <= 59)
     seconds = np.zeros(len(fixed), dtype=np.int64)
     seconds[fixed] = (first + day - 1) * 86400 + hour * 3600 + minute * 60 + second
     ok = np.zeros(len(fixed), dtype=bool)
     ok[fixed] = good
     return seconds, ok
+
+
+def _month_days(months: np.ndarray) -> np.ndarray:
+    """The epoch day number of the first day of each month counted from
+    January 1970."""
+    return months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +634,9 @@ def _plain_chunk(data: bytes, first_line: int, columns: list[int], commas: int) 
         data += b"\n"
     padded = _padded(data)
     buf = padded[: len(data)]
-    n, width = data.count(b"\n"), commas + 1
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))
+    newline = buf == ord("\n")
+    n, width = int(np.count_nonzero(newline)), commas + 1
+    ends = np.flatnonzero((buf == ord(",")) | newline)
     # n newlines in all, so with one at the end of every width-th field,
     # every line has ``commas`` commas
     if len(ends) != n * width or (buf[ends[commas::width]] != ord("\n")).any():

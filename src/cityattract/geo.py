@@ -273,12 +273,19 @@ def _ring_masks_bulk(
 
 def _region_hits(region: Region, plats: np.ndarray, plons: np.ndarray) -> Iterator[np.ndarray]:
     """Ascending indices of the points inside (or on the boundary of) the
-    region, in parts: the points in its bbox are tested SLICE at a time."""
+    region, in parts: the points in its bbox are tested SLICE at a time.
+
+    Points are selected by longitude over the whole array and by latitude
+    one SLICE of those at a time, so no second full-length index array is
+    made."""
     b = region.bbox
-    candidates = np.flatnonzero((plats >= b[0]) & (plats <= b[2]) & (plons >= b[1]) & (plons <= b[3]))
+    candidates = np.flatnonzero((plons >= b[1]) & (plons <= b[3]))
     for start in range(0, candidates.shape[0], SLICE):
         idx = candidates[start : start + SLICE]
-        yield idx[_polygons_contain(region, plats[idx], plons[idx])]
+        lats = plats[idx]
+        in_box = (lats >= b[0]) & (lats <= b[2])
+        idx, lats = idx[in_box], lats[in_box]
+        yield idx[_polygons_contain(region, lats, plons[idx])]
 
 
 def _polygons_contain(region: Region, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:

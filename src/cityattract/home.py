@@ -10,9 +10,10 @@ Records that declare an origin country (e.g. card transactions) do not
 need inference; origin_map prefers a user's declared value.
 
 Everything here works on whole columns: the tally groups events by
-(user, country) with one sort, and the tie-break is a second sort.  Users
-are the codes of the event table, so every per-user result is aligned
-with its sorted ``user_ids``.
+(user, country) with one in-place sort of packed int64 keys, and the
+tie-break is a few reductions over each user's run of pairs.  Users are
+the codes of the event table, so every per-user result is aligned with
+its sorted ``user_ids``.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ class CountryStats:
     or without located events); ``country`` indexes ``countries``, which
     is sorted, so code order is id order.  ``first`` and ``last`` are the
     epoch seconds of the pair's earliest and latest event.
+
+    ``infer_all`` relies on that order: each user's pairs are one run,
+    ascending by country code.
     """
 
     user_ids: tuple[str, ...]
@@ -136,43 +140,75 @@ def accumulate_stats_seq(events: EventTable, countries: Assignment) -> tuple[Cou
 
     ``countries`` is the events' assignment to the country layer.  Returns
     the tally and the number of events that resolved to no country.
+
+    Each event gets one int64 key: its pair number (user × countries +
+    country rank) above its seconds since the table's earliest second.
+    One in-place sort then groups the events by pair, with each group's
+    first and last second at its ends.  When the keys would not fit in 63
+    bits, the pair numbers are argsorted and the seconds reduced instead.
     """
     if countries.index.shape[0] != len(events):
         raise ValueError(f"{countries.index.shape[0]} countries for {len(events)} events")
     order = sorted(range(len(countries.regions)), key=countries.regions.__getitem__)
     n_countries = max(len(order), 1)
-    n_users = len(events.user_ids)
-    # one key per event orders by (user, country rank); events in no
-    # country get key users × countries, after every pair
-    dtype = np.int32 if (n_users + 1) * n_countries < 2**31 else np.int64
-    rank = np.zeros(len(order) + 1, dtype=dtype)  # the last slot serves index -1
+    n_pairs = len(events.user_ids) * n_countries
+    rank = np.zeros(len(order) + 1, dtype=np.int32)  # the last slot serves index -1
     rank[order] = np.arange(len(order))
-    key = events.user.astype(dtype)
+    # each event's pair number; events in no country get n_pairs, after
+    # every pair
+    key = events.user.astype(np.int64)
     key *= n_countries
     key += rank[countries.index]
-    key[countries.index < 0] = n_users * n_countries
+    key[countries.index < 0] = n_pairs
     located = int(np.count_nonzero(countries.index >= 0))
-    by_pair = np.argsort(key)[:located]
-    key = key[by_pair]
-    seconds = events.seconds[by_pair]
-    del by_pair
-    starts = _group_starts(key)
-    if starts.shape[0]:
-        first = np.minimum.reduceat(seconds, starts)
-        last = np.maximum.reduceat(seconds, starts)
+    seconds = events.seconds
+    low, high = (int(seconds.min()), int(seconds.max())) if len(events) else (0, 0)
+    shift = (high - low).bit_length()
+    if (n_pairs + 1) << shift > 1 << 63:
+        pairs, count, first, last = _argsort_tally(key, seconds, located)
     else:
-        first = last = seconds
-    user, country = np.divmod(key[starts], n_countries)
+        key <<= shift
+        key -= low  # before adding the seconds, so no partial sum overflows
+        key += seconds
+        key.sort()
+        key = key[:located]
+        group = key >> shift
+        starts = _group_starts(group)
+        pairs = group[starts]
+        del group
+        count = np.diff(np.append(starts, located))
+        key &= (1 << shift) - 1
+        key += low
+        first, last = key[starts], key[starts + count - 1]
+    dtype = np.int32 if n_pairs < 2**31 else np.int64
+    user, country = np.divmod(pairs.astype(dtype), n_countries)
     stats = CountryStats(
         user_ids=events.user_ids,
         countries=tuple(countries.regions[i] for i in order),
         user=user,
         country=country,
-        count=np.diff(np.append(starts, key.shape[0])),
+        count=count,
         first=first,
         last=last,
     )
     return stats, len(events) - located
+
+
+def _argsort_tally(pair: np.ndarray, seconds: np.ndarray, located: int) -> tuple[np.ndarray, ...]:
+    """The pair number, event count and first and last second of each
+    pair that has events, in pair order; ``located`` events have a pair
+    number below the no-country one."""
+    by_pair = np.argsort(pair)[:located]
+    pair = pair[by_pair]
+    seconds = seconds[by_pair]
+    del by_pair
+    starts = _group_starts(pair)
+    if starts.shape[0]:
+        first = np.minimum.reduceat(seconds, starts)
+        last = np.maximum.reduceat(seconds, starts)
+    else:
+        first = last = seconds
+    return pair[starts], np.diff(np.append(starts, located)), first, last
 
 
 def infer_all(stats: CountryStats, min_events: int = 1) -> Homes:
@@ -181,12 +217,22 @@ def infer_all(stats: CountryStats, min_events: int = 1) -> Homes:
     Users whose located events number fewer than ``min_events`` (users
     without any included) come out UNDETERMINED, with the total located
     count as evidence and no span.
+
+    Each user's pairs are contiguous and ordered by country code, so the
+    tie-break is three reductions per user: the top count, then the top
+    span among the pairs with that count, then the first pair left, which
+    has the smallest code.
     """
     n = len(stats.user_ids)
+    starts = _group_starts(stats.user)
+    size = np.diff(np.append(starts, stats.user.shape[0]))
+    total = np.zeros(n, dtype=np.int64)
+    total[stats.user[starts]] = np.add.reduceat(stats.count, starts)
+    top = stats.count == np.repeat(np.maximum.reduceat(stats.count, starts), size)
     span = stats.last - stats.first
-    total = np.bincount(stats.user, weights=stats.count, minlength=n).astype(np.int64)
-    ranked = np.lexsort((stats.country, -span, -stats.count, stats.user))
-    best = ranked[_group_starts(stats.user[ranked])]
+    span[~top] = -1  # below every span
+    best = np.flatnonzero(span == np.repeat(np.maximum.reduceat(span, starts), size))
+    best = best[_group_starts(stats.user[best])]
     winners = best[total[stats.user[best]] >= min_events]
     country = np.full(n, -1, dtype=np.int64)
     timespan = np.zeros(n, dtype=np.int64)

@@ -578,6 +578,49 @@ def test_ingest_accepts_exactly_the_oracle_timestamps(rnd, ensure_ascii):
         assert report.rejection_reasons.get("bad timestamp", 0) == sum(map(bool, values)) - len(want)
 
 
+def garbled(dt: datetime, edits: list[tuple[int, int]]) -> bytes:
+    """A datetime in the canonical form with the bytes at some positions
+    replaced."""
+    value = bytearray(format_timestamp(dt).encode())
+    for i, byte in edits:
+        value[i] = byte
+    return bytes(value)
+
+
+# canonical values from a few months and from the whole calendar, with
+# garbage over some digits or separators; each is decoded (True) or not
+DECODER_ROWS = st.tuples(
+    st.builds(
+        garbled,
+        st.one_of(
+            st.datetimes(min_value=datetime(2011, 12, 1), max_value=datetime(2012, 3, 1)),
+            st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31, 23, 59, 59)),
+        ),
+        st.lists(st.tuples(st.integers(0, 19), st.integers(0, 255)), max_size=2),
+    ),
+    st.booleans(),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(DECODER_ROWS, max_size=30))
+@example([
+    (b"0001-01-01T00:00:00Z", True), (b"9999-12-31T23:59:59Z", True), (b"99\xff9-12-31T23:59:59Z", True),
+    (b"2012-13-01T00:00:00Z", True), (b"2012-02-30T00:00:00Z", True), (b"2012-02-29T23:59:59Z", False),
+    (b"0000-01-01T00:00:00Z", True), (b"2012-0:-01T00:00:00Z", True), (b"2012-02-29T23:59:59Z", True),
+])
+@example([(b"2012-02-29T23:59:59Z", True), (b"9\xff99-12-01T00:00:00Z", True), (b"2013-01-31T00:00:00Z", True)])
+def test_decode_stamps_matches_the_oracle(rows):
+    # the good rows' months are looked up in one span when they span no more
+    # months than there are rows, and cast row by row otherwise
+    fixed = np.array([decoded for _, decoded in rows], dtype=bool)
+    raw = np.frombuffer(b"".join(v for v, decoded in rows if decoded), dtype=np.uint8).reshape(-1, 20)
+    seconds, ok = events_module._decode_stamps(fixed, raw)
+    want = [_oracle_seconds(v.decode("latin-1")) if decoded else None for v, decoded in rows]
+    assert ok.tolist() == [w is not None for w in want]
+    assert seconds[ok].tolist() == [w for w in want if w is not None]
+
+
 # --- columnar ingest against the row-by-row reference ---------------------------
 
 # edge cases of the CSV byte path: multi-byte characters at field edges,

@@ -1,12 +1,15 @@
 """Home-country inference: tie-breaking, coverage, order independence."""
 
 import random
-from datetime import timedelta
+from datetime import datetime, timedelta, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from cityattract import home
+from cityattract.geo import Assignment
 from cityattract.home import (
     UNDETERMINED,
     Homes,
@@ -215,24 +218,57 @@ def test_declared_origin_does_not_depend_on_row_order(declared, want):
 EVENTS = st.lists(
     st.tuples(
         st.sampled_from(["u1", "u2", "u3", "u\x00", "u", "v"]),
-        st.integers(min_value=0, max_value=40 * 86400),
+        # a few coarse stamps make pairs tie on span as well as on count
+        st.one_of(st.sampled_from([0, 3600, 7200]), st.integers(min_value=0, max_value=40 * 86400)),
         st.sampled_from([None, "ES", "FR", "DE"]),  # resolved country
         st.sampled_from([None, None, None, "GB", "IT"]),  # declared origin
     ),
     max_size=60,
 )
+# two events 9,999 years apart leave 24 of the tally's 63 key bits for the
+# pair number, and 2**10 more users times 2**14 more countries overflow those
+WIDE_STAMPS = (datetime(1, 1, 1, tzinfo=timezone.utc), datetime(9999, 12, 31, 23, 59, 59, tzinfo=timezone.utc))
+PADDING_USERS, PADDING_COUNTRIES = 1 << 10, 1 << 14
 
 
 @settings(max_examples=300, deadline=None)
 @given(EVENTS, st.integers(min_value=1, max_value=4))
+@example([("u1", 0, "ES", None), ("u1", 3600, "ES", None), ("u1", 0, "FR", None), ("u1", 7200, "FR", None)], 1)
+@example([("u1", 0, "FR", None), ("u1", 3600, "FR", None), ("u1", 0, "DE", None), ("u1", 3600, "DE", None)], 1)
 def test_homes_match_dict_reference(raw, min_events):
+    # ties on count (broken by span) and on count and span (broken by the
+    # smallest code), users under min_events, events in no country
+    match_dict_reference(raw, min_events, wide=False)
+
+
+@settings(max_examples=20, deadline=None)
+@given(EVENTS, st.integers(min_value=1, max_value=4))
+@example([("u1", 0, "ES", None), ("u1", 0, None, None), ("u2", 0, "FR", None)], 2)
+def test_wide_tally_keys_match_dict_reference(raw, min_events):
+    # the same with stamps in years 0001 and 9999 and over 2**24 possible
+    # pairs, whose keys do not fit the packed sort
+    match_dict_reference(raw, min_events, wide=True)
+
+
+def match_dict_reference(raw, min_events: int, wide: bool) -> None:
     events = [
         EventRecord(u, T0 + timedelta(seconds=s), 0.0, 0.0, declared, "t")
         for u, s, _, declared in raw
     ]
     countries = [c for _, _, c, _ in raw]
+    regions = ("FR", "DE", "ES")
+    if wide:
+        events += [EventRecord("u1", t, 0.0, 0.0, None, "t") for t in WIDE_STAMPS]
+        countries += ["ES", "DE"]
+        events += [EventRecord(f"pad{i}", T0, 0.0, 0.0, None, "t") for i in range(PADDING_USERS)]
+        countries += [None] * PADDING_USERS
+        regions += tuple(f"Z{i}" for i in range(PADDING_COUNTRIES))
+    position = {r: i for i, r in enumerate(regions)}
+    index = np.array([-1 if c is None else position[c] for c in countries], dtype=np.int64)
     table = table_of(events)
-    stats, unresolved = accumulate_stats_seq(table, assignment_of(countries))
+    with mock.patch.object(home, "_argsort_tally", wraps=home._argsort_tally) as fallback:
+        stats, unresolved = accumulate_stats_seq(table, Assignment(index, regions, 0, int((index < 0).sum())))
+    assert fallback.called is wide
     homes = infer_all(stats, min_events=min_events)
     ref_stats, ref_unresolved = oracles.accumulate_stats_seq(events, countries)
     ref_homes = oracles.infer_all(ref_stats, min_events, all_users=[e.user_id for e in events])
