@@ -220,30 +220,19 @@ def _decode_stamps(fixed: np.ndarray, raw: np.ndarray) -> tuple[np.ndarray, np.n
         & (raw[:, _STAMP_SEPARATORS] == _STAMP_SEPARATOR_CODES).all(axis=1)
         & (year >= 1) & (month >= 1) & (month <= 12)
     )
-    # the first day of the month and of the next, as epoch day numbers: one
-    # cast over the months the good rows span, unless those outnumber the
-    # rows (garbage digits make far-apart months), then two casts a row
+    # the first day of the month and of the next, as epoch day numbers, from
+    # one cast over the months the good rows span (at most 9999 years)
     known = months[good]
-    low = int(known.min()) if known.shape[0] else 0
-    width = int(known.max()) - low + 2 if known.shape[0] else 2
-    if width <= months.shape[0]:
-        days = _month_days(np.arange(low, low + width))
-        at = np.where(good, months - low, 0)
-        first, after = days[at], days[at + 1]
-    else:
-        first, after = _month_days(months[:, None] + np.arange(2)).T
+    low, high = (int(known.min()), int(known.max())) if known.shape[0] else (0, 0)
+    days = np.arange(low, high + 2).astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
+    at = np.where(good, months - low, 0)
+    first, after = days[at], days[at + 1]
     good &= (day >= 1) & (day <= after - first) & (hour <= 23) & (minute <= 59) & (second <= 59)
     seconds = np.zeros(len(fixed), dtype=np.int64)
     seconds[fixed] = (first + day - 1) * 86400 + hour * 3600 + minute * 60 + second
     ok = np.zeros(len(fixed), dtype=bool)
     ok[fixed] = good
     return seconds, ok
-
-
-def _month_days(months: np.ndarray) -> np.ndarray:
-    """The epoch day number of the first day of each month counted from
-    January 1970."""
-    return months.astype("datetime64[M]").astype("datetime64[D]").astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,7 @@ PolygonRings = tuple[Ring, tuple[Ring, ...]]  # outer ring + hole rings
 
 _RAY_SHIFT = 1e-12
 
-SLICE = 1 << 16  # most points of one region's bbox that a containment test copies at once
+SLICE = 1 << 16  # points a bbox scan reads at once, and most that a containment test copies
 
 
 class LayerError(ValueError):
@@ -273,19 +273,34 @@ def _ring_masks_bulk(
 
 def _region_hits(region: Region, plats: np.ndarray, plons: np.ndarray) -> Iterator[np.ndarray]:
     """Ascending indices of the points inside (or on the boundary of) the
-    region, in parts: the points in its bbox are tested SLICE at a time.
+    region, in parts: the points in its bbox are tested SLICE at a time."""
+    for idx in _bbox_parts(region.bbox, plats, plons):
+        yield idx[_polygons_contain(region, plats[idx], plons[idx])]
 
-    Points are selected by longitude over the whole array and by latitude
-    one SLICE of those at a time, so no second full-length index array is
-    made."""
-    b = region.bbox
-    candidates = np.flatnonzero((plons >= b[1]) & (plons <= b[3]))
-    for start in range(0, candidates.shape[0], SLICE):
-        idx = candidates[start : start + SLICE]
+
+def _bbox_parts(bbox: tuple[float, float, float, float], plats: np.ndarray, plons: np.ndarray) -> Iterator[np.ndarray]:
+    """Ascending indices of the points in a bbox, in parts of at most SLICE.
+
+    The points are read SLICE at a time: longitude picks a slice's
+    candidates and latitude keeps those in the bbox.  Consecutive slices'
+    candidates are pooled into one part until the next slice's would pass
+    SLICE, so no array spans every point."""
+    pool: list[np.ndarray] = []
+    pooled = 0
+    for start in range(0, plons.shape[0], SLICE):
+        lons = plons[start : start + SLICE]
+        idx = np.flatnonzero((lons >= bbox[1]) & (lons <= bbox[3]))
+        idx += start
         lats = plats[idx]
-        in_box = (lats >= b[0]) & (lats <= b[2])
-        idx, lats = idx[in_box], lats[in_box]
-        yield idx[_polygons_contain(region, lats, plons[idx])]
+        idx = idx[(lats >= bbox[0]) & (lats <= bbox[2])]
+        del lats
+        if pooled + idx.shape[0] > SLICE:
+            part, pool, pooled = np.concatenate(pool), [], 0
+            yield part
+        pool.append(idx)
+        pooled += idx.shape[0]
+    if pooled:
+        yield np.concatenate(pool)
 
 
 def _polygons_contain(region: Region, lats: np.ndarray, lons: np.ndarray) -> np.ndarray:

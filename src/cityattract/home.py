@@ -168,7 +168,9 @@ def accumulate_stats_seq(events: EventTable, countries: Assignment) -> tuple[Cou
         pairs, count, first, last = _argsort_tally(key, seconds, located)
     else:
         key <<= shift
-        key -= low  # before adding the seconds, so no partial sum overflows
+        # the key is pair << shift plus seconds - low, under 2**63; a partial
+        # sum past it (low < 0) wraps in int64 and comes back with the seconds
+        key -= low
         key += seconds
         key.sort()
         key = key[:located]

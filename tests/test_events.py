@@ -611,8 +611,8 @@ DECODER_ROWS = st.tuples(
 ])
 @example([(b"2012-02-29T23:59:59Z", True), (b"9\xff99-12-01T00:00:00Z", True), (b"2013-01-31T00:00:00Z", True)])
 def test_decode_stamps_matches_the_oracle(rows):
-    # the good rows' months are looked up in one span when they span no more
-    # months than there are rows, and cast row by row otherwise
+    # the good rows' months are looked up in the span they cover, which for
+    # years 0001 and 9999 in one call is 119,988 months
     fixed = np.array([decoded for _, decoded in rows], dtype=bool)
     raw = np.frombuffer(b"".join(v for v, decoded in rows if decoded), dtype=np.uint8).reshape(-1, 20)
     seconds, ok = events_module._decode_stamps(fixed, raw)

@@ -433,6 +433,22 @@ def test_assign_events_matches_oracle_across_slices(points):
     assert assignments_csv(assignment) == assignments_csv(wide)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(LATS, LONS), max_size=40), st.integers(min_value=1, max_value=9))
+def test_bbox_parts_pool_slices_up_to_slice_points(points, size):
+    # every point in the bbox once, ascending, in non-empty parts of at
+    # most SLICE points
+    lat = np.array([p[0] for p in points], dtype=np.float64)
+    lon = np.array([p[1] for p in points], dtype=np.float64)
+    for region in ASSIGN_LAYER.regions:
+        b = region.bbox
+        with mock.patch.object(geo, "SLICE", size):
+            parts = list(geo._bbox_parts(b, lat, lon))
+        assert all(0 < len(part) <= size for part in parts)
+        want = [i for i, (y, x) in enumerate(points) if b[0] <= y <= b[2] and b[1] <= x <= b[3]]
+        assert [i for part in parts for i in part.tolist()] == want
+
+
 def _assign_work_bytes(n: int) -> int:
     """Traced bytes that assign_events holds at its peak beyond what it
     returns, for n points under a region covering them all and one
@@ -456,7 +472,7 @@ def _assign_work_bytes(n: int) -> int:
 def test_assign_work_memory_does_not_copy_every_point():
     # the containment kernel runs on at most SLICE points at a time, so a
     # region's float64 coordinate copies (16 bytes a point) and ring masks
-    # stay bounded; what grows with the points is bookkeeping of a few
-    # bytes each: the bbox mask, the candidate indices, the overlap flags
+    # stay bounded, and so do the bbox scan's masks and candidate indices;
+    # what grows with the points is the overlap flags, a byte each
     growth = _assign_work_bytes(400_000) - _assign_work_bytes(100_000)
     assert growth < 300_000 * 16
