@@ -61,7 +61,10 @@ def _memoized(stage: str, key, compute: Callable, events: EventTable | None = No
 
 def _layer_key(layer: RegionLayer) -> tuple:
     """The content assignment depends on: region ids and geometry, in order."""
-    return tuple((region.id, region.polygons) for region in layer.regions)
+    return tuple(
+        (region.id, tuple((outer.tobytes(), *(hole.tobytes() for hole in holes)) for outer, holes in region.polygons))
+        for region in layer.regions
+    )
 
 
 def _read_events(args, path: str) -> tuple[EventTable, IngestReport]:
@@ -225,17 +228,20 @@ def _cmd_synth(args) -> int:
     except OverflowError as exc:  # finite parameters whose weights exceed a float
         raise PipelineError("input-error", f"parameters out of range: {exc}") from exc
     out = _out_dir(args)
-    tag = pipeline.slug(args.tag)
+
+    def path(stage: str, ext: str = "csv") -> Path:
+        return out / pipeline.output_name(stage, args.tag, ext=ext)
+
     if args.table:
-        write_text(out / f"table__{tag}.csv", table_to_csv(table))
-        write_text(out / f"truth__{tag}.json", dumps_stable(truth))
-        print(f"{len(table.rows)} regions -> {out / f'table__{tag}.csv'}")
+        write_text(path("table"), table_to_csv(table))
+        write_text(path("truth", "json"), dumps_stable(truth))
+        print(f"{len(table.rows)} regions -> {path('table')}")
     else:
-        write_events_csv(bundle.events, out / f"events__{tag}.csv")
-        write_layer_geojson(bundle.city_layer, out / f"cities__{tag}.geojson")
-        write_layer_geojson(bundle.country_layer, out / f"countries__{tag}.geojson")
-        write_text(out / f"truth__{tag}.json", dumps_stable(bundle.truth))
-        print(f"{len(bundle.events)} events -> {out / f'events__{tag}.csv'}")
+        write_events_csv(bundle.events, path("events"))
+        write_layer_geojson(bundle.city_layer, path("cities", "geojson"))
+        write_layer_geojson(bundle.country_layer, path("countries", "geojson"))
+        write_text(path("truth", "json"), dumps_stable(bundle.truth))
+        print(f"{len(bundle.events)} events -> {path('events')}")
     return 0
 
 

@@ -17,17 +17,18 @@ Conventions, fixed for determinism:
   - a per-region bounding-box test may short-circuit to False but never
     changes an answer.
 
-_polygons_contain is the one containment kernel: it tests arrays of
-points, ray shift included, with no per-point branch.  region_contains_bulk
-and assign_events run it on the points in a region's bounding box, at most
-SLICE at a time.
+load_layer holds each ring once, as a read-only float64 (n, 2) array of
+(lat, lon) vertices, in frozen regions.  _polygons_contain is the one
+containment kernel: it tests arrays of points against those rings, ray
+shift included, with no per-point branch.  region_contains_bulk and
+assign_events run it on the points in a region's bbox, SLICE at a time.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -36,7 +37,7 @@ import numpy as np
 from .events import EventTable
 from .output import coded_column, csv_blocks, write_text
 
-Ring = tuple[tuple[float, float], ...]  # (lat, lon) vertices, not closed
+Ring = np.ndarray  # read-only float64 (n, 2) array of (lat, lon) vertices, not closed
 PolygonRings = tuple[Ring, tuple[Ring, ...]]  # outer ring + hole rings
 
 _RAY_SHIFT = 1e-12
@@ -48,9 +49,9 @@ class LayerError(ValueError):
     """Invalid region layer input."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False, slots=True)
 class Region:
-    """A named polygonal region; treated as immutable once loaded."""
+    """A named polygonal region; frozen, with read-only rings, and compared by identity."""
 
     id: str
     name: str
@@ -58,10 +59,9 @@ class Region:
     population: int | None
     polygons: tuple[PolygonRings, ...]
     bbox: tuple[float, float, float, float]  # min_lat, min_lon, max_lat, max_lon
-    _arrays: list | None = field(default=None, repr=False, compare=False)
 
 
-@dataclass
+@dataclass(frozen=True)
 class RegionLayer:
     label: str
     regions: tuple[Region, ...]
@@ -88,7 +88,8 @@ class Assignment:
 # ---------------------------------------------------------------------------
 # loading
 
-def _as_ring(coords, where: str) -> Ring:
+def _as_ring(coords, where: str, vertices: list[tuple[float, float]]) -> Ring:
+    """The ring as a read-only array; its vertices also go to ``vertices``, for the region's bbox."""
     if not isinstance(coords, list) or len(coords) < 3:
         raise LayerError(f"{where}: ring with < 3 vertices")
     pts = []
@@ -96,31 +97,34 @@ def _as_ring(coords, where: str) -> Ring:
         if not isinstance(pt, (list, tuple)) or len(pt) < 2:
             raise LayerError(f"{where}: bad coordinate pair")
         lon, lat = pt[0], pt[1]
-        if isinstance(lon, bool) or isinstance(lat, bool) or not isinstance(lon, (int, float)) or not isinstance(lat, (int, float)):
-            raise LayerError(f"{where}: non-numeric coordinate")
-        try:
-            lat, lon = float(lat), float(lon)
-        except OverflowError:  # an integer too large for a float
-            lat = math.inf
+        if type(lat) is not float or type(lon) is not float:  # JSON's floats need neither check
+            if isinstance(lon, bool) or isinstance(lat, bool) or not isinstance(lon, (int, float)) or not isinstance(lat, (int, float)):
+                raise LayerError(f"{where}: non-numeric coordinate")
+            try:
+                lat, lon = float(lat), float(lon)
+            except OverflowError:  # an integer too large for a float
+                lat = math.inf
         if not (math.isfinite(lat) and math.isfinite(lon)):
             raise LayerError(f"{where}: non-finite coordinate")
         pts.append((lat, lon))
     if len(pts) > 1 and pts[0] == pts[-1]:
         pts.pop()  # GeoJSON rings close on themselves; store open
-    if len({p for p in pts}) < 3:
+    if len(set(pts)) < 3:
         raise LayerError(f"{where}: ring with < 3 distinct vertices")
     lons = [lon for _, lon in pts]
     if max(lons) - min(lons) > 180.0:  # an unsplit antimeridian crossing reads as the long way round
         raise LayerError(f"{where}: ring spans more than 180 degrees of longitude; split it at the antimeridian")
-    return tuple(pts)
+    vertices += pts
+    ring = np.array(pts, dtype=np.float64)
+    ring.setflags(write=False)
+    return ring
 
 
-def _as_polygon(rings, where: str) -> PolygonRings:
+def _as_polygon(rings, where: str, vertices: list[tuple[float, float]]) -> PolygonRings:
     if not isinstance(rings, list) or not rings:
         raise LayerError(f"{where}: empty polygon")
-    outer = _as_ring(rings[0], where)
-    holes = tuple(_as_ring(r, where) for r in rings[1:])
-    return outer, holes
+    outer = _as_ring(rings[0], where, vertices)
+    return outer, tuple(_as_ring(r, where, vertices) for r in rings[1:])
 
 
 def load_layer(source: str | Path | IO[bytes] | IO[str] | dict) -> RegionLayer:
@@ -153,6 +157,8 @@ def load_layer(source: str | Path | IO[bytes] | IO[str] | dict) -> RegionLayer:
         if not isinstance(feat, dict) or feat.get("type") != "Feature":
             raise LayerError(f"{where}: not a Feature")
         props = feat.get("properties") or {}
+        if not isinstance(props, dict):
+            raise LayerError(f"{where}: properties must be an object")
         rid = props.get("id")
         if rid is None:
             raise LayerError(f"{where}: missing id")
@@ -172,23 +178,21 @@ def load_layer(source: str | Path | IO[bytes] | IO[str] | dict) -> RegionLayer:
             if population < 1:
                 raise LayerError(f"{where}: population must be >= 1")
         geom = feat.get("geometry") or {}
+        if not isinstance(geom, dict):
+            raise LayerError(f"{where}: geometry must be an object")
         gtype = geom.get("type")
         coords = geom.get("coordinates")
+        vertices: list[tuple[float, float]] = []
         if gtype == "Polygon":
-            polygons = (_as_polygon(coords, where),)
+            polygons = (_as_polygon(coords, where, vertices),)
         elif gtype == "MultiPolygon":
             if not isinstance(coords, list) or not coords:
                 raise LayerError(f"{where}: empty MultiPolygon")
-            polygons = tuple(_as_polygon(p, where) for p in coords)
+            polygons = tuple(_as_polygon(p, where, vertices) for p in coords)
         else:
             raise LayerError(f"{where}: unsupported geometry type: {gtype!r}")
-        all_pts = [pt for outer, holes in polygons for ring in (outer, *holes) for pt in ring]
-        bbox = (
-            min(p[0] for p in all_pts),
-            min(p[1] for p in all_pts),
-            max(p[0] for p in all_pts),
-            max(p[1] for p in all_pts),
-        )
+        lats, lons = zip(*vertices)
+        bbox = (min(lats), min(lons), max(lats), max(lons))
         regions.append(Region(rid, name, layer_tag, population, polygons, bbox))
 
     return RegionLayer(str(obj.get("name") or regions[0].layer or "layer"), tuple(regions))
@@ -198,7 +202,7 @@ def layer_to_geojson(layer: RegionLayer) -> dict:
     """Serialize back to GeoJSON ((lon, lat) order, closed rings)."""
 
     def close(ring: Ring) -> list[list[float]]:
-        pts = [[lon, lat] for lat, lon in ring]
+        pts = ring[:, ::-1].tolist()
         pts.append(pts[0])
         return pts
 
@@ -226,36 +230,18 @@ def write_layer_geojson(layer: RegionLayer, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # point-in-polygon
 
-def _region_arrays(region: Region) -> list[tuple[list[tuple[np.ndarray, np.ndarray]], np.ndarray]]:
-    """Per polygon: its rings as (lats, lons) arrays, outer ring first,
-    and the longitudes of all its vertices, sorted for ``np.searchsorted``."""
-    cache = region._arrays
-    if cache is None:
-        cache = []
-        for outer, holes in region.polygons:
-            rings = [np.asarray(ring, dtype=np.float64) for ring in (outer, *holes)]
-            vlons = np.sort(np.concatenate([ring[:, 1] for ring in rings]))
-            cache.append(([(ring[:, 0], ring[:, 1]) for ring in rings], vlons))
-        region._arrays = cache
-    return cache
-
-
-def _ring_masks_bulk(
-    plats: np.ndarray, plons: np.ndarray, rx: np.ndarray, rlats: np.ndarray, rlons: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _ring_masks_bulk(plats: np.ndarray, plons: np.ndarray, rx: np.ndarray, ring: Ring) -> tuple[np.ndarray, np.ndarray]:
     """On-edge and even-odd interior masks for one ring.
 
     The on-edge test takes the points' own longitudes ``plons``; the
     crossing test casts each point's ray at meridian ``rx``, which must
     not equal any vertex longitude of the ring.
     """
-    npts = plats.shape[0]
-    on_edge = np.zeros(npts, dtype=bool)
-    inside = np.zeros(npts, dtype=bool)
-    n = rlats.shape[0]
-    yj, xj = rlats[n - 1], rlons[n - 1]
-    for i in range(n):
-        yi, xi = rlats[i], rlons[i]
+    on_edge = np.zeros(plats.shape[0], dtype=bool)
+    inside = np.zeros(plats.shape[0], dtype=bool)
+    vertices = ring.tolist()
+    yj, xj = vertices[-1]
+    for yi, xi in vertices:
         lo_y, hi_y = (yi, yj) if yi < yj else (yj, yi)
         lo_x, hi_x = (xi, xj) if xi < xj else (xj, xi)
         near = (plats >= lo_y) & (plats <= hi_y) & (plons >= lo_x) & (plons <= hi_x)
@@ -308,15 +294,16 @@ def _polygons_contain(region: Region, lats: np.ndarray, lons: np.ndarray) -> np.
     inside one of the region's polygons, holes excluded."""
     on_edge = np.zeros(lats.shape[0], dtype=bool)
     contained = np.zeros(lats.shape[0], dtype=bool)
-    for rings, vlons in _region_arrays(region):
+    for outer, holes in region.polygons:
         # step the ray meridian off this polygon's vertex longitudes
+        vlons = np.sort(np.concatenate([ring[:, 1] for ring in (outer, *holes)]))
         rx = lons
         while (hit := vlons[np.searchsorted(vlons, rx).clip(max=len(vlons) - 1)] == rx).any():
             rx = np.where(hit, rx + _RAY_SHIFT, rx)
-        edge, inside = _ring_masks_bulk(lats, lons, rx, *rings[0])
+        edge, inside = _ring_masks_bulk(lats, lons, rx, outer)
         on_edge |= edge
-        for hole in rings[1:]:
-            edge, in_hole = _ring_masks_bulk(lats, lons, rx, *hole)
+        for hole in holes:
+            edge, in_hole = _ring_masks_bulk(lats, lons, rx, hole)
             on_edge |= edge
             inside &= ~in_hole
         contained |= inside

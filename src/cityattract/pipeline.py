@@ -117,7 +117,7 @@ def load_config(path: str | Path) -> PipelineConfig:
             raw = json.load(fh)
     except OSError as exc:
         raise PipelineError("input-error", f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply to decode
         raise PipelineError("input-error", f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise PipelineError("input-error", "config must be a JSON object")
@@ -211,7 +211,7 @@ def require_files(paths: Iterable[str]) -> None:
 def read_layer(path: str) -> RegionLayer:
     try:
         return load_layer(path)
-    except (ValueError, OSError) as exc:  # LayerError, bad JSON or bad UTF-8
+    except (ValueError, OSError, RecursionError) as exc:  # LayerError, bad or too deeply nested JSON, bad UTF-8
         raise PipelineError("input-error", f"cannot load layer {path}: {exc}") from exc
 
 

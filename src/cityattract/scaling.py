@@ -397,22 +397,25 @@ def read_residuals_csv(path: str | Path) -> list[ResidualScore]:
 
 def _read_csv(path: str | Path, header: Sequence[str], what: str, parse: Callable[[list[str]], T]) -> list[T]:
     """The rows of a CSV file under ``header``, each parsed by ``parse``.
-    A wrong header, a short row or a row ``parse`` rejects with a
-    ValueError is a StatsError naming the line."""
+    A wrong header, a short row, a field past csv's size limit or a row
+    ``parse`` rejects with a ValueError is a StatsError naming the line."""
     out: list[T] = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        if next(reader, None) != list(header):
-            raise StatsError(f"empty table: bad {what} header in {path}")
-        for raw in reader:
-            if not raw:
-                continue
-            try:
-                if len(raw) < len(header):
-                    raise ValueError(f"row has {len(raw)} field(s), expected {len(header)}")
-                out.append(parse(raw))
-            except ValueError as exc:
-                raise StatsError(f"line {reader.line_num} of {path}: {exc}") from exc
+        try:
+            if next(reader, None) != list(header):
+                raise StatsError(f"empty table: bad {what} header in {path}")
+            for raw in reader:
+                if not raw:
+                    continue
+                try:
+                    if len(raw) < len(header):
+                        raise ValueError(f"row has {len(raw)} field(s), expected {len(header)}")
+                    out.append(parse(raw))
+                except ValueError as exc:
+                    raise StatsError(f"line {reader.line_num} of {path}: {exc}") from exc
+        except csv.Error as exc:  # a field past csv's size limit
+            raise StatsError(f"line {reader.line_num} of {path}: {exc}") from exc
     return out
 
 

@@ -337,6 +337,37 @@ def test_non_finite_layer_exits_2(world, tmp_path, capsys):
     assert "error [input-error]: cannot load layer" in err and "non-finite coordinate" in err
 
 
+@pytest.mark.parametrize("member", ["properties", "geometry"])
+@pytest.mark.parametrize("value", [["id", "r1"], "r1", 7, True])
+def test_non_object_feature_member_exits_2(world, tmp_path, capsys, member, value):
+    doc = json.loads((world / "cities__demo.geojson").read_text())
+    doc["features"][1][member] = value
+    layer = tmp_path / "member.geojson"
+    layer.write_text(json.dumps(doc))
+    code = main(["assign", "--events", str(world / "events__demo.csv"), "--layer", str(layer),
+                 "--tag", "demo", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == f"error [input-error]: cannot load layer {layer}: feature 1: {member} must be an object\n"
+
+
+def test_deeply_nested_layer_exits_2(world, tmp_path, capsys):
+    layer = tmp_path / "deep.geojson"
+    layer.write_text("[" * 200_000)
+    code = main(["assign", "--events", str(world / "events__demo.csv"), "--layer", str(layer),
+                 "--tag", "demo", "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [input-error]: cannot load layer {layer}: maximum recursion depth exceeded")
+
+
+def test_deeply_nested_config_exits_2(tmp_path, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text("[" * 200_000)
+    assert main(["pipeline", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [input-error]: config {config} is not valid JSON: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize("population", ["Infinity", "1e400", "NaN"])
 def test_non_finite_population_exits_2(world, tmp_path, capsys, population):
     doc = json.loads((world / "cities__demo.geojson").read_text())
@@ -395,6 +426,27 @@ def test_short_residuals_row_exits_2(tmp_path, capsys):
                  "--out", str(tmp_path)])
     assert code == 2
     assert capsys.readouterr().err.startswith(f"error [input-error]: cannot read residuals {tmp_path / 'b.csv'}")
+
+
+@pytest.mark.parametrize("command", ["fit", "bin", "residuals", "correlate"])
+def test_oversized_table_or_residuals_field_exits_2(tmp_path, capsys, command):
+    # a field past csv's 131,072-character limit, in a table or a residuals file
+    long_id = "r" * 200_000
+    if command == "correlate":
+        (tmp_path / "a.csv").write_text("region_id,res\nr1,0.5\n")
+        path = tmp_path / "b.csv"
+        path.write_text(f"region_id,res\nr1,0.5\n{long_id},0.5\n")
+        argv = ["correlate", "--pair", f"a={tmp_path / 'a.csv'}", "--pair", f"b={path}"]
+        what = "residuals"
+    else:
+        path = tmp_path / "table.csv"
+        path.write_text(f"region_id,population,events,share\nr1,1000,1,0.5\n{long_id},1000,1,0.5\n")
+        argv = [command, "--table", str(path), "--dataset", "d", "--layer", "l"]
+        what = "table"
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error [input-error]: cannot read {what} {path}: line 3 of {path}: field larger than field limit (131072)\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import io
 import json
 import random
 import tracemalloc
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from unittest import mock
 
 import numpy as np
@@ -166,7 +166,23 @@ def test_geojson_round_trip(tmp_path):
     write_layer_geojson(layer, path)
     again = load_layer(path)
     assert again.label == layer.label
-    assert again.regions == layer.regions
+    assert layer_to_geojson(again) == layer_to_geojson(layer)
+    assert [r.bbox for r in again.regions] == [r.bbox for r in layer.regions]
+
+
+def test_loaded_region_cannot_change():
+    layer = layer_of(polygon_feature("holed", [[(0, 0), (3, 0), (3, 3), (0, 3)], [(1, 1), (2, 1), (2, 2), (1, 2)]]))
+    (region,) = layer.regions
+    for name in ("id", "polygons", "bbox"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(region, name, getattr(region, name))
+    with pytest.raises(FrozenInstanceError):
+        layer.regions = ()
+    outer, (hole,) = region.polygons[0]
+    for ring in (outer, hole):
+        assert ring.dtype == np.float64 and ring.shape == (4, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            ring[0, 0] = 9.0
 
 
 # --- containment -----------------------------------------------------------
