@@ -96,26 +96,66 @@ class IngestError(ValueError):
         self.reason = message
 
 
+class Ids(Sequence[str]):
+    """Read-only strings held as one UTF-8 byte string and the offsets of
+    each value's bytes in it (Arrow's variable-size binary layout), decoded
+    on access; built from str or UTF-8 bytes values, or from an ``S`` array
+    whose values hold no NUL.  A slice, or an integer array of positions in
+    range, gives a tuple of str; iteration decodes CHUNK_ROWS values at a
+    time; it equals an Ids or tuple of the same strings.  Lone surrogates,
+    which json's scanner reads from escapes, pass through."""
+
+    def __init__(self, values: Iterable[str] | np.ndarray = ()):
+        if isinstance(values, np.ndarray):
+            self.data, lengths = values.tobytes().replace(b"\0", b""), np.char.str_len(values)
+        else:
+            raw = [v if isinstance(v, bytes) else v.encode("utf-8", "surrogatepass") for v in values]
+            self.data, lengths = b"".join(raw), list(map(len, raw))
+        self.offsets = np.zeros(len(lengths) + 1, dtype=np.int32 if len(self.data) < 2**31 else np.int64)
+        np.cumsum(lengths, dtype=self.offsets.dtype, out=self.offsets[1:])
+        self.offsets.setflags(write=False)
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, i):
+        if not isinstance(i, np.ndarray):
+            rows = range(len(self))[i]  # IndexError past either end
+            if isinstance(rows, int):
+                return self.data[self.offsets[rows] : self.offsets[rows + 1]].decode("utf-8", "surrogatepass")
+            i = np.arange(rows.start, rows.stop, rows.step)
+        return tuple(self.data[a:b].decode("utf-8", "surrogatepass") for a, b in zip(self.offsets[i].tolist(), self.offsets[i + 1].tolist()))
+
+    def __iter__(self) -> Iterator[str]:
+        for start in range(0, len(self), CHUNK_ROWS):
+            yield from self[start : start + CHUNK_ROWS]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (Ids, tuple)):
+            return NotImplemented
+        return other is self or (len(self) == len(other) and all(map(operator.eq, self, other)))
+
+
 @dataclass(frozen=True, eq=False)
 class EventTable:
     """Events as columns, one entry per event in input row order.
 
-    String fields are stored as codes into tuples of distinct values,
-    sorted with Python's string order: ``user`` indexes ``user_ids``,
-    ``tag`` indexes ``tag_ids``, and ``origin`` indexes ``origin_ids``,
-    with -1 where the event declares no origin.  ``seconds`` is the epoch
-    second of each timestamp.  The columns are read-only.
+    String fields are codes into Ids of distinct values, sorted with
+    Python's string order: ``user`` indexes ``user_ids``, ``tag`` indexes
+    ``tag_ids``, and ``origin`` indexes ``origin_ids``, with -1 where the
+    event declares no origin.  ``seconds`` is the epoch second of each
+    timestamp.  The columns are read-only; one of one value has stride 0.
     """
 
     user: np.ndarray
-    user_ids: tuple[str, ...]
+    user_ids: Sequence[str]
     seconds: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
     origin: np.ndarray
-    origin_ids: tuple[str, ...]
+    origin_ids: Sequence[str]
     tag: np.ndarray
-    tag_ids: tuple[str, ...]
+    tag_ids: Sequence[str]
 
     def __post_init__(self) -> None:
         for column in (self.user, self.seconds, self.lat, self.lon, self.origin, self.tag):
@@ -382,7 +422,7 @@ class _TableAccumulator:
         return EventTable(user, user_ids, seconds, lat, lon, origin, origin_ids, tag, tag_ids)
 
 
-def _sorted_codes(strings: list[np.ndarray], texts: list, codes: dict) -> tuple[tuple[str, ...], np.ndarray]:
+def _sorted_codes(strings: list[np.ndarray], texts: list, codes: dict) -> tuple[Ids, np.ndarray]:
     """One string column's distinct values in sorted order, and each row's
     rank among them, -1 where the value is missing.
 
@@ -395,49 +435,48 @@ def _sorted_codes(strings: list[np.ndarray], texts: list, codes: dict) -> tuple[
     byte_ids, column = _byte_codes(strings)
     text_ids = sorted(v for v in codes if v is not None)
     rank = np.full(max(codes.values(), default=-1) + 2, -1, dtype=CODE)  # last slot serves code -1
-    if text_ids and byte_ids:
-        ids = sorted({*text_ids, *byte_ids})
+    if text_ids and len(byte_ids):
+        ids = sorted({*(v.encode("utf-8", "surrogatepass") for v in text_ids), *byte_ids.tolist()})
         position = dict(zip(ids, count()))
-        rank[[codes[v] for v in text_ids]] = [position[v] for v in text_ids]
-        column = np.array([position[v] for v in byte_ids] + [-1], dtype=CODE)[column]
+        rank[[codes[v] for v in text_ids]] = [position[v.encode("utf-8", "surrogatepass")] for v in text_ids]
+        column = np.array([position[v] for v in byte_ids.tolist()] + [-1], dtype=CODE)[column]
     else:
         ids = text_ids or byte_ids
         rank[[codes[v] for v in text_ids]] = np.arange(len(text_ids))
+    column = column.copy() if texts and not column.flags.writeable else column  # a stride-0 column
     for row, part in texts:
         column[row : row + len(part)] = rank[part]
     texts.clear()
-    return tuple(ids), column
+    return Ids(ids), column
 
 
-def _byte_codes(strings: list[np.ndarray]) -> tuple[list[str], np.ndarray]:
+def _byte_codes(strings: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """The distinct values of the UTF-8 ``S`` array that is the first of
-    ``strings``, decoded, in sorted order, and each value's rank among
-    them, -1 for ``b""``; takes the array off ``strings``.
+    ``strings`` in sorted order, ``b""`` left out, and each value's rank
+    among them, -1 for ``b""``; takes the array off ``strings``.
 
-    A column of one value, or of none, is coded from one comparison with
-    its first value.  Otherwise one stable argsort orders the values;
-    UTF-8 byte order is the code point order that Python sorts strings
-    by.  The values hold no NUL, which ``S`` arrays would drop from their
-    ends.  Neighbours in that order are compared, and distinct values
-    decoded, CHUNK_ROWS at a time, so no sorted copy of the values is held.
+    A column of one value, or of none, is coded from one comparison with its
+    first value, as a stride-0 view.  Otherwise one stable argsort orders
+    the values; UTF-8 byte order is the code point order that Python sorts
+    strings by.  The values hold no NUL, which ``S`` arrays would drop from
+    their ends.  Neighbours in that order are compared CHUNK_ROWS at a time,
+    so no sorted copy of the values is held.
     """
     values = strings.pop(0)
     if not (values != values[:1]).any():
-        ids = [v.decode() for v in values[:1].tolist() if v]
-        return ids, np.full(len(values), len(ids) - 1, dtype=CODE)
+        ids = values[:1][values[:1] != b""]
+        return ids, np.broadcast_to(CODE(len(ids) - 1), len(values))
     order = np.argsort(values, kind="stable")
     first = np.ones(len(values), dtype=bool)
     for start in range(1, len(values), CHUNK_ROWS):
         run = values[order[start - 1 : start + CHUNK_ROWS]]
         first[start : start + CHUNK_ROWS] = run[1:] != run[:-1]
-    distinct = values[order[first]]
+    ids = values[order[first]]
     del values
-    ids = [v.decode() for start in range(0, len(distinct), CHUNK_ROWS) for v in distinct[start : start + CHUNK_ROWS].tolist()]
-    del distinct
     rank = np.cumsum(first, dtype=CODE)
     rank -= 1
-    if ids and not ids[0]:
-        ids.pop(0)
+    if ids[0] == b"":
+        ids = ids[1:]
         rank -= 1
     codes = np.empty(len(rank), dtype=CODE)
     codes[order] = rank

@@ -25,7 +25,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .events import EventTable
+from .events import CHUNK_ROWS, EventTable
 from .geo import Assignment
 from .output import coded_column, csv_blocks, csv_fields
 
@@ -54,7 +54,7 @@ class CountryStats:
     ascending by country code.
     """
 
-    user_ids: tuple[str, ...]
+    user_ids: Sequence[str]
     countries: tuple[str, ...]
     user: np.ndarray
     country: np.ndarray
@@ -63,29 +63,38 @@ class CountryStats:
     last: np.ndarray
 
 
-def _user_position(user_ids: Sequence[str], user_id: str) -> int:
-    i = bisect_left(user_ids, user_id)
-    if i == len(user_ids) or user_ids[i] != user_id:
-        raise KeyError(user_id)
-    return i
+class _ByUser(Mapping):
+    """A mapping keyed by the sorted ``user_ids``; any other key raises KeyError."""
+
+    def _position(self, user_id: str) -> int:
+        i = bisect_left(self.user_ids, user_id) if isinstance(user_id, str) else len(self.user_ids)
+        if i == len(self.user_ids) or self.user_ids[i] != user_id:
+            raise KeyError(user_id)
+        return i
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.user_ids)
+
+    def __len__(self) -> int:
+        return len(self.user_ids)
 
 
 @dataclass(frozen=True, eq=False)
-class Homes(Mapping):
+class Homes(_ByUser):
     """Every user's inferred home, read as a mapping user id -> HomeRecord.
 
     Columns are aligned with the sorted ``user_ids``; ``country`` indexes
     ``countries``, with -1 for UNDETERMINED.
     """
 
-    user_ids: tuple[str, ...]
+    user_ids: Sequence[str]
     countries: tuple[str, ...]
     country: np.ndarray
     event_count: np.ndarray
     timespan_seconds: np.ndarray
 
     def __getitem__(self, user_id: str) -> HomeRecord:
-        i = _user_position(self.user_ids, user_id)
+        i = self._position(user_id)
         code = int(self.country[i])
         return HomeRecord(
             user_id,
@@ -94,32 +103,20 @@ class Homes(Mapping):
             int(self.timespan_seconds[i]),
         )
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.user_ids)
-
-    def __len__(self) -> int:
-        return len(self.user_ids)
-
 
 @dataclass(frozen=True, eq=False)
-class Origins(Mapping):
+class Origins(_ByUser):
     """Every user's resolved origin, read as a mapping user id -> country.
 
     ``code`` is aligned with the sorted ``user_ids`` and indexes ``names``.
     """
 
-    user_ids: tuple[str, ...]
+    user_ids: Sequence[str]
     names: tuple[str, ...]
     code: np.ndarray
 
     def __getitem__(self, user_id: str) -> str:
-        return self.names[self.code[_user_position(self.user_ids, user_id)]]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.user_ids)
-
-    def __len__(self) -> int:
-        return len(self.user_ids)
+        return self.names[self.code[self._position(user_id)]]
 
     def foreign(self, target_country: str) -> np.ndarray:
         """Per user: whether the origin is known and not the target country."""
@@ -127,11 +124,13 @@ class Origins(Mapping):
         return ~np.isin(self.code, local)
 
 
-def _group_starts(key: np.ndarray) -> np.ndarray:
-    """Start positions of the runs of equal values in a sorted key."""
-    change = np.empty(key.shape[0], dtype=bool)
-    change[:1] = True
-    np.not_equal(key[1:], key[:-1], out=change[1:])
+def _group_starts(key: np.ndarray, shift: int = 0) -> np.ndarray:
+    """Start positions of the runs of equal ``key >> shift`` in a sorted
+    non-negative key, compared a slice at a time: no whole-key temporary."""
+    change = np.ones(key.shape[0], dtype=bool)
+    for start in range(1, key.shape[0], CHUNK_ROWS):
+        run = key[start - 1 : start + CHUNK_ROWS]
+        np.greater_equal(run[1:] ^ run[:-1], 1 << shift, out=change[start : start + CHUNK_ROWS])
     return np.flatnonzero(change)
 
 
@@ -174,10 +173,8 @@ def accumulate_stats_seq(events: EventTable, countries: Assignment) -> tuple[Cou
         key += seconds
         key.sort()
         key = key[:located]
-        group = key >> shift
-        starts = _group_starts(group)
-        pairs = group[starts]
-        del group
+        starts = _group_starts(key, shift)
+        pairs = key[starts] >> shift
         count = np.diff(np.append(starts, located))
         key &= (1 << shift) - 1
         key += low
@@ -273,12 +270,11 @@ def origin_map(events: EventTable, homes: Homes) -> Origins:
 
 def homes_csv_blocks(homes: Homes) -> Iterator[str]:
     """One row per user, sorted by user id, in row blocks."""
-    users = csv_fields(homes.user_ids)
     return csv_blocks(
         ("user_id", "country", "event_count", "timespan_seconds"),
         len(homes),
         (
-            lambda start, stop: users[start:stop],
+            lambda start, stop: csv_fields(homes.user_ids[start:stop]),
             coded_column(homes.countries, homes.country, UNDETERMINED),
             lambda start, stop: map(str, homes.event_count[start:stop].tolist()),
             lambda start, stop: map(str, homes.timespan_seconds[start:stop].tolist()),

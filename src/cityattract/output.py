@@ -95,9 +95,14 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
 
 def coded_column(ids: Sequence[str], codes: np.ndarray, missing: str = "") -> Column:
     """The column of labels ``ids[c]`` for the codes ``c``, ``missing``
-    where ``c`` is -1; each distinct label is rendered once."""
-    labels = np.array(csv_fields((*ids, missing)), dtype=object)
-    return lambda start, stop: labels[codes[start:stop]].tolist()
+    where ``c`` is -1, from a tuple, a list or an ``events.Ids``; each
+    block's distinct labels are rendered once, so no more are held as text."""
+    table = np.array(ids, dtype=object) if isinstance(ids, (tuple, list)) else ids
+    def column(start: int, stop: int) -> list[str]:
+        used, at = np.unique(codes[start:stop], return_inverse=True)  # -1 first
+        labels = [missing] * int(used[0] < 0) + list(table[used[used >= 0]])
+        return np.array(csv_fields(labels), dtype=object)[at].tolist()
+    return column
 
 
 def csv_blocks(header: Sequence[str], n: int, columns: Sequence[Column]) -> Iterator[str]:

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .events import CODE, EventTable
+from .events import CODE, EventTable, Ids
 from .geo import RegionLayer, load_layer
 from .rng import CounterRng
 from .scaling import AttractRow, AttractivenessTable
@@ -309,7 +309,7 @@ def _city_events(root: CounterRng, key: int, counts: np.ndarray, year: int) -> t
 
 def _event_columns(
     spec: SyntheticSpec, foreign: np.ndarray, residents: np.ndarray, year: int
-) -> tuple[tuple[str, ...], np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
+) -> tuple[Ids, np.ndarray, np.ndarray, np.ndarray, np.ndarray, int, int]:
     """The sorted user ids, and the user codes into them, epoch seconds,
     lat and lon of every event of a world of ``foreign`` and ``residents``
     city events per region and month, sorted by time, then user id, lat
@@ -345,7 +345,7 @@ def _event_columns(
     rank[by_name] = np.arange(len(names))
     user = rank[user]
     order = np.lexsort((lon, lat, user, seconds))
-    return tuple(map(names.__getitem__, by_name)), user[order], seconds[order], lat[order], lon[order], n_foreign_users, n_resident_users
+    return Ids(map(names.__getitem__, by_name)), user[order], seconds[order], lat[order], lon[order], n_foreign_users, n_resident_users
 
 
 def generate_events(
@@ -373,8 +373,8 @@ def generate_events(
     counts = (np.array(c, dtype=np.int64).reshape(-1, 12) for c in (monthly, res_monthly))
     user_ids, user, seconds, lat, lon, n_foreign_users, n_resident_users = _event_columns(spec, *counts, year)
     # every user has events, no event declares an origin, and all share the tag
-    origin, tag = np.full(len(user), -1, dtype=CODE), np.zeros(len(user), dtype=CODE)
-    events = EventTable(user, user_ids, seconds, lat, lon, origin, (), tag, (dataset_tag,) if len(user) else ())
+    origin, tag = np.broadcast_to(CODE(-1), len(user)), np.broadcast_to(CODE(0), len(user))
+    events = EventTable(user, user_ids, seconds, lat, lon, origin, Ids(), tag, Ids([dataset_tag] if len(user) else []))
 
     truth = {
         "kind": "events",

@@ -1,7 +1,9 @@
 """Ingestion: field validation, rejection accounting, round-trips."""
 
+import bisect
 import calendar
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -18,6 +20,7 @@ import cityattract.events as events_module
 from cityattract.events import (
     CANONICAL_COLUMNS,
     EventTable,
+    Ids,
     IngestError,
     IngestReport,
     parse_events,
@@ -1140,6 +1143,85 @@ def test_wide_fields_keep_chunk_memory_in_proportion_to_the_text(monkeypatch):
     assert not calls
     assert (oracles.records(table), report) == want
     assert peak < 40 * wide  # about 1.1 MB; rows times the widest field would be 25.6 MB a column
+
+
+ID_TEXT = st.one_of(st.text(max_size=6), st.text(st.sampled_from(["a", "b", "\x00", "é", "\U0001f600"]), max_size=4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ID_TEXT, max_size=12), st.lists(ID_TEXT, max_size=4), st.data())
+@example(["", "a\x00b", "a\x00", "a", "\x00", "é", "\U0001f600", "b"], ["a\x00\x00", "c"], None)
+def test_ids_behave_like_a_sorted_tuple_of_str(strs, probes, data):
+    # the table's ids against tuple(sorted(set(strs))): inner and trailing
+    # NULs, non-ASCII and astral characters and the empty string stay
+    # distinct and in Python's string order
+    want = tuple(sorted(set(strs)))
+    n = len(strs)
+    ids = EventTable.from_columns(strs, [0] * n, [0.0] * n, [0.0] * n, [None] * n, ["t"] * n).user_ids
+    assert isinstance(ids, Ids)
+    assert len(ids) == len(want) and list(ids) == list(want)
+    for i in range(-len(want), len(want)):
+        assert ids[i] == want[i]
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            ids[i]
+    slices = [slice(None), slice(1, None), slice(None, -1), slice(None, None, -1), slice(1, 5, 2), slice(5, 1), slice(-3, 99)]
+    if data is not None:
+        bound = st.one_of(st.none(), st.integers(-8, 8))
+        slices.append(slice(data.draw(bound), data.draw(bound), data.draw(st.one_of(st.none(), st.integers(1, 3), st.integers(-3, -1)))))
+    for part in slices:
+        assert ids[part] == want[part]
+    for probe in [*strs, *probes]:
+        assert bisect.bisect_left(ids, probe) == bisect.bisect_left(want, probe)
+    assert ids == want and want == ids and not ids != want and not want != ids
+    for other in (want[:-1], (*want, "\U0010ffff"), want[::-1], ("x",)):
+        if other != want:
+            assert ids != other and other != ids and not ids == other
+
+
+@pytest.mark.parametrize("format", ["csv", "jsonl"])
+def test_ids_merge_byte_and_list_path_blocks(monkeypatch, format):
+    # byte-path blocks, then a list-path block (a quoted CSV row, after which
+    # csv.reader reads the rest; a JSONL block with a backslash escape, after
+    # which the byte path resumes): ids from both paths interleave in order
+    monkeypatch.setattr(events_module, "BLOCK_BYTES", 256)
+    users = [f"u{i % 7}{'b' * (i % 3)}" for i in range(60)]
+    users[30:33] = ["u3", "u0a", "uzé"]
+    if format == "csv":
+        rows = [f"{u},2012-06-01T12:00:00Z,1.5,1.5,,t" for u in users]
+        rows[31] = '"u0a",2012-06-01T12:00:00Z,1.5,1.5,,t'
+        text = HEADER + "\n" + "\n".join(rows) + "\n"
+    else:
+        lines = [JSON_GOOD % u[1:] for u in users]
+        lines[31] = lines[31].replace('"u0a"', '"u0\\u0061"')
+        text = "\n".join(lines) + "\n"
+    kinds = [k[0] for k in _string_kinds(monkeypatch, text, format)]
+    assert True in kinds and False in kinds
+    table, _ = parse_events(io.StringIO(text), format=format)
+    records, _ = oracles.parse_events(text, format=format)
+    assert table.user_ids == tuple(sorted({r.user_id for r in records}))
+    assert [table.user_ids[c] for c in table.user.tolist()] == [r.user_id for r in records] == users
+
+
+def test_user_ids_and_one_valued_code_columns_stay_compact():
+    # 50k distinct short user ids take about 10 bytes each as one byte string
+    # and int32 offsets, where a tuple of str takes about 65; a column that
+    # holds one tag is a zero-stride view, not 4 bytes a row
+    n = 50_000
+    text = HEADER + "\n" + "".join(f"u{i},2012-06-01T12:00:00Z,1.5,1.5,,t\n" for i in range(n))
+    tracemalloc.start()
+    try:
+        table, _ = parse_events(io.StringIO(text))
+        held = tracemalloc.get_traced_memory()[0]
+        without_ids = dataclasses.replace(table, user_ids=())
+        del table
+        ids_bytes = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert len(without_ids) == n
+    assert ids_bytes <= 24 * n
+    assert without_ids.tag.strides == (0,) and without_ids.origin.strides == (0,)
+    assert not without_ids.tag.flags.writeable
 
 
 def test_user_ids_keep_trailing_nuls():

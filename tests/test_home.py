@@ -198,6 +198,22 @@ def test_origin_map_prefers_declared():
     assert origins == {"a": "FR", "b": "ES", "c": UNDETERMINED}
 
 
+@pytest.mark.parametrize("key", [5, None, b"u1", 1.5])
+def test_homes_and_origins_treat_keys_of_other_types_as_absent(key):
+    # the Mapping contract: a key of another type than str is not there, so
+    # ``in`` is False, ``get`` gives the default and indexing raises KeyError
+    table = table_of([ev(user="u1"), ev(user="u2", origin="FR")])
+    stats, _ = accumulate_stats_seq(table, assignment_of(["ES", None]))
+    homes = infer_all(stats)
+    origins = origin_map(table, homes)
+    for mapping in (homes, origins):
+        assert key not in mapping
+        assert mapping.get(key, "default") == "default"
+        with pytest.raises(KeyError):
+            mapping[key]
+    assert "u1" in homes and origins.get("u2") == "FR"
+
+
 @pytest.mark.parametrize(
     "declared,want", [(["DE", "FR"], "DE"), (["DE", "FR", "FR"], "FR"), (["FR", "DE", "DE", "FR"], "DE")]
 )
