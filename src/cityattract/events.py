@@ -39,13 +39,13 @@ same, and an error reading the rows is raised only after the rows before
 it have been counted, or have failed strict mode.
 
 A JSONL block holding no backslash and only UTF-8 is checked as bytes
-too: its strings have no escapes, so numpy finds them by their quotes
-and verifies the lines that hold one flat object of string keys and
-string, number or null values (``_json_block``), a carriage return
-between tokens being whitespace.  Any other nonblank line, one with a
-NUL say, is flagged and decoded by json's scanner.  Any other block, and
-every block from the first one where most lines are not such objects, is
-read line by line with that scanner, one dict per line.
+too: its strings have no escapes, so numpy finds them by their quotes,
+and checks its lines against a few layouts, the bytes around the strings
+of a flat object, learned from the block's own lines (``_json_block``).
+Any other nonblank line, one with a NUL or of a layout past the block's
+first _LAYOUTS say, is flagged and decoded by json's scanner.  Any other
+block, and every block from the first one where most lines match no
+layout, is read line by line with that scanner, one dict per line.
 
 Timestamps have one grammar, decoded a column at a time: ``_stamp_column``
 rewrites the shorter and longer accepted forms to the canonical
@@ -63,10 +63,12 @@ import json
 import json.scanner
 import math
 import operator
+import re
+from bisect import bisect_left
 from dataclasses import asdict, dataclass, field
-from itertools import chain, compress, count, islice, repeat
+from itertools import accumulate, chain, compress, count, islice, repeat
 from pathlib import Path
-from typing import IO, Callable, Generator, Iterable, Iterator, Sequence
+from typing import IO, Callable, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -131,9 +133,11 @@ class Ids(Sequence[str]):
             yield from self[start : start + CHUNK_ROWS]
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, (Ids, tuple)):
+        if isinstance(other, Ids):  # UTF-8 is one-to-one, so equal bytes and offsets are equal strings
+            return other is self or (self.data == other.data and np.array_equal(self.offsets, other.offsets))
+        if not isinstance(other, tuple):
             return NotImplemented
-        return other is self or (len(self) == len(other) and all(map(operator.eq, self, other)))
+        return len(self) == len(other) and all(map(operator.eq, self, other))
 
 
 @dataclass(frozen=True, eq=False)
@@ -949,27 +953,6 @@ def _jsonl_chunks(blocks: Iterator[bytes]) -> Iterator[Chunk]:
             line_no += data.count(b"\n") + (not data.endswith(b"\n"))
 
 
-# byte classes of the JSONL byte path, 0 for the other bytes, and the two
-# kinds of closing quote that the tokens outside strings tell apart; a
-# carriage return is whitespace between tokens, as a tab is
-_QUOTE, _OPEN, _CLOSE, _COLON, _COMMA, _NEWLINE, _SPACE, _TAB, _CONTROL, _KEY_END, _VALUE_END = range(1, 12)
-_JSON_CLASS = np.zeros(256, dtype=np.uint8)
-_JSON_CLASS[:32] = _CONTROL
-_JSON_CLASS[np.frombuffer(b'"{}:,\n \t\r', dtype=np.uint8)] = [*range(_QUOTE, _CONTROL), _TAB]
-
-# by pair of neighbouring tokens on a line holding one flat object: 1 where
-# only whitespace may lie between them, 2 where one number must (after
-# a colon), 0 where the pair may not occur; indexed by 12 * first + second
-_PAIRS = np.zeros(144, dtype=np.uint8)
-_PAIRS[
-    [
-        12 * _NEWLINE + _OPEN, 12 * _NEWLINE + _NEWLINE, 12 * _OPEN + _QUOTE, 12 * _OPEN + _CLOSE,
-        12 * _QUOTE + _KEY_END, 12 * _QUOTE + _VALUE_END, 12 * _KEY_END + _COLON, 12 * _COLON + _QUOTE,
-        12 * _VALUE_END + _COMMA, 12 * _VALUE_END + _CLOSE, 12 * _COMMA + _QUOTE, 12 * _CLOSE + _NEWLINE,
-    ]
-] = 1
-_PAIRS[[12 * _COLON + _COMMA, 12 * _COLON + _CLOSE]] = 2
-
 # the JSON number grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?,
 # as an automaton over byte classes: 0 for the zero bytes past a token's
 # end, then "0", "1"-"9", "-", "+", ".", "e" or "E", and 7 for any other
@@ -994,17 +977,74 @@ _NUMBER_STEP = np.array(
 _NUMBER_DONE = np.zeros(10, dtype=bool)
 _NUMBER_DONE[[2, 3, 5, 8]] = True  # the states a number may end in
 
-# keys are compared as two little-endian 8-byte words, zero past their end
-_KEY_LOW, _KEY_HIGH = np.array([c.encode() for c in CANONICAL_COLUMNS], dtype="S16").view("<u8").reshape(-1, 2).T
-_KEY_ORDER = np.argsort(_KEY_LOW)  # the first words differ
-_LOW_BYTES = np.array([(1 << 8 * k) - 1 for k in range(8)] + [(1 << 64) - 1], dtype=np.uint64)
-_NULL = int.from_bytes(b"null", "little")
+# a flat object: "{", then key and value pairs, each ending in "," or "}",
+# with spaces, tabs and carriage returns between tokens; a value is a
+# string, a JSON number or null
+_SPACES = rb"[ \t\r]*"
+_OPENING = re.compile(_SPACES + rb"\{")
+_NUMBER = rb"-?(?:0|[1-9][0-9]*)(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?|null"
+_PAIR = re.compile(_SPACES.join([b"", rb'"([^"]*)"', b":", rb'(?:"([^"]*)"|(' + _NUMBER + b"))", b"([,}])", b""]))
+_KEY_COLUMNS = {c.encode(): k for k, c in enumerate(CANONICAL_COLUMNS)}
 
+# the most lines of a block that are read as layouts; a block with more
+# layouts leaves the lines of the later ones to json's scanner
+_LAYOUTS = 16
 
-# a block where more than half the lines, and more than this many, are not
-# the flat objects that _json_block verifies is declined: decoding each such
-# line on its own costs about twice what reading it as a dict does
+# a block where more than half the lines, and more than this many, match no
+# layout is declined: decoding such lines costs 1.5 times reading them as dicts
 _DECLINE_LINES = 64
+
+
+class _Layout(NamedTuple):
+    """The bytes of a JSONL line around its values, placed from anchors:
+    the newline before the line, its ``quotes`` quotes and the newline
+    after it, numbered from 0.  Each place is ``offset`` bytes from anchor
+    ``anchor``: first the 8-byte words (``mask`` of ``value``) that cover
+    each run of literal bytes, from the run's first anchor, then the start
+    and then the end of each value, a string's bytes between its quotes or
+    a number or null ``token``.  ``column`` is each value's key's index in
+    CANONICAL_COLUMNS, -1 for none, and ``pick`` each column's value."""
+
+    quotes: int
+    anchor: np.ndarray
+    offset: np.ndarray
+    mask: np.ndarray
+    value: np.ndarray
+    token: np.ndarray
+    column: np.ndarray
+    pick: np.ndarray
+
+
+def _layout(line: bytes) -> _Layout | None:
+    """The layout of a line holding no backslash, or None unless it holds
+    one flat object of string keys and values that are strings, JSON
+    numbers or null, with no CANONICAL_COLUMNS key twice."""
+    match, values = _OPENING.match(line), []  # (start, end, token, column) in b"\n" + line + b"\n"
+    while match and (not values or match[4] == b","):
+        match = _PAIR.match(line, match.end())
+        if match:
+            at = 2 if match[2] is not None else 3
+            values.append((match.start(at) + 1, match.end(at) + 1, at == 3, _KEY_COLUMNS.get(match[1], -1)))
+    column = [v[3] for v in values if v[3] >= 0]
+    if not match or line[match.end() :].strip(b" \t\r") or len(set(column)) < len(column):
+        return None
+    text, anchors = b"\n" + line + b"\n", [0, *accumulate(len(part) + 1 for part in line.split(b'"'))]
+    bounds = [0, *chain.from_iterable(v[:2] for v in values), len(text)]
+    runs = [bisect_left(anchors, a) for a in bounds[::2]]  # the first anchor of each literal run
+    words = [(k, o - anchors[k], text[o : min(o + 8, b)]) for k, a, b in zip(runs, bounds[::2], bounds[1::2]) for o in range(a, b, 8)]
+    start, end, token, column = map(np.array, zip(*values))
+    pick = np.full(len(CANONICAL_COLUMNS), -1)
+    pick[column[column >= 0]] = np.flatnonzero(column >= 0)
+    return _Layout(
+        len(anchors) - 2,
+        np.array([k for k, _, _ in words] + runs[:-1] + runs[1:]),
+        np.array([o for _, o, _ in words] + [*(start - np.take(anchors, runs[:-1])), *(end - np.take(anchors, runs[1:]))]),
+        np.array([(1 << 8 * len(w)) - 1 for *_, w in words], dtype=np.uint64),
+        np.array([int.from_bytes(w, "little") for *_, w in words], dtype=np.uint64),
+        token,
+        column,
+        pick,
+    )
 
 
 def _json_block(data: bytes, first_line: int) -> Chunk | None:
@@ -1012,101 +1052,68 @@ def _json_block(data: bytes, first_line: int) -> Chunk | None:
     buffer, or None when it is declined (see _DECLINE_LINES).
 
     Such a block's strings are their bytes between quotes, and its lines
-    end at newlines alone.  numpy finds the quotes and, outside strings,
-    the bytes ``{ } : ,``, whitespace and newlines, and verifies that a
-    line holds one flat object: string keys, and values that are strings
-    holding no control byte, JSON numbers of at most _BYTE_WIDTH bytes or
-    null, with spaces, tabs and carriage returns between tokens, and no
-    CANONICAL_COLUMNS key twice.  A NUL or other control byte outside a
-    string, like one inside, fails that check.  Any other nonblank line is
-    flagged, and so is a row whose user, timestamp, origin or tag is a
-    number, or whose coordinate is a negative zero (json reads the integer
-    -0 as +0.0); the flagged lines are then decoded with json's scanner and
-    decided together.
-    """
+    end at newlines alone.  Up to _LAYOUTS times, the first line that no
+    layout has taken yet is read as one (``_layout``), and the other lines
+    with as many quotes are checked against it: their literal bytes, as
+    8-byte words at the places their quotes give, which place their values
+    too.  A line with an odd number of quotes or a control byte in
+    a string takes no layout.  Number tokens must follow the JSON grammar
+    and be at most _BYTE_WIDTH bytes long; null reads as an absent key.
+    The other nonblank lines are flagged, and so is a row whose user,
+    timestamp, origin or tag is a number, or whose coordinate is a negative
+    zero (json reads the integer -0 as +0.0): json's scanner then decodes
+    and decides the flagged lines together."""
     # a newline put before the block starts the first line like the others
     data = b"\n" + data + b"\n"[data.endswith(b"\n") :]
     padded = _padded(data)
-    buf = padded[: len(data)]
-    where = np.flatnonzero(
-        (buf <= ord(" ")) | (buf == ord('"')) | (buf == ord(",")) | (buf == ord(":")) | (buf == ord("{")) | (buf == ord("}"))
-    )
-    kind = np.take(_JSON_CLASS, buf[where])
-    newline = kind == _NEWLINE
-    ends = np.compress(newline, where)
-    starts, ends = ends[:-1] + 1, ends[1:]
-    n = len(ends)
-    bad = np.zeros(n, dtype=bool)  # lines the checks cannot verify
+    buf, words = padded[: len(data)], _words(padded)
+    marks = np.flatnonzero((buf == ord("\n")) | (buf == ord('"')))  # the anchors of every line, in order
+    base = np.flatnonzero(buf[marks] == ord("\n"))  # line k's anchor j is marks[base[k] + j]
+    starts, ends, n = marks[base[:-1]] + 1, marks[base[1:]], len(base) - 1
+    count, base = np.diff(base) - 1, base[:-1]  # quotes per line
+    bad = count % 2 == 1  # lines that no layout takes
+    control = np.flatnonzero((buf < ord(" ")) & (buf != ord("\n")))
+    line = np.searchsorted(ends, control)
+    bad[line[(np.searchsorted(marks, control) - base[line]) % 2 == 0]] = True  # in a string
+    blank = np.zeros(n, dtype=bool)
+    for i in np.flatnonzero(count == 0).tolist():
+        blank[i] = not data[starts[i] : ends[i]].decode().strip()
+    bad |= (count == 0) & ~blank
 
-    # quotes pair up within a line; a line with an odd number of them is
-    # bad, and its newline counts as a quote, so the next line starts even
-    quote = kind == _QUOTE
-    count = np.cumsum(quote, dtype=np.int32)
-    odd = np.diff(np.compress(newline, count)) & 1 == 1
-    if odd.any():
-        bad |= odd
-        quote[np.searchsorted(where, ends[odd])] = True
-        count = np.cumsum(quote, dtype=np.int32)
-    after_open = (count - quote) & 1 == 1  # inside a string, or its closing quote
-    outer = quote | ~after_open
-    if (kind >= _TAB).any():  # a tab or CR between tokens is a space; any other control byte is bad
-        bad[np.searchsorted(ends, where[(kind == _CONTROL) | (~outer & (kind == _TAB))])] = True
-        kind[kind == _TAB] = _SPACE
-
-    # the tokens outside strings; a number fills the gap after a colon
-    kind += (after_open & (kind == _QUOTE)) * np.uint8(_VALUE_END - _QUOTE)  # closing quotes
-    t, pos = np.compress(outer, kind), np.compress(outer, where)
-    gap = np.diff(pos) - 1
-    number_pair = np.flatnonzero((gap > 0) & (t[:-1] != _QUOTE))  # bytes outside strings
-    number_start, number_length = pos[number_pair] + 1, gap[number_pair]
-    solid = t != _SPACE
-    if not solid.all():
-        number_pair = (np.cumsum(solid, dtype=np.int32) - 1)[number_pair]
-        t, pos = np.compress(solid, t), np.compress(solid, pos)
-    key_end = t == _VALUE_END
-    key_end[2:] &= (t[:-2] == _OPEN) | (t[:-2] == _COMMA)  # its string opens after { or ,
-    t[key_end] = _KEY_END
-
-    rule = np.take(_PAIRS, 12 * t[:-1] + t[1:])
-    ok = rule == 1
-    short = number_length <= _BYTE_WIDTH
-    null = (number_length == 4) & (_words(padded)[number_start] & 0xFFFFFFFF == _NULL)
-    ok[number_pair[short]] = _json_numbers(padded, number_start[short], number_length[short]) | null[short]
-    ok[number_pair] &= rule[number_pair] == 2
-    ok[number_pair[1:][np.diff(number_pair) == 0]] = False  # two numbers in one gap
-    bad[np.searchsorted(ends, pos[1:][~ok])] = True
+    start, length = np.zeros((2, n, 6), dtype=np.int64)
+    tokens = []  # (line, start, length, column) of the number and null tokens
+    waiting = ~bad & ~blank
+    for _ in range(_LAYOUTS):
+        lines = np.flatnonzero(waiting)
+        if not len(lines):
+            break
+        layout = _layout(data[starts[lines[0]] : ends[lines[0]]])
+        if layout is None:
+            bad[lines[0]], waiting[lines[0]] = True, False
+            continue
+        lines, w, s = lines[count[lines] == layout.quotes], len(layout.mask), len(layout.token)
+        lines = lines[words[marks[base[lines]] + layout.offset[0]] & layout.mask[0] == layout.value[0]]  # the first word alone, then all
+        at = np.minimum(marks[base[lines, None] + layout.anchor[:w]] + layout.offset[:w], len(words) - 1)  # past the end: no match
+        lines = lines[((words[at] & layout.mask) == layout.value).all(axis=1)]
+        at = marks[base[lines, None] + layout.anchor[w:]] + layout.offset[w:]
+        value_start, value_length = at[:, :s], at[:, s:] - at[:, :s]  # a token that is empty, or overlaps, is no number
+        waiting[lines] = False
+        start[lines], length[lines] = value_start[:, layout.pick], value_length[:, layout.pick] * (layout.pick >= 0)
+        k = layout.token
+        tokens.append((np.repeat(lines, k.sum()), value_start[:, k].ravel(), value_length[:, k].ravel(), np.tile(layout.column[k], len(lines))))
+    bad |= waiting
     if np.count_nonzero(bad) > max(n // 2, _DECLINE_LINES):
         return None
-    blank = np.zeros(n, dtype=bool)
-    blank[np.searchsorted(ends, pos[1:][(t[:-1] == _NEWLINE) & (t[1:] == _NEWLINE)])] = True
-
-    # the values of canonical keys: a string after the colon, or a number or
-    # null, which reads as an absent key
-    key = np.flatnonzero(key_end)
-    column_of = np.full(len(t), -1, dtype=np.int8)
-    column_of[key] = _canonical_keys(padded, pos[key - 1] + 1, pos[key] - pos[key - 1] - 1)
-    string = np.flatnonzero((t[:-1] == _COLON) & (t[1:] == _QUOTE)) + 1
-    value_key = np.concatenate((string - 2, number_pair - 1))
-    value_start = np.concatenate((pos[string] + 1, number_start))
-    value_end = np.concatenate((pos[string + 1], np.where(null, number_start, number_start + number_length)))
-    column = column_of[value_key]
-    line = np.searchsorted(ends, pos[value_key])
-    known = (column >= 0) & ~bad[line]
-    cell = np.compress(known, line * 6 + column)
-    bad[np.flatnonzero(np.bincount(cell, minlength=6 * n) > 1) // 6] = True  # a canonical key twice
-    start = np.zeros(6 * n, dtype=np.int64)
-    start[cell] = np.compress(known, value_start)
-    length = np.zeros(6 * n, dtype=np.int64)
-    length[cell] = np.compress(known, value_end) - start[cell]
-    number = np.zeros(6 * n, dtype=bool)
-    number[cell] = np.compress(known, np.concatenate((np.zeros(len(string), dtype=bool), ~null)))
-    start, length, number = start.reshape(n, 6), length.reshape(n, 6), number.reshape(n, 6)
+    if tokens:
+        line, token_start, token_length, column = map(np.concatenate, zip(*tokens))
+        null = (token_length == 4) & (words[token_start] & 0xFFFFFFFF == int.from_bytes(b"null", "little"))
+        number = (token_length <= _BYTE_WIDTH) & _json_numbers(padded, token_start, np.minimum(token_length, _BYTE_WIDTH))
+        bad[line[~(null | number) | (number & np.isin(column, (0, 1, 4, 5)))]] = True  # a number where a string belongs
+        length[line[null & (column >= 0)], column[null & (column >= 0)]] = 0
     length[bad] = 0
 
-    for i in np.flatnonzero(bad).tolist():
-        blank[i] = not data[starts[i] : ends[i]].decode().strip()
     rows = np.flatnonzero(~blank)
-    flagged = bad[rows] | number[rows][:, [0, 1, 4, 5]].any(axis=1)
+    flagged = bad[rows]
     columns = _byte_columns(data, padded, start[rows], length[rows], flagged)
     for coordinate in columns[2:4]:
         flagged |= (coordinate == 0) & np.signbit(coordinate)
@@ -1116,16 +1123,6 @@ def _json_block(data: bytes, first_line: int) -> Chunk | None:
 def _words(padded: np.ndarray) -> np.ndarray:
     """The little-endian 8-byte word starting at each byte of ``padded``."""
     return np.ndarray((len(padded) - 7,), dtype="<u8", buffer=padded, strides=(1,))
-
-
-def _canonical_keys(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The CANONICAL_COLUMNS index of each key ``padded[start:start +
-    length]``, -1 for any other key."""
-    words = _words(padded)
-    low = words[start] & _LOW_BYTES[np.minimum(length, 8)]
-    high = words[start + 8] & _LOW_BYTES[np.clip(length - 8, 0, 8)]
-    k = np.take(_KEY_ORDER, np.searchsorted(_KEY_LOW[_KEY_ORDER], low), mode="clip")
-    return np.where((np.take(_KEY_LOW, k) == low) & (np.take(_KEY_HIGH, k) == high), k, -1)
 
 
 def _json_numbers(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:

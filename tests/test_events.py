@@ -4,6 +4,7 @@ import bisect
 import calendar
 import csv
 import dataclasses
+import itertools
 import io
 import json
 import math
@@ -1486,3 +1487,92 @@ def test_jsonl_rows_accepted_on_the_second_look_decide_in_batches(monkeypatch, b
         for i in range(20_000)
     ]
     _decided_in_batches(monkeypatch, "\n".join(lines) + "\n", "jsonl", "_json_fields", block_bytes)
+
+
+# --- the JSONL layouts ------------------------------------------------------------
+
+def test_ids_compare_their_bytes_and_offsets():
+    # two Ids are equal when their UTF-8 bytes and offsets are: the same
+    # bytes split elsewhere are other strings, and equal ids built apart,
+    # from str, bytes or an S array, with int32 or int64 offsets, are equal
+    assert Ids(["ab", "c"]) != Ids(["a", "bc"]) and not Ids(["ab", "c"]) == Ids(["a", "bc"])
+    assert Ids(["ab", "c"]).data == Ids(["a", "bc"]).data
+    for strs in ([], [""], ["", "a"], ["a", "é", "\U0001f600", "a\x00"], [f"u{i}" for i in range(1000)]):
+        one, two = Ids(strs), Ids([s.encode("utf-8") for s in strs])
+        assert one is not two and one == two and two == one and not one != two and not two != one
+        assert one != Ids([*strs, "z"]) and Ids([*strs, "z"]) != one
+        wide = Ids(strs)
+        wide.offsets = wide.offsets.astype(np.int64)
+        assert wide == one and one == wide
+    assert Ids(np.array([b"a", b"bc"])) == Ids(["a", "bc"]) == Ids(np.array([b"a", b"bc"]))
+    assert Ids(np.array([b"ab", b"c"])) != Ids(["a", "bc"])
+
+
+# raw JSON texts of each key's values: ones the byte checks accept, then
+# hazards: values the row rules reject, numbers where strings belong, -0,
+# and numbers with a leading zero, which json rejects
+LAYOUT_VALUES = {
+    "user_id": (st.sampled_from(['"u1"', '"u2"', '"ü"', '"a, b: {c}"']), st.sampled_from(['" u3 "', '""', "null", "7"])),
+    "timestamp": (CANONICAL_STAMPS.map(json.dumps), st.sampled_from(['"2012-06-01"', '"x"', "null"])),
+    "lat": (
+        st.one_of(st.floats(-90, 90).map(repr), st.sampled_from(["40", "4.05e1", "1E-1", "0.5"])),
+        st.sampled_from(["-0", "-0.0", "01.5", "00", "-01", "null", '"41.2"', "95.5"]),
+    ),
+    "lon": (
+        st.one_of(st.floats(-180, 180).map(repr), st.sampled_from(["-7", "0.5e+1", "1e-400", "-12.25"])),
+        st.sampled_from(["-00.5", "null", "-0", "1e400"]),
+    ),
+    "origin_country": (st.sampled_from(['"ES"', '""', "null"]), st.sampled_from(['"es"', "12"])),
+    "dataset_tag": (st.sampled_from(['"t"', '"photo"', '"é"']), st.just("null")),
+    "text": (st.sampled_from(['"x"', '"a, b: {c}"', '""', "null"]), st.just("01")),
+    "id": (st.sampled_from(["12", "-0", "1.5e3", "1E+2", "null", '"9"', "-0.0e-0"]), st.sampled_from(["007", "-01.5"])),
+}
+
+
+@st.composite
+def layout_lines(draw) -> list[str]:
+    """JSONL lines in up to four layouts: the canonical keys, perhaps
+    without origin_country and with unknown keys, in a permuted order,
+    with json.dumps' default or compact separators; a line holds at most
+    one hazard."""
+    layouts = []
+    for _ in range(draw(st.integers(1, 4))):
+        keys = [c for c in CANONICAL_COLUMNS if c != "origin_country" or draw(st.booleans())]
+        keys += draw(st.lists(st.sampled_from(["text", "id"]), max_size=2, unique=True))
+        layouts.append((draw(st.permutations(keys)), draw(st.sampled_from([(", ", ": "), (",", ":")]))))
+    lines = []
+    for _ in range(draw(st.integers(0, 30))):
+        keys, (item, colon) = draw(st.sampled_from(layouts))
+        hazard = draw(st.sampled_from([*keys] + [None] * 2 * len(keys)))
+        lines.append("{" + item.join(f'"{k}"{colon}{draw(LAYOUT_VALUES[k][k == hazard])}' for k in keys) + "}")
+    return lines
+
+
+@settings(max_examples=200, deadline=None)
+@given(layout_lines(), st.booleans(), st.sampled_from([64, 256, 1 << 19]))
+def test_jsonl_blocks_of_several_layouts_match_row_reference(lines, strict, block_bytes):
+    saved = events_module.BLOCK_BYTES
+    events_module.BLOCK_BYTES = block_bytes
+    try:
+        _same_outcome("\n".join(lines) + "\n", "jsonl", strict)
+    finally:
+        events_module.BLOCK_BYTES = saved
+
+
+@pytest.mark.parametrize("leading_true", [False, True])
+def test_block_with_more_layouts_than_the_bound(monkeypatch, leading_true):
+    # every key order is a layout of its own, and the block holds
+    # _LAYOUTS + 4 of them, two lines each.  Each try reads the first line
+    # that no layout takes yet as a layout, and a line that holds no flat
+    # object (a true value) uses up a try; the lines of the orders left
+    # over go to json's scanner, with the true line
+    bound = events_module._LAYOUTS
+    fields = {"user_id": "u1", "timestamp": "2012-06-01T12:00:00Z", "lat": 40.5, "lon": -3.7, "dataset_tag": "t"}
+    orders = list(itertools.islice(itertools.permutations(fields), bound + 4))
+    lines = [json.dumps({**fields, "x": True})] * leading_true + [json.dumps({k: fields[k] for k in order}) for order in orders] * 2
+    looks = _count_calls(monkeypatch, "_second_look")
+    _same_outcome("\n".join(lines) + "\n", "jsonl", False)
+    (*_, flagged, _), = looks
+    tried = orders[: bound - leading_true]
+    want = list(range(leading_true)) + [leading_true + k for k, order in enumerate(orders * 2) if order not in tried]
+    assert np.flatnonzero(flagged).tolist() == want
