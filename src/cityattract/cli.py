@@ -18,7 +18,7 @@ from . import __version__, pipeline
 from .events import EventTable, IngestReport, write_events_csv
 from .geo import Assignment, RegionLayer, write_assignments_csv, write_layer_geojson
 from .output import dumps_stable, write_text
-from .pipeline import PipelineError
+from .pipeline import PipelineConfig, PipelineError
 from .scaling import foreign_counts, table_to_csv
 from .synthetic import (
     SyntheticSpec,
@@ -90,7 +90,7 @@ def _origins(args, events: EventTable, country_layer: RegionLayer):
 
 
 def _assignment(events: EventTable, layer: RegionLayer) -> Assignment:
-    return _memoized("assign", _layer_key(layer), lambda: pipeline.assign_layer(events, layer), events)
+    return _memoized("assign", _layer_key(layer), lambda: pipeline.assign_events(events, layer), events)
 
 
 def _foreign_counts(args):
@@ -256,9 +256,11 @@ def _cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_event_opts(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="event file format")
-    p.add_argument("--strict", action="store_true", help="fail on the first malformed record")
+def _option(*flags: str, **kwargs) -> argparse.ArgumentParser:
+    """A parent parser that declares one option, for ``parents=``."""
+    parent = argparse.ArgumentParser(add_help=False)
+    parent.add_argument(*flags, **kwargs)
+    return parent
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,83 +271,45 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="parse raw events into canonical CSV plus a report")
-    p.add_argument("--input", required=True)
-    p.add_argument("--tag", required=True, help="dataset tag")
-    p.add_argument("--out", required=True)
-    _add_event_opts(p)
-    p.set_defaults(func=_cmd_ingest)
+    # options shared by several subcommands, each listed in their order
+    out = _option("--out", required=True)
+    tag = _option("--tag", required=True, help="dataset tag")
+    layer = _option("--layer", required=True)
+    events = _option("--events", required=True)
+    countries = _option("--countries", required=True, help="country-layer GeoJSON")
+    target = _option("--target", default=PipelineConfig.target_country, help="target country code")
+    min_events = _option("--min-events", type=int, default=PipelineConfig.min_events)
+    table = _option("--table", required=True)
+    dataset = _option("--dataset", required=True)
+    event_format = argparse.ArgumentParser(add_help=False)
+    event_format.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="event file format")
+    event_format.add_argument("--strict", action="store_true", help="fail on the first malformed record")
 
-    p = sub.add_parser("infer-home", help="infer each user's home country")
-    p.add_argument("--events", required=True)
-    p.add_argument("--countries", required=True, help="country-layer GeoJSON")
-    p.add_argument("--tag", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--min-events", type=int, default=1)
-    _add_event_opts(p)
-    p.set_defaults(func=_cmd_infer_home)
+    def command(name: str, func: Callable, help: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("assign", help="assign events to regions of one layer")
-    p.add_argument("--events", required=True)
-    p.add_argument("--layer", required=True)
-    p.add_argument("--tag", required=True)
-    p.add_argument("--out", required=True)
-    _add_event_opts(p)
-    p.set_defaults(func=_cmd_assign)
+    command("ingest", _cmd_ingest, "parse raw events into canonical CSV plus a report",
+            _option("--input", required=True), tag, out, event_format)
+    command("infer-home", _cmd_infer_home, "infer each user's home country",
+            events, countries, tag, out, min_events, event_format)
+    command("assign", _cmd_assign, "assign events to regions of one layer", events, layer, tag, out, event_format)
+    command("attractiveness", _cmd_attractiveness, "per-region foreign-visitor shares",
+            events, layer, countries, tag, out, target, min_events, event_format)
+    command("fit", _cmd_fit, "fit the power law on an attractiveness table", table, dataset, layer, out)
+    p = command("bin", _cmd_bin, "log-bin an attractiveness table", table, dataset, layer, out)
+    p.add_argument("-k", type=int, default=PipelineConfig.bins, help="number of bins")
+    command("residuals", _cmd_residuals, "residual scores and scatter data", table, dataset, layer, out)
+    command("temporal", _cmd_temporal, "scaling exponent over moving 3-month windows",
+            events, layer, countries, tag, out, target, min_events, event_format)
 
-    p = sub.add_parser("attractiveness", help="per-region foreign-visitor shares")
-    p.add_argument("--events", required=True)
-    p.add_argument("--layer", required=True)
-    p.add_argument("--countries", required=True)
-    p.add_argument("--tag", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--target", default="ES", help="target country code")
-    p.add_argument("--min-events", type=int, default=1)
-    _add_event_opts(p)
-    p.set_defaults(func=_cmd_attractiveness)
+    command("correlate", _cmd_correlate, "correlate residual rankings across datasets",
+            _option("--pair", action="append", required=True, metavar="TAG=PATH",
+                    help="dataset tag and its residuals CSV; repeat 2+ times"),
+            _option("--layer-label", default="layer"), out)
 
-    p = sub.add_parser("fit", help="fit the power law on an attractiveness table")
-    p.add_argument("--table", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--layer", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("bin", help="log-bin an attractiveness table")
-    p.add_argument("--table", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--layer", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("-k", type=int, default=5, help="number of bins")
-    p.set_defaults(func=_cmd_bin)
-
-    p = sub.add_parser("residuals", help="residual scores and scatter data")
-    p.add_argument("--table", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--layer", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_residuals)
-
-    p = sub.add_parser("temporal", help="scaling exponent over moving 3-month windows")
-    p.add_argument("--events", required=True)
-    p.add_argument("--layer", required=True)
-    p.add_argument("--countries", required=True)
-    p.add_argument("--tag", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--target", default="ES")
-    p.add_argument("--min-events", type=int, default=1)
-    _add_event_opts(p)
-    p.set_defaults(func=_cmd_temporal)
-
-    p = sub.add_parser("correlate", help="correlate residual rankings across datasets")
-    p.add_argument("--pair", action="append", required=True, metavar="TAG=PATH",
-                   help="dataset tag and its residuals CSV; repeat 2+ times")
-    p.add_argument("--layer-label", default="layer")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_correlate)
-
-    p = sub.add_parser("synth", help="generate synthetic ground-truth data")
-    p.add_argument("--out", required=True)
+    p = command("synth", _cmd_synth, "generate synthetic ground-truth data", out, target)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--regions", type=int, default=30)
     p.add_argument("--p-min", type=float, default=1e4)
@@ -358,15 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resident-share", type=float, default=0.0)
     p.add_argument("--seasonal", default=None, help="12 comma-separated monthly exponents")
     p.add_argument("--year", type=int, default=2012)
-    p.add_argument("--target", default="ES")
     p.add_argument("--tag", default="synthetic")
     p.add_argument("--table", action="store_true", help="emit a share table instead of events")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("pipeline", help="run every stage from a JSON config")
+    p = command("pipeline", _cmd_pipeline, "run every stage from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--strict", action="store_true")
-    p.set_defaults(func=_cmd_pipeline)
 
     return parser
 

@@ -67,18 +67,21 @@ class RegionLayer:
     regions: tuple[Region, ...]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Assignment:
     """Per-event region positions plus overlap/unassigned diagnostics.
 
     ``index[i]`` is the position in ``regions`` of the region holding
-    event i, or -1 when no region holds it.
+    event i, or -1 when no region holds it; it is read-only.
     """
 
     index: np.ndarray
     regions: tuple[str, ...]
     overlap_events: int
     unassigned: int
+
+    def __post_init__(self) -> None:
+        self.index.setflags(write=False)
 
     @property
     def region_ids(self) -> list[str | None]:

@@ -51,7 +51,7 @@ class CountryStats:
     epoch seconds of the pair's earliest and latest event.
 
     ``infer_all`` relies on that order: each user's pairs are one run,
-    ascending by country code.
+    ascending by country code.  The columns are read-only.
     """
 
     user_ids: Sequence[str]
@@ -61,6 +61,10 @@ class CountryStats:
     count: np.ndarray
     first: np.ndarray
     last: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.user, self.country, self.count, self.first, self.last):
+            column.setflags(write=False)
 
 
 class _ByUser(Mapping):
@@ -83,8 +87,8 @@ class _ByUser(Mapping):
 class Homes(_ByUser):
     """Every user's inferred home, read as a mapping user id -> HomeRecord.
 
-    Columns are aligned with the sorted ``user_ids``; ``country`` indexes
-    ``countries``, with -1 for UNDETERMINED.
+    Columns are aligned with the sorted ``user_ids`` and read-only;
+    ``country`` indexes ``countries``, with -1 for UNDETERMINED.
     """
 
     user_ids: Sequence[str]
@@ -92,6 +96,10 @@ class Homes(_ByUser):
     country: np.ndarray
     event_count: np.ndarray
     timespan_seconds: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in (self.country, self.event_count, self.timespan_seconds):
+            column.setflags(write=False)
 
     def __getitem__(self, user_id: str) -> HomeRecord:
         i = self._position(user_id)
@@ -108,12 +116,16 @@ class Homes(_ByUser):
 class Origins(_ByUser):
     """Every user's resolved origin, read as a mapping user id -> country.
 
-    ``code`` is aligned with the sorted ``user_ids`` and indexes ``names``.
+    ``code`` is aligned with the sorted ``user_ids``, indexes ``names``
+    and is read-only.
     """
 
     user_ids: Sequence[str]
     names: tuple[str, ...]
     code: np.ndarray
+
+    def __post_init__(self) -> None:
+        self.code.setflags(write=False)
 
     def __getitem__(self, user_id: str) -> str:
         return self.names[self.code[self._position(user_id)]]

@@ -10,7 +10,12 @@ each stage's seconds and peak RSS.
 Its stage functions, which the CLI subcommands call too, are the one
 place that decides stage tags and output file names: each writer computes
 and writes one output family, and a StatsError from a stage becomes a
-PipelineError carrying that stage's tag.
+PipelineError carrying that stage's tag.  Stage results are read-only:
+the event table, assignment, tallies, homes, origins and counts mark
+their arrays so on construction, so one result can be shared by every
+later stage.  foreign_counts joins by position, so it takes the origins
+from origin_map on the same event table and the assignment from
+assign_events of that table to the same layer.
 
 All files are written into a temporary staging directory and moved into
 output_dir only when the whole run succeeds.  Any old manifest is removed
@@ -36,11 +41,9 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from . import __version__
 from .events import EventTable, IngestError, IngestReport, parse_events
-from .geo import Assignment, RegionLayer, assign_events, load_layer
+from .geo import RegionLayer, assign_events, load_layer
 from .home import Homes, Origins, accumulate_stats_seq, homes_csv_blocks, infer_all, origin_map
 from .scaling import (
     AttractivenessTable,
@@ -104,12 +107,6 @@ class PipelineConfig:
     min_events: int = 1
     bins: int = 5
 
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["event_sources"] = [asdict(s) for s in self.event_sources]
-        d["city_layer_paths"] = list(self.city_layer_paths)
-        return d
-
 
 def load_config(path: str | Path) -> PipelineConfig:
     try:
@@ -131,9 +128,9 @@ def load_config(path: str | Path) -> PipelineConfig:
             country_layer_path=_config_field(raw, "country_layer_path", _STRING),
             city_layer_paths=tuple(_config_field(raw, "city_layer_paths", _STRINGS)),
             output_dir=_config_field(raw, "output_dir", _STRING),
-            target_country=_config_field(raw, "target_country", _STRING, "ES"),
-            min_events=int(_config_field(raw, "min_events", _INTEGER, 1)),
-            bins=int(_config_field(raw, "bins", _INTEGER, 5)),
+            target_country=_config_field(raw, "target_country", _STRING, PipelineConfig.target_country),
+            min_events=int(_config_field(raw, "min_events", _INTEGER, PipelineConfig.min_events)),
+            bins=int(_config_field(raw, "bins", _INTEGER, PipelineConfig.bins)),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise PipelineError("input-error", f"bad config field: {exc!r}") from exc
@@ -226,11 +223,6 @@ def read_events(path: str, format: str, dataset_tag: str, strict: bool = False) 
     return events, report
 
 
-def _read_only(*arrays: np.ndarray) -> None:
-    for array in arrays:
-        array.setflags(write=False)
-
-
 def read_table(path: str, dataset: str, layer: str) -> AttractivenessTable:
     require_files([path])
     try:
@@ -247,24 +239,14 @@ def read_residuals(path: str) -> list[ResidualScore]:
         raise PipelineError("input-error", f"cannot read residuals {path}: {exc}") from exc
 
 
-def assign_layer(events: EventTable, layer: RegionLayer) -> Assignment:
-    """The events' assignment to ``layer``, with a read-only index."""
-    assignment = assign_events(events, layer)
-    _read_only(assignment.index)
-    return assignment
-
-
 def resolve_origins(
     events: EventTable, country_layer: RegionLayer, min_events: int
 ) -> tuple[Origins, Homes, int]:
-    """Country assignment, then the per-user tally, homes and origins, as
-    read-only arrays; also returns the number of events outside every
-    country."""
+    """Country assignment, then the per-user tally, homes and origins; also
+    returns the number of events outside every country."""
     stats, unresolved = accumulate_stats_seq(events, assign_events(events, country_layer))
     homes = infer_all(stats, min_events=min_events)
-    origins = origin_map(events, homes)
-    _read_only(homes.country, homes.event_count, homes.timespan_seconds, origins.code)
-    return origins, homes, unresolved
+    return origin_map(events, homes), homes, unresolved
 
 
 def fit_table(table: AttractivenessTable) -> ScalingFit:
@@ -388,7 +370,7 @@ def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
             }
             for layer in city_layers:
                 with clock("city_assignment"):
-                    assignment = assign_layer(events, layer)
+                    assignment = assign_events(events, layer)
                 with clock("attractiveness"):
                     counts = foreign_counts(events, assignment, origins, layer, config.target_country, dataset_tag=tag)
                     table = write_attractiveness(tmp, counts)
@@ -411,7 +393,7 @@ def run_pipeline(config: PipelineConfig, strict: bool = False) -> dict:
         manifest = {
             "tool": "cityattract",
             "version": __version__,
-            "config": config.to_dict(),
+            "config": asdict(config),
             "strict": strict,
             "datasets": dataset_summaries,
             "stages": clock.stages,

@@ -10,6 +10,12 @@ is what makes residuals comparable across data sources.
 All logs are base 10: the slope b is base-invariant, but intercepts and
 residuals are not, so the base is fixed once here.  Sums use math.fsum,
 which is exactly rounded and therefore independent of summation order.
+
+foreign_counts joins its inputs by position, never by id: it needs
+``origin_map(events, ...)`` of the same event table, one origin per user
+code, and ``assign_events(events, layer)`` of the same layer, whose
+positions are the layer's regions in order; anything else raises
+StatsError.  Like every stage result, its ForeignCounts is read-only.
 """
 
 from __future__ import annotations
@@ -106,10 +112,8 @@ class ForeignCounts:
     """Foreign-visitor events of one dataset per (region, calendar month).
 
     ``by_month[r, m - 1]`` counts the events of month m in the layer's
-    r-th region; one extra last row holds events assigned to regions the
-    layer does not have (an assignment made against another layer).  The
-    attractiveness table sums all twelve columns, a seasonal window sums
-    its three.
+    r-th region; it is read-only.  The attractiveness table sums all
+    twelve columns, a seasonal window sums its three.
     """
 
     layer: RegionLayer
@@ -117,18 +121,8 @@ class ForeignCounts:
     dataset_tag: str
     by_month: np.ndarray
 
-
-def _foreign_users(events: EventTable, origins: Origins, target_country: str) -> np.ndarray:
-    """Per user of ``events``: whether their resolved origin counts as foreign."""
-    foreign = origins.foreign(target_country)
-    if origins.user_ids == events.user_ids:
-        return foreign
-    position = {uid: i for i, uid in enumerate(origins.user_ids)}
-    missing = [code for code, uid in enumerate(events.user_ids) if uid not in position]
-    if missing:
-        uid = events.user_ids[events.user[np.isin(events.user, missing)][0]]
-        raise StatsError(f"empty table: user {uid!r} missing from origins")
-    return foreign[[position[uid] for uid in events.user_ids]]
+    def __post_init__(self) -> None:
+        self.by_month.setflags(write=False)
 
 
 def foreign_counts(
@@ -141,22 +135,25 @@ def foreign_counts(
 ) -> ForeignCounts:
     """Count foreign-visitor events per region and month.
 
-    ``assignment`` maps the events to the regions of ``layer``.  An event
-    counts when its owner's resolved origin is neither the target country
-    nor UNDETERMINED and it falls in a region.
+    ``origins`` must be origin_map of ``events`` and ``assignment``
+    assign_events of ``events`` to ``layer``, as they join by position
+    (see the module docstring).  An event counts when its owner's resolved
+    origin is neither the target country nor UNDETERMINED and it falls in
+    a region.
     """
     if assignment.index.shape[0] != len(events):
         raise StatsError(
             f"empty table: {assignment.index.shape[0]} assignments for {len(events)} events"
         )
-    foreign = _foreign_users(events, origins, target_country)
-    position = {r.id: i for i, r in enumerate(layer.regions)}
-    n = len(layer.regions)
-    row_of = np.array([position.get(rid, n) for rid in assignment.regions], dtype=np.int64)
-    counted = foreign[events.user] & (assignment.index >= 0)
+    if origins.user_ids != events.user_ids:
+        raise StatsError("mismatched inputs: the origins are not origin_map of these events")
+    if assignment.regions != tuple(r.id for r in layer.regions):
+        raise StatsError(f"mismatched inputs: the assignment is not assign_events of these events to layer {layer.label!r}")
+    counted = origins.foreign(target_country)[events.user] & (assignment.index >= 0)
     month = events.seconds[counted].view("datetime64[s]").astype("datetime64[M]").astype(np.int64) % 12
-    cells = row_of[assignment.index[counted]] * 12 + month
-    by_month = np.bincount(cells, minlength=(n + 1) * 12).reshape(n + 1, 12)
+    cells = assignment.index[counted] * 12 + month
+    n = len(layer.regions)
+    by_month = np.bincount(cells, minlength=n * 12).reshape(n, 12)
     return ForeignCounts(layer, target_country, dataset_tag, by_month)
 
 
@@ -174,7 +171,6 @@ def compute_attractiveness(
     regions = counts.layer.regions
     populated = [(r, c) for r, c in zip(regions, per_region) if r.population is not None]
     excluded_events = sum(c for r, c in zip(regions, per_region) if r.population is None)
-    excluded_events += per_region[-1]
     total = sum(c for _, c in populated)
     if total == 0:
         raise StatsError("empty table: no foreign-visitor events in populated regions")

@@ -42,9 +42,11 @@ def ev(user="u1", ts="2012-06-01T12:00:00Z", lat=0.5, lon=0.5, origin=None, tag=
     return EventRecord(user, stamp, lat, lon, origin, tag)
 
 
-def assignment_of(region_ids) -> Assignment:
-    """An assignment given as one region id (or None) per event."""
-    regions = tuple(dict.fromkeys(r for r in region_ids if r is not None))
+def assignment_of(region_ids, regions=None) -> Assignment:
+    """An assignment given as one region id (or None) per event, to
+    ``regions`` in their order, by default the ids in order of appearance."""
+    if regions is None:
+        regions = tuple(dict.fromkeys(r for r in region_ids if r is not None))
     index = np.array([-1 if r is None else regions.index(r) for r in region_ids], dtype=np.int64)
     return Assignment(index, regions, 0, int((index < 0).sum()))
 
@@ -63,19 +65,22 @@ def assignments_csv(assignment: Assignment) -> str:
     return "".join(assignments_csv_blocks(assignment))
 
 
-def origins_of(mapping: dict) -> Origins:
-    """Origins of the users in ``mapping`` (user id -> origin)."""
-    user_ids = tuple(sorted(mapping))
+def origins_of(table, mapping: dict) -> Origins:
+    """Origins of the users of ``table``, as origin_map gives them, from
+    ``mapping`` (user id -> origin)."""
     names = tuple(sorted(set(mapping.values())))
-    return Origins(user_ids, names, np.array([names.index(mapping[u]) for u in user_ids], dtype=np.int64))
+    return Origins(table.user_ids, names, np.array([names.index(mapping[u]) for u in table.user_ids], dtype=np.int64))
 
 
 def counts_of(events, origins: dict, layer, target_country="ES", region_ids=None, dataset_tag=""):
     """Foreign counts of EventRecords with origins given as a dict, assigned
     to ``layer`` unless ``region_ids`` gives one region id per event."""
     table = table_of(events)
-    assignment = assign_events(table, layer) if region_ids is None else assignment_of(region_ids)
-    return foreign_counts(table, assignment, origins_of(origins), layer, target_country, dataset_tag)
+    if region_ids is None:
+        assignment = assign_events(table, layer)
+    else:
+        assignment = assignment_of(region_ids, tuple(r.id for r in layer.regions))
+    return foreign_counts(table, assignment, origins_of(table, origins), layer, target_country, dataset_tag)
 
 
 def home_of(per_country: dict, min_events: int = 1) -> HomeRecord:

@@ -22,7 +22,9 @@ the package's earlier binning over materialized edges, and origin_map
 resolves declared origins with a Counter per user.  generate_events is the
 package's earlier synthetic generator, which drew one event at a time;
 it is the reference of the column generator for worlds of up to 600
-regions, whose cities lie in one row.
+regions, whose cities lie in one row.  oracle_run composes the per-row
+references into a whole run, the reference of run_pipeline's ingest,
+homes and attractiveness files and of its manifest's counts.
 
 The per-row references take and give events as EventRecord rows, the
 package's row type before events became columns; records and table_of
@@ -48,8 +50,9 @@ from typing import Sequence
 import numpy as np
 
 from cityattract.events import CANONICAL_COLUMNS, EventTable, IngestError, IngestReport
-from cityattract.geo import Region, Ring
+from cityattract.geo import Region, Ring, load_layer
 from cityattract.home import UNDETERMINED, HomeRecord
+from cityattract.output import fmt_num
 from cityattract.rng import CounterRng
 from cityattract.scaling import AttractivenessTable, AttractRow, BinnedTrend, BinRow, StatsError, fit_xy
 from cityattract.synthetic import (
@@ -579,6 +582,80 @@ def window_tables(region_ids, origins, target_country, layer, events, dataset_ta
         except StatsError as exc:
             out[m] = str(exc)
     return out
+
+
+# ---------------------------------------------------------------------------
+# a whole run, composed from the references above
+
+def _fit(table):
+    """The OLS fit of a table's positive rows on log-log scale, or None where
+    the fit stage would fail."""
+    rows = [row for row in table.rows if row.share > 0.0]
+    try:
+        return fit_xy([math.log10(row.population) for row in rows], [math.log10(row.share) for row in rows])
+    except StatsError:
+        return None
+
+
+def oracle_run(config) -> dict | str:
+    """What run_pipeline reports for ``config``, from the per-row references:
+    ``files``, the text of every ingest, homes and attractiveness file by
+    name, and ``datasets``, the manifest's counts; or, where the run fails,
+    the tag of the stage that fails first.  Dataset tags and layer labels
+    must be file-name safe, as they then name the files unchanged."""
+    countries = load_layer(config.country_layer_path)
+    city_layers = [load_layer(p) for p in config.city_layer_paths]
+    files, datasets = {}, {}
+    for source in config.event_sources:
+        tag = source.dataset_tag
+        with open(source.path, "r", encoding="utf-8", newline="") as fh:
+            events, report = parse_events(fh.read(), source.format)
+        if not events:
+            return "ingest"
+        files[f"ingest__{tag}.json"] = report.to_json()
+        country_of = region_lookup(countries)
+        country_ids = [country_of(e.lat, e.lon) for e in events]
+        stats, unresolved = accumulate_stats_seq(events, country_ids)
+        homes = infer_all(stats, config.min_events, all_users=[e.user_id for e in events])
+        files[f"homes__{tag}.csv"] = rows_to_csv(
+            ("user_id", "country", "event_count", "timespan_seconds"),
+            ((h.user_id, h.country, h.event_count, h.timespan_seconds) for _, h in sorted(homes.items())),
+        )
+        origins = origin_map(events, homes)
+        layers = {}
+        for layer in city_layers:
+            region_of = region_lookup(layer)
+            region_ids = [region_of(e.lat, e.lon) for e in events]
+            try:
+                table = compute_attractiveness(region_ids, origins, config.target_country, layer, events, tag)
+            except StatsError:
+                return "attractiveness"
+            if _fit(table) is None:
+                return "fit"
+            windows = window_tables(region_ids, origins, config.target_country, layer, events, tag).values()
+            fits = [fit for fit in (_fit(w) for w in windows if not isinstance(w, str)) if fit is not None]
+            if math.fsum(fit.b for fit in fits) == 0.0:  # no window fitted, or a mean exponent of 0
+                return "temporal"
+            files[f"attractiveness__{tag}__{layer.label}.csv"] = rows_to_csv(
+                ("region_id", "population", "events", "share"),
+                ((row.region_id, row.population, row.events, fmt_num(row.share)) for row in table.rows),
+            )
+            layers[layer.label] = {
+                "overlap_events": sum(
+                    sum(point_in_region(e.lat, e.lon, region) for region in layer.regions) > 1 for e in events
+                ),
+                "unassigned": region_ids.count(None),
+                "excluded_events": table.excluded_events,
+                "excluded_regions": len(table.excluded_regions),
+            }
+        datasets[tag] = {
+            "events": len(events),
+            "rejected": report.rejected,
+            "users": len(homes),
+            "events_outside_countries": unresolved,
+            "layers": layers,
+        }
+    return {"files": files, "datasets": datasets}
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ import pytest
 
 from cityattract import cli, pipeline
 from cityattract.cli import main
+from cityattract.geo import assign_events
 
 from conftest import square_feature
 
@@ -404,7 +405,7 @@ def test_shared_stage_results_are_read_only(world, tmp_path, parses):
     country_layer = pipeline.read_layer(str(world / f"countries__{TAG}.geojson"))
     city_layer = pipeline.read_layer(str(world / f"cities__{TAG}.geojson"))
     origins, homes, _ = pipeline.resolve_origins(events, country_layer, 1)
-    assignment = pipeline.assign_layer(events, city_layer)
+    assignment = assign_events(events, city_layer)
     for array in (assignment.index, origins.code, homes.country, homes.event_count, homes.timespan_seconds):
         assert not array.flags.writeable
         with pytest.raises(ValueError):

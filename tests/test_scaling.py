@@ -1,6 +1,7 @@
 """Power-law fitting, binning, residuals, correlations vs oracles."""
 
 import calendar
+import dataclasses
 import math
 import random
 import sys
@@ -13,6 +14,7 @@ import scipy.stats
 from hypothesis import example, given, settings, strategies as st
 
 from cityattract.geo import assign_events
+from cityattract.home import Origins, accumulate_stats_seq, infer_all, origin_map
 from cityattract.rng import CounterRng
 from cityattract.scaling import (
     AttractRow,
@@ -26,6 +28,7 @@ from cityattract.scaling import (
     fit_power_law,
     fit_to_json,
     fit_xy,
+    foreign_counts,
     log_bin,
     pearson,
     read_residuals_csv,
@@ -39,7 +42,7 @@ from cityattract.scaling import (
 from cityattract.temporal import window_exponents, window_months
 
 import oracles
-from conftest import counts_of, ev, layer_of, square_feature, table_of
+from conftest import assignment_of, counts_of, ev, layer_of, origins_of, square_feature, table_of
 from oracles import EventRecord, fit_binned, ols_grid_search, pearson_direct
 
 
@@ -134,22 +137,47 @@ def test_shares_match_sequential_recount():
         assert row.share == counts[row.region_id] / kept
 
 
-def test_assignment_against_other_layer_counts_as_excluded():
-    layer = layer_of(square_feature("X", 0, 0, 1, population=100))
-    events = [ev(user="a"), ev(user="a"), ev(user="a")]
-    counts = counts_of(events, {"a": "FR"}, layer, region_ids=["X", "elsewhere", None])
-    table = compute_attractiveness(counts)
-    assert table.total_events == 1 and table.excluded_events == 1
+@pytest.mark.parametrize("regions", [("X", "elsewhere"), ("Y", "X"), ("X",)], ids=["other", "reordered", "fewer"])
+def test_assignment_to_another_layer_is_rejected(regions):
+    layer = layer_of(square_feature("X", 0, 0, 1, population=100), square_feature("Y", 0, 2, 1, population=100))
+    table = table_of([ev(user="a"), ev(user="a")])
+    assignment = assignment_of(["X", None], regions)
+    with pytest.raises(StatsError, match="assignment is not assign_events"):
+        foreign_counts(table, assignment, origins_of(table, {"a": "FR"}), layer, "ES")
 
 
-def test_origins_must_cover_every_event_owner():
+@pytest.mark.parametrize("users", [["a", "b"], ["a", "b", "c", "d"]], ids=["fewer", "more"])
+def test_origins_of_another_table_are_rejected(users):
     layer = layer_of(square_feature("X", 0, 0, 1, population=100))
-    events = [ev(user="a"), ev(user="c"), ev(user="b")]
-    with pytest.raises(StatsError, match="user 'c' missing from origins"):
-        counts_of(events, {"a": "FR", "b": "FR"}, layer)
-    # origins of more users than the events have are fine
-    table = compute_attractiveness(counts_of(events, {"a": "FR", "b": "ES", "c": "FR", "d": "FR"}, layer))
-    assert table.total_events == 2
+    table = table_of([ev(user="a"), ev(user="c"), ev(user="b")])
+    other = table_of([ev(user=u) for u in users])
+    origins = origins_of(other, dict.fromkeys(users, "FR"))
+    with pytest.raises(StatsError, match="origins are not origin_map"):
+        foreign_counts(table, assign_events(table, layer), origins, layer, "ES")
+    # the same users as a tuple of the same ids join
+    same = Origins(tuple(table.user_ids), ("FR",), np.zeros(3, dtype=np.int64))
+    assert foreign_counts(table, assign_events(table, layer), same, layer, "ES").by_month.sum() == 3
+
+
+def test_stage_results_are_read_only():
+    layer = layer_of(square_feature("X", 0, 0, 1, population=100))
+    table = table_of([ev(user="a", origin="FR"), ev(user="b"), ev(user="b", lat=9.0)])
+    assignment = assign_events(table, layer)
+    stats, _ = accumulate_stats_seq(table, assignment)
+    homes = infer_all(stats)
+    origins = origin_map(table, homes)
+    counts = foreign_counts(table, assignment, origins, layer, "ES")
+    arrays = [
+        getattr(result, f.name)
+        for result in (assignment, stats, homes, origins, counts)
+        for f in dataclasses.fields(result)
+        if isinstance(getattr(result, f.name), np.ndarray)
+    ]
+    assert len(arrays) == 11
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[...] = 0
 
 
 def test_assignment_length_must_match_events():
@@ -198,7 +226,7 @@ def test_count_matrix_matches_event_filter_reference(raw):
     events = [EventRecord(u, t.replace(microsecond=0, tzinfo=timezone.utc), 0.5, lon, None, "t") for u, t, lon in raw]
     region_ids = assign_events(table_of(events), layer).region_ids
     counts = counts_of(events, origins, layer, region_ids=region_ids, dataset_tag="d")
-    by_month = np.zeros((len(layer.regions) + 1, 12), dtype=np.int64)
+    by_month = np.zeros((len(layer.regions), 12), dtype=np.int64)
     rows = {r.id: i for i, r in enumerate(layer.regions)}
     for event, rid in zip(events, region_ids):
         if rid is not None and origins[event.user_id] not in ("ES", "UNDETERMINED"):
