@@ -73,7 +73,7 @@ from typing import IO, Callable, Generator, Iterable, Iterator, NamedTuple, Sequ
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .output import coded_column, csv_blocks, dumps_stable, write_text
+from .output import coded_column, csv_blocks, dumps_stable, padded_rows, write_text
 
 CANONICAL_COLUMNS = ("user_id", "timestamp", "lat", "lon", "origin_country", "dataset_tag")
 
@@ -102,16 +102,15 @@ class Ids(Sequence[str]):
     """Read-only strings held as one UTF-8 byte string and the offsets of
     each value's bytes in it (Arrow's variable-size binary layout), decoded
     on access; built from str or UTF-8 bytes values, or from an ``S`` array
-    whose values hold no NUL.  A slice, or an integer array of positions in
-    range, gives a tuple of str; iteration decodes CHUNK_ROWS values at a
-    time; it equals an Ids or tuple of the same strings.  Lone surrogates,
-    which json's scanner reads from escapes, pass through."""
+    whose values hold no NUL.  A slice gives a tuple of str; iteration
+    decodes CHUNK_ROWS values at a time; it equals an Ids or tuple of the
+    same strings.  The bytes are UTF-8, so a writer copies them as they lie."""
 
     def __init__(self, values: Iterable[str] | np.ndarray = ()):
         if isinstance(values, np.ndarray):
             self.data, lengths = values.tobytes().replace(b"\0", b""), np.char.str_len(values)
         else:
-            raw = [v if isinstance(v, bytes) else v.encode("utf-8", "surrogatepass") for v in values]
+            raw = [v if isinstance(v, bytes) else v.encode() for v in values]
             self.data, lengths = b"".join(raw), list(map(len, raw))
         self.offsets = np.zeros(len(lengths) + 1, dtype=np.int32 if len(self.data) < 2**31 else np.int64)
         np.cumsum(lengths, dtype=self.offsets.dtype, out=self.offsets[1:])
@@ -121,12 +120,11 @@ class Ids(Sequence[str]):
         return len(self.offsets) - 1
 
     def __getitem__(self, i):
-        if not isinstance(i, np.ndarray):
-            rows = range(len(self))[i]  # IndexError past either end
-            if isinstance(rows, int):
-                return self.data[self.offsets[rows] : self.offsets[rows + 1]].decode("utf-8", "surrogatepass")
-            i = np.arange(rows.start, rows.stop, rows.step)
-        return tuple(self.data[a:b].decode("utf-8", "surrogatepass") for a, b in zip(self.offsets[i].tolist(), self.offsets[i + 1].tolist()))
+        rows = range(len(self))[i]  # IndexError past either end
+        if isinstance(rows, int):
+            return self.data[self.offsets[rows] : self.offsets[rows + 1]].decode()
+        i = np.arange(rows.start, rows.stop, rows.step)
+        return tuple(self.data[a:b].decode() for a, b in zip(self.offsets[i].tolist(), self.offsets[i + 1].tolist()))
 
     def __iter__(self) -> Iterator[str]:
         for start in range(0, len(self), CHUNK_ROWS):
@@ -440,9 +438,9 @@ def _sorted_codes(strings: list[np.ndarray], texts: list, codes: dict) -> tuple[
     text_ids = sorted(v for v in codes if v is not None)
     rank = np.full(max(codes.values(), default=-1) + 2, -1, dtype=CODE)  # last slot serves code -1
     if text_ids and len(byte_ids):
-        ids = sorted({*(v.encode("utf-8", "surrogatepass") for v in text_ids), *byte_ids.tolist()})
+        ids = sorted({*(v.encode() for v in text_ids), *byte_ids.tolist()})
         position = dict(zip(ids, count()))
-        rank[[codes[v] for v in text_ids]] = [position[v.encode("utf-8", "surrogatepass")] for v in text_ids]
+        rank[[codes[v] for v in text_ids]] = [position[v.encode()] for v in text_ids]
         column = np.array([position[v] for v in byte_ids.tolist()] + [-1], dtype=CODE)[column]
     else:
         ids = text_ids or byte_ids
@@ -921,12 +919,14 @@ _scan_json = json.scanner.make_scanner(json.JSONDecoder())
 
 def _json_object(text: str) -> dict | None:
     """The object a stripped line holds, or None when it holds another
-    value or no JSON at all."""
+    value or no JSON at all, or when a string value holds a lone surrogate:
+    only an escape gives one, and no UTF-8 text holds it (RFC 8259 8.2)."""
     try:
         obj, end = _scan_json(text, 0)
     except (StopIteration, ValueError, RecursionError):  # ValueError: also an integer past int's digit limit
         return None
-    return obj if end == len(text) and isinstance(obj, dict) else None
+    lone = isinstance(obj, dict) and "\\" in text and any(isinstance(v, str) and re.search("[\ud800-\udfff]", v) for v in obj.values())
+    return obj if end == len(text) and isinstance(obj, dict) and not lone else None
 
 
 def _json_fields(lines: list[str]) -> tuple[list, np.ndarray]:
@@ -1140,8 +1140,8 @@ def _json_numbers(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> 
 # ---------------------------------------------------------------------------
 # writing
 
-def events_csv_blocks(table: EventTable) -> Iterator[str]:
-    """The canonical CSV text of the events (round-trip safe), in row blocks."""
+def events_csv_blocks(table: EventTable) -> Iterator[bytes]:
+    """The canonical CSV bytes of the events (round-trip safe), in row blocks."""
     # repr keeps the shortest exact representation: re-parsing must
     # reproduce the events bit-for-bit
     return csv_blocks(
@@ -1149,9 +1149,9 @@ def events_csv_blocks(table: EventTable) -> Iterator[str]:
         len(table),
         (
             coded_column(table.user_ids, table.user),
-            lambda start, stop: np.datetime_as_string(table.seconds[start:stop].view("datetime64[s]"), timezone="UTC").tolist(),
-            lambda start, stop: map(repr, table.lat[start:stop].tolist()),
-            lambda start, stop: map(repr, table.lon[start:stop].tolist()),
+            lambda start, stop: padded_rows(np.datetime_as_string(table.seconds[start:stop].view("datetime64[s]"), timezone="UTC")),
+            lambda start, stop: padded_rows(np.array(list(map(repr, table.lat[start:stop].tolist())))),
+            lambda start, stop: padded_rows(np.array(list(map(repr, table.lon[start:stop].tolist())))),
             coded_column(table.origin_ids, table.origin),
             coded_column(table.tag_ids, table.tag),
         ),

@@ -35,7 +35,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .events import EventTable
-from .output import coded_column, csv_blocks, write_text
+from .output import coded_column, csv_blocks, decimal_rows, write_text
 
 Ring = np.ndarray  # read-only float64 (n, 2) array of (lat, lon) vertices, not closed
 PolygonRings = tuple[Ring, tuple[Ring, ...]]  # outer ring + hole rings
@@ -350,13 +350,13 @@ def assign_events(events: EventTable, layer: RegionLayer) -> Assignment:
     )
 
 
-def assignments_csv_blocks(assignment: Assignment) -> Iterator[str]:
+def assignments_csv_blocks(assignment: Assignment) -> Iterator[bytes]:
     """One ``event_index,region_id`` row per event, in row blocks."""
     return csv_blocks(
         ("event_index", "region_id"),
         assignment.index.shape[0],
         (
-            lambda start, stop: map(str, range(start, stop)),
+            lambda start, stop: decimal_rows(np.arange(start, stop)),
             coded_column(assignment.regions, assignment.index),
         ),
     )

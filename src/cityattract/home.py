@@ -27,7 +27,7 @@ import numpy as np
 
 from .events import CHUNK_ROWS, EventTable
 from .geo import Assignment
-from .output import coded_column, csv_blocks, csv_fields
+from .output import coded_column, csv_blocks, decimal_rows
 
 UNDETERMINED = "UNDETERMINED"
 
@@ -280,16 +280,16 @@ def origin_map(events: EventTable, homes: Homes) -> Origins:
     return Origins(events.user_ids, tuple(names), code)
 
 
-def homes_csv_blocks(homes: Homes) -> Iterator[str]:
+def homes_csv_blocks(homes: Homes) -> Iterator[bytes]:
     """One row per user, sorted by user id, in row blocks."""
     return csv_blocks(
         ("user_id", "country", "event_count", "timespan_seconds"),
         len(homes),
         (
-            lambda start, stop: csv_fields(homes.user_ids[start:stop]),
+            coded_column(homes.user_ids),
             coded_column(homes.countries, homes.country, UNDETERMINED),
-            lambda start, stop: map(str, homes.event_count[start:stop].tolist()),
-            lambda start, stop: map(str, homes.timespan_seconds[start:stop].tolist()),
+            lambda start, stop: decimal_rows(homes.event_count[start:stop]),
+            lambda start, stop: decimal_rows(homes.timespan_seconds[start:stop]),
         ),
     )
 

@@ -4,8 +4,8 @@ rendering and stable file writing.
 Every numeric value leaving the package is serialized with 12 significant
 digits so that repeated runs produce byte-identical files.  Every CSV file
 the package writes quotes its fields by the one rule of csv_fields.
-Per-row CSV files (events, homes, assignments) are rendered in blocks of
-BLOCK_ROWS rows, so writing one holds at most one block of text.
+Per-row CSV files (events, homes, assignments) are rendered as bytes in
+blocks of BLOCK_ROWS rows, so writing one holds at most one block.
 """
 
 from __future__ import annotations
@@ -17,12 +17,15 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-BLOCK_ROWS = 1 << 13  # rows rendered together; bounds a CSV writer's text in memory
+BLOCK_ROWS = 1 << 13  # rows rendered together; bounds a CSV writer's bytes in memory
+PAD = 0xFF  # pads the fields of a column to one width; no UTF-8 text holds this byte
+_WIDE_BYTES = 1 << 20  # the most a column's padded fields may take, unless they are one row's
 _NEEDS_QUOTES = re.compile('[",\r\n]')
 
-# a column of csv_blocks: the rendered fields of the rows [start, stop)
-Column = Callable[[int, int], Iterable[str]]
+# a column of csv_blocks: the fields of rows [start, stop) as padded uint8 rows, or None past _WIDE_BYTES
+Column = Callable[[int, int], "np.ndarray | None"]
 
 
 def fmt_num(x: float | int) -> str:
@@ -93,34 +96,71 @@ def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
     return "".join((",".join(csv_fields(map(str, row))) or '""') + "\n" for row in (header, *rows))
 
 
-def coded_column(ids: Sequence[str], codes: np.ndarray, missing: str = "") -> Column:
-    """The column of labels ``ids[c]`` for the codes ``c``, ``missing``
-    where ``c`` is -1, from a tuple, a list or an ``events.Ids``; each
-    block's distinct labels are rendered once, so no more are held as text."""
-    table = np.array(ids, dtype=object) if isinstance(ids, (tuple, list)) else ids
-    def column(start: int, stop: int) -> list[str]:
-        used, at = np.unique(codes[start:stop], return_inverse=True)  # -1 first
-        labels = [missing] * int(used[0] < 0) + list(table[used[used >= 0]])
-        return np.array(csv_fields(labels), dtype=object)[at].tolist()
+def padded_rows(text: np.ndarray) -> np.ndarray:
+    """A ``U`` array of ASCII text as padded rows, its NULs made PAD."""
+    rows = text.view(np.uint32).reshape(len(text), text.itemsize // 4).astype(np.uint8)
+    rows[rows == 0] = PAD
+    return rows
+
+
+def decimal_rows(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers as str gives them, as padded rows."""
+    left, rows = values.astype(np.uint64), np.empty((len(values), len(str(values.max()))), dtype=np.uint8)
+    for place in reversed(range(rows.shape[1])):
+        left, rows[:, place] = np.divmod(left, 10)
+    rows[:, :-1][np.logical_and.accumulate(rows[:, :-1] == 0, axis=1)] = PAD - ord("0")  # PAD once "0" is added
+    return rows + ord("0")
+
+
+def coded_column(ids: Sequence[str], codes: np.ndarray | None = None, missing: str = "") -> Column:
+    """The column of labels ``ids[c]`` for the codes ``c``, ``missing`` for
+    -1, or of ``ids`` in order without ``codes``; an ``events.Ids`` whose
+    labels need no quotes is read where it lies."""
+    if isinstance(ids, (tuple, list)) or missing or any(c in ids.data for c in (b'"', b",", b"\r", b"\n")):
+        fields = [field.encode() for field in csv_fields([*ids, missing])]
+        data, offsets = np.frombuffer(b"".join(fields), dtype=np.uint8), np.cumsum([0, *map(len, fields)])
+    else:  # the empty field ends the labels
+        data, offsets = np.frombuffer(ids.data, dtype=np.uint8), np.append(ids.offsets, ids.offsets[-1])
+
+    def column(start: int, stop: int) -> np.ndarray | None:
+        used, at = (np.arange(start, stop), None) if codes is None else np.unique(codes[start:stop], return_inverse=True)
+        used %= len(offsets) - 1  # -1: the last field
+        first, length = offsets[used], offsets[used + 1] - offsets[used]
+        width = int(length.max(initial=0))
+        if stop - start > 1 and (stop - start) * width > _WIDE_BYTES:
+            return None
+        if len(used) == 1:  # one field needs no padding
+            rows = data[first[0] : first[0] + width].reshape(1, width)
+        else:  # a field is read from the window at its start, or from the last window
+            window = np.minimum(first, len(data) - width)
+            rows, shift, place = sliding_window_view(data, width)[window], (first - window)[:, None], np.arange(width)
+            rows[(place < shift) | (place >= shift + length[:, None])] = PAD
+        return rows if at is None else rows[at]
     return column
 
 
-def csv_blocks(header: Sequence[str], n: int, columns: Sequence[Column]) -> Iterator[str]:
-    """CSV text of ``header`` and ``n`` rows, rows joined from ``columns``:
-    the header line first, then blocks of at most BLOCK_ROWS lines."""
-    yield csv_text(header, ())
-    for start in range(0, n, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n)
-        yield "\n".join(map(",".join, zip(*(column(start, stop) for column in columns)))) + "\n"
+def csv_blocks(header: Sequence[str], n: int, columns: Sequence[Column]) -> Iterator[bytes]:
+    """The CSV bytes of ``header`` and ``n`` rows joined from ``columns``:
+    the header line, then blocks of BLOCK_ROWS lines, fewer where too wide."""
+    yield csv_text(header, ()).encode()
+    blocks = [(start, min(start + BLOCK_ROWS, n)) for start in range(0, n, BLOCK_ROWS)][::-1]
+    while blocks:
+        start, stop = blocks.pop()
+        parts = [column(start, stop) for column in columns]
+        if any(part is None for part in parts):
+            blocks += [((start + stop) // 2, stop), (start, (start + stop) // 2)]
+            continue
+        separators = np.full((stop - start, 1), ord(","), dtype=np.uint8)
+        lines = np.concatenate([x for part in parts for x in (part, separators)], axis=1)
+        del parts
+        lines[:, -1] = ord("\n")
+        yield lines[lines != PAD].tobytes()
 
 
-def write_text(path: str | Path, text: str | Iterable[str]) -> None:
-    """Write UTF-8 text, or its blocks in order, with fixed '\\n' line endings."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        if isinstance(text, str):
-            fh.write(text)
-        else:
-            fh.writelines(text)
+def write_text(path: str | Path, text: str | Iterable[bytes]) -> None:
+    """Write UTF-8 text, or the byte blocks of csv_blocks in order, as is."""
+    with open(path, "wb") as fh:
+        fh.writelines([text.encode()] if isinstance(text, str) else text)
 
 
 def sha256_file(path: str | Path) -> str:

@@ -58,11 +58,11 @@ def region_counts(assignment: Assignment) -> dict[str, int]:
 
 def events_csv(table) -> str:
     """The canonical CSV text of an EventTable."""
-    return "".join(events_csv_blocks(table))
+    return b"".join(events_csv_blocks(table)).decode()
 
 
 def assignments_csv(assignment: Assignment) -> str:
-    return "".join(assignments_csv_blocks(assignment))
+    return b"".join(assignments_csv_blocks(assignment)).decode()
 
 
 def origins_of(table, mapping: dict) -> Origins:

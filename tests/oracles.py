@@ -461,6 +461,16 @@ def _csv_rows(lines):
             yield line_no, _make_record(*(row[i].strip() for i in indices))
 
 
+def _lone_surrogate(value: str) -> bool:
+    """Whether a decoded JSON string holds a lone surrogate, which an
+    escape can give but UTF-8 cannot encode."""
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
+
+
 def _jsonl_rows(lines):
     for line_no, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -470,7 +480,7 @@ def _jsonl_rows(lines):
             obj = json.loads(stripped)
         except (ValueError, RecursionError):  # JSONDecodeError, an integer past int's digit limit, deep nesting
             obj = None
-        if isinstance(obj, dict):
+        if isinstance(obj, dict) and not any(isinstance(v, str) and _lone_surrogate(v) for v in obj.values()):
             yield line_no, _make_record(*(obj.get(c) for c in CANONICAL_COLUMNS))
         else:
             yield line_no, "bad json"

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cityattract.cli import main
+from cityattract.events import parse_events
 
 
 def run_ok(argv):
@@ -308,6 +309,30 @@ def test_deeply_nested_jsonl_line_is_bad_json(tmp_path, capsys):
     assert main(argv) == 0
     report = json.loads((tmp_path / "ingest__t.json").read_text())
     assert (report["accepted"], report["rejection_reasons"]) == (1, {"bad json": 1})
+
+
+@pytest.mark.parametrize("field", ["user_id", "dataset_tag"])
+def test_lone_surrogate_escape_is_bad_json(tmp_path, capsys, field):
+    # json's scanner keeps an escaped lone surrogate, which UTF-8 cannot
+    # encode; ingest must reject its row, not fail writing the events file
+    good = {"user_id": "u1", "timestamp": "2012-06-01T12:00:00Z", "lat": 40.5, "lon": -3.7, "dataset_tag": "t"}
+    path = tmp_path / "lone.jsonl"
+    lines = [good, {**good, field: "a\ud800b"}, {**good, field: "a\U0001f600b"}]  # the last: a surrogate pair
+    path.write_text("".join(json.dumps(row) + "\n" for row in lines))
+    assert "\\ud800" in path.read_text() and "\\ud83d\\ude00" in path.read_text()
+    out = tmp_path / "out"
+    argv = ["ingest", "--input", str(path), "--format", "jsonl", "--tag", "t", "--out", str(out)]
+    assert main(argv + ["--strict"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [ingest]") and "line 2: bad json" in err
+    assert not (out / "events__t.csv").exists()
+    assert main(argv) == 0
+    report = json.loads((out / "ingest__t.json").read_text())
+    assert (report["accepted"], report["rejection_reasons"]) == (2, {"bad json": 1})
+    table, again = parse_events(out / "events__t.csv")
+    assert (again.accepted, again.rejected) == (2, 0)
+    ids = table.user_ids if field == "user_id" else table.tag_ids
+    assert list(ids) == sorted({good[field], "a\U0001f600b"})
 
 
 def test_fit_insufficient_data_exits_1(tmp_path, capsys):

@@ -1,8 +1,11 @@
 """The CSV renderers against csv.writer, through each writer: labels that
 need quoting, row counts around the block size of the per-row writers,
-and ids with line breaks read back by the commands."""
+and ids with line breaks read back by the commands; the byte columns of
+the per-row writers against str() and numpy's own formatting."""
 
 import csv
+import dataclasses
+import io
 import json
 import math
 import tempfile
@@ -16,10 +19,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from cityattract import output
 from cityattract.cli import main
-from cityattract.events import CANONICAL_COLUMNS, EventTable, parse_events, write_events_csv
-from cityattract.geo import Assignment
+from cityattract.events import CANONICAL_COLUMNS, EventTable, Ids, events_csv_blocks, parse_events, write_events_csv
+from cityattract.geo import Assignment, assignments_csv_blocks
 from cityattract.home import Homes, homes_csv_blocks
-from cityattract.output import BLOCK_ROWS, csv_fields, fmt_num
+from cityattract.output import BLOCK_ROWS, coded_column, csv_blocks, csv_fields, decimal_rows, fmt_num, write_text
 from cityattract.pipeline import write_correlations
 from cityattract.scaling import (
     AttractivenessTable,
@@ -94,7 +97,7 @@ def _homes(labels, countries, n, seed) -> Homes:
 
 
 def homes_to_csv(homes: Homes) -> str:
-    return "".join(homes_csv_blocks(homes))
+    return b"".join(homes_csv_blocks(homes)).decode()
 
 
 def _expected_homes(homes: Homes) -> str:
@@ -164,6 +167,69 @@ def test_events_csv_round_trips_line_breaks_in_values(tmp_path, user):
     again, report = parse_events(written)
     assert again.user_ids == (user, "c")
     assert report.rejected == 0 and report.accepted == 2
+
+
+# the byte columns, each written beside a row number so that no row is one
+# empty field, and rendered with the small block
+
+def _written(n: int, column) -> list[str]:
+    """The fields of a column, rendered beside the row numbers by csv_blocks."""
+    with mock.patch.object(output, "BLOCK_ROWS", SMALL_BLOCK):
+        text = b"".join(csv_blocks(("i", "x"), n, (lambda a, b: decimal_rows(np.arange(a, b)), column))).decode()
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    assert rows[0] == ["i", "x"] and [int(row[0]) for row in rows[1:]] == list(range(n))
+    return [row[1] for row in rows[1:]]
+
+
+EDGE_INTEGERS = [0, 9, 10, *(10**k + d for k in range(1, 19) for d in (-1, 0, 1)), 2**63 - 1]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_INTEGERS), st.integers(0, 2**63 - 1)), max_size=3 * SMALL_BLOCK + 2))
+@example(EDGE_INTEGERS)
+def test_decimal_column_matches_str(values):
+    array = np.array(values, dtype=np.int64)
+    assert _written(len(values), lambda a, b: decimal_rows(array[a:b])) == list(map(str, values))
+
+
+# epoch seconds around 1970, at year ends, and of years outside 0000-9999,
+# as far as int64 seconds reach (numpy reads -2**63 as NaT)
+EDGE_SECONDS = [
+    -1, 0, 1, -86_400, 946_684_799, 946_684_800, 951_782_400,  # 1999-12-31T23:59:59, 2000-01-01, 2000-02-29
+    253_402_300_799, 253_402_300_800,  # 9999-12-31T23:59:59, 10000-01-01
+    -62_167_219_200, -62_167_219_201,  # 0000-01-01, -0001-12-31T23:59:59
+    -(2**63) + 1, 2**63 - 1,
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_SECONDS), st.integers(-(2**63) + 1, 2**63 - 1)), max_size=3 * SMALL_BLOCK + 2), SEEDS)
+@example(EDGE_SECONDS, 0)
+def test_stamp_column_matches_numpy(seconds, seed):
+    table = dataclasses.replace(_events(("u",), (), ("t",), len(seconds), seed), seconds=np.array(seconds, dtype=np.int64))
+    with mock.patch.object(output, "BLOCK_ROWS", SMALL_BLOCK):
+        rows = list(csv.reader(io.StringIO(events_csv(table), newline="")))
+    expected = np.datetime_as_string(np.array(seconds, dtype="datetime64[s]"), timezone="UTC").tolist()
+    assert [row[1] for row in rows[1:]] == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.one_of(LABELS, EDGED, st.just("")), min_size=1, max_size=6, unique=True).map(sorted),
+    st.one_of(st.just(""), LABELS),
+    SMALL_ROWS,
+    SEEDS,
+    st.booleans(),
+)
+@example(["", "a,b", "é", "東京"], "", 3 * SMALL_BLOCK + 2, 0, True)
+@example(["", "plain", "Málaga"], "none", 3 * SMALL_BLOCK + 2, 0, True)
+def test_coded_column_matches_its_labels(labels, missing, n, seed, as_ids):
+    # Ids whose bytes need no quotes are gathered where they lie; -1 codes
+    # take ``missing``
+    ids = Ids(labels) if as_ids else tuple(labels)
+    codes = np.random.default_rng(seed).integers(-1, len(labels), n)
+    assert _written(n, coded_column(ids, codes, missing)) == [missing if c < 0 else labels[c] for c in codes.tolist()]
+    assert _written(len(labels), coded_column(ids)) == labels
 
 
 # the small writers: tables, residuals, scatter, bins, windows, correlations
@@ -293,15 +359,43 @@ def test_region_id_with_carriage_return_reads_back_through_the_commands(tmp_path
     assert header == ["layer", "x|y"] and row[0] == "a\rb" and float(row[1]) == pytest.approx(1.0)
 
 
+WIDE = "w" * (1 << 20)
+
+
+def _wide_blocks(n: int, seed: int):
+    """The block makers of each per-row writer for n rows, where one row,
+    in the second block, holds a 1 MB id: a user id of the events and of
+    the homes, a region id of the assignments."""
+    codes = np.random.default_rng(seed).integers(0, len(SPECIAL), n)
+    codes[BLOCK_ROWS + 5] = len(SPECIAL)
+    table = _events(SPECIAL, SPECIAL[:3], SPECIAL[3:], n, seed)
+    table = dataclasses.replace(table, user=codes.astype(np.int32), user_ids=Ids((*SPECIAL, WIDE)))
+    homes = _homes(SPECIAL, SPECIAL, n, seed)
+    homes = dataclasses.replace(homes, user_ids=tuple(sorted((*homes.user_ids[:-1], WIDE))))
+    assignment = Assignment(codes, (*SPECIAL, WIDE), 0, 0)
+    return lambda: events_csv_blocks(table), lambda: homes_csv_blocks(homes), lambda: assignments_csv_blocks(assignment)
+
+
+def _write_peak(path: Path, blocks) -> int:
+    """The tracemalloc peak while the blocks are made and written."""
+    tracemalloc.start()
+    try:
+        write_text(path, blocks())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def test_writing_holds_one_block_of_text(tmp_path):
     # the peak while writing follows the block size, not the file size
     peaks = []
     for blocks in (2, 6):
         table = _events(SPECIAL, SPECIAL[:3], SPECIAL[3:], blocks * BLOCK_ROWS, blocks)
-        tracemalloc.start()
-        try:
-            write_events_csv(table, tmp_path / "events.csv")
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(_write_peak(tmp_path / "events.csv", lambda: events_csv_blocks(table)))
     assert peaks[1] < 1.3 * peaks[0], peaks
+    # and a 1 MB id is never padded to as many rows as a block holds: the
+    # rows around it are rendered in smaller blocks
+    for blocks in _wide_blocks(3 * BLOCK_ROWS, 3):
+        largest = max(map(len, blocks()))
+        assert largest < 2 * len(WIDE)
+        assert _write_peak(tmp_path / "wide.csv", blocks) < 8 * largest
