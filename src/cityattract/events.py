@@ -73,7 +73,7 @@ from typing import IO, Callable, Generator, Iterable, Iterator, NamedTuple, Sequ
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .output import coded_column, csv_blocks, dumps_stable, padded_rows, write_text
+from .output import PAD, coded_column, csv_blocks, dumps_stable, padded_rows, write_text
 
 CANONICAL_COLUMNS = ("user_id", "timestamp", "lat", "lon", "origin_country", "dataset_tag")
 
@@ -753,15 +753,18 @@ def _byte_floats(data: bytes, padded: np.ndarray, start: np.ndarray, length: np.
 _REPEAT = np.uint64(0x0101010101010101)
 _ZEROS, _DOTS, _HIGH_BITS, _HIGH_NIBBLES, _SIXES = (_REPEAT * np.uint64(b) for b in (0x30, 0x2E, 0x80, 0xF0, 6))
 
-# _decimals' mantissas are below 10**19 < 2**64, and its divisors are powers
-# of ten up to 10**16; a significand of 64 bits or more holds both exactly,
-# and IEEE division rounds their quotient once.  Only x87 extended (63
-# stored mantissa bits) and IEEE quad (112) are taken: elsewhere, float64
-# or the double-double of ppc64 whose division is not correctly rounded,
-# every value takes numpy's cast.
+# _quotient's mantissas are below 10**19 < 2**64, and its divisors are powers
+# of ten up to 10**19; a significand of 64 bits or more holds both exactly,
+# and IEEE division rounds their quotient once.  Only x87 extended (63 stored
+# mantissa bits) and IEEE quad (112) are taken: elsewhere, float64 or ppc64's
+# double-double, every value takes numpy's cast and every written float repr.
 _EXACT_QUOTIENT = np.finfo(np.longdouble).nmant in (63, 112)
-_POWERS = np.uint64(10) ** np.arange(17, dtype=np.uint64)
+_POWERS = np.uint64(10) ** np.arange(20, dtype=np.uint64)
 _LONG_POWERS = _POWERS.astype(np.longdouble)
+# each group of four digits as ASCII, the first in the low byte, and its trailing '0's (18 for 0000)
+_QUADS = sum(np.ix_(*(np.arange(ord("0"), ord("9") + 1, dtype="<u4") << shift for shift in (0, 8, 16, 24)))).ravel()
+_TRAILING_ZEROS = np.where(np.arange(10**4) == 0, 18, sum(np.arange(10**4) % 10**n == 0 for n in range(1, 4)))
+_LOW_CHARS = np.array([(1 << 8 * n) - 1 for n in range(5)], dtype="<u4")  # the masks of a group's n first bytes
 
 
 def _decimals(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -776,11 +779,9 @@ def _decimals(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> tupl
     every byte is checked to be a digit, and the word is folded into a
     number by multiplying pairs of digits, then pairs of pairs.  The
     digits make one integer ``m`` below 10**19 and the value is
-    ``m / 10**b`` for ``b`` fraction digits; that quotient is taken in
-    longdouble and rounded to float64.  Rounding twice differs from
-    rounding once only where the longdouble quotient lies exactly halfway
-    between two float64 values, so such fields are left to the cast.  The
-    sign is applied last, so ``-0.0`` keeps it.
+    ``m / 10**b`` for ``b`` fraction digits (``_quotient``); a field whose
+    quotient may be rounded twice is left to the cast.  The sign is
+    applied last, so ``-0.0`` keeps it.
     """
     decoded = np.zeros(len(start), dtype=bool)
     if not _EXACT_QUOTIENT:
@@ -805,16 +806,73 @@ def _decimals(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> tupl
         digits &= ((group & _HIGH_NIBBLES) == _ZEROS) & (((group + _SIXES) & _HIGH_NIBBLES) == _ZEROS)
     whole_part, head_part, tail_part = map(_eight_digits, groups)
     mantissa = whole_part * _POWERS[fraction] + head_part * _POWERS[fraction - head] + tail_part
-    quotient = mantissa.astype(np.longdouble) / _LONG_POWERS[fraction]
-    value = quotient.astype(np.float64)
-    off = np.abs((quotient - value).astype(np.float64))  # exact: at most 11 significant bits
-    ulp = np.spacing(value)
-    digits &= (2 * off != ulp) & (4 * off != ulp)  # 4: halfway below a power of two
+    value, once = _quotient(mantissa, fraction)
+    digits &= once
     rows = rows[digits]
     decoded[rows] = True
     value = value[digits]
     np.negative(value, out=value, where=minus[rows])
     return decoded, value
+
+
+def _quotient(mantissa: np.ndarray, places: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 of each ``mantissa / 10**places``, taken in longdouble, and
+    the mask of the values surely rounded once: rounding twice differs only
+    where the longdouble quotient lies halfway between two float64 values."""
+    quotient = mantissa / _LONG_POWERS[places]
+    value = quotient.astype(np.float64)
+    twice = 2 * (quotient - value).astype(np.float64)  # exact for x87; a rounded one only masks more
+    return value, (value + twice - value != twice) | (twice == 0)  # halfway: a float64 lies twice as far
+
+
+def _float_rows(x: np.ndarray) -> np.ndarray:
+    """``repr`` of each float64 of ``x``, as padded rows.
+
+    repr writes the shortest decimal that reads back, the closest where
+    several are as short.  One of at most 15 digits is the correctly
+    rounded 15-digit decimal with zeros added (half a unit in its 15th
+    digit exceeds half an ulp), a longer one the correctly rounded 16- or
+    17-digit one.  So for |x| in [1e-3, 1e15) the digits are the first of
+    those roundings ``N / 10**s``, N = rint(|x| * 10**s) in longdouble,
+    that ``_quotient`` maps back to x, trailing zeros dropped.  repr writes
+    the rest: products that round to a tie, quotients ``_quotient`` cannot
+    settle, values outside that range, and every row without
+    ``_EXACT_QUOTIENT``.
+    """
+    a = np.abs(x)
+    fast = (a >= 1e-3) & (a < 1e15) & _EXACT_QUOTIENT
+    a[~fast] = 1.0  # a placeholder, so that every row is computed
+    exponent = np.clip(np.floor(np.log10(a)), -3, 14).astype(np.intp)
+    seventeen = a * _LONG_POWERS[16 - exponent]  # log10 may be one off next to a power of ten
+    exponent += (seventeen >= _LONG_POWERS[17]).astype(np.intp) - (seventeen < _LONG_POWERS[16])
+    places = 14 - exponent + np.arange(3)[:, None]  # fraction digits of the 15-, 16- and 17-digit forms
+    scaled = a * _LONG_POWERS[places]
+    mantissa = np.rint(scaled)
+    value, sure = _quotient(mantissa, places)
+    # rounding is monotone and half-integers below 2**nmant > 10**17 are exact:
+    # a product not rounded onto a tie has the nearest integer of |x| * 10**s
+    sure &= np.abs(scaled - mantissa) != 0.5
+    back = value == a
+    fast &= sure[0] & (back[0] | sure[1] & (back[1] | sure[2] & back[2]))
+    form = np.where(back[0], 0, 2 - back[1])[None]
+    mantissa, places = (np.take_along_axis(column, form, 0)[0] for column in (mantissa, places))
+    # the sign, then groups of four digits, PAD for leading and trailing zeros
+    whole, fraction = np.divmod(mantissa.astype(np.uint64), _POWERS[places])
+    fraction *= _POWERS[19 - places]  # 19 fraction digits
+    wide = np.maximum(np.searchsorted(_POWERS, whole, side="right"), 1)  # whole digits
+    quads = -(-int(wide.max(initial=1)) // 4)
+    groups = np.concatenate([whole // _POWERS[4 * np.arange(quads - 1, -1, -1), None], fraction // _POWERS[[16, 12, 8, 4, 0], None]])
+    groups = (groups % _POWERS[4]).astype(np.intp)
+    shown = np.maximum((4 * np.arange(5)[:, None] + 3 - _TRAILING_ZEROS[groups[quads:]]).max(axis=0), 1)  # fraction digits
+    lead, kept = 4 * np.arange(quads, 0, -1)[:, None] - wide, shown + 1 - 4 * np.arange(5)[:, None]
+    text = _QUADS[groups] | np.concatenate([_LOW_CHARS[np.clip(lead, 0, 4)], ~_LOW_CHARS[np.clip(kept, 0, 4)]])
+    text[quads] -= np.uint32(ord("0") - ord("."))  # the first fraction group is below 1000: "0ddd" to ".ddd"
+    rows = np.concatenate([np.where(x < 0, ord("-"), PAD).astype(np.uint8)[:, None], text.T.copy().view(np.uint8)], axis=1)
+    if not fast.all():  # repr's at most 24 bytes fit in the 25 or more of a row
+        spelled = padded_rows(np.array([repr(v) for v in x[~fast].tolist()]))
+        rows[~fast] = PAD
+        rows[~fast, : spelled.shape[1]] = spelled
+    return rows
 
 
 def _digit_group(word: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -1142,20 +1200,35 @@ def _json_numbers(padded: np.ndarray, start: np.ndarray, length: np.ndarray) -> 
 
 def events_csv_blocks(table: EventTable) -> Iterator[bytes]:
     """The canonical CSV bytes of the events (round-trip safe), in row blocks."""
-    # repr keeps the shortest exact representation: re-parsing must
-    # reproduce the events bit-for-bit
+    # coordinates as repr writes them, so that re-parsing gives the same floats
     return csv_blocks(
         CANONICAL_COLUMNS,
         len(table),
         (
             coded_column(table.user_ids, table.user),
-            lambda start, stop: padded_rows(np.datetime_as_string(table.seconds[start:stop].view("datetime64[s]"), timezone="UTC")),
-            lambda start, stop: padded_rows(np.array(list(map(repr, table.lat[start:stop].tolist())))),
-            lambda start, stop: padded_rows(np.array(list(map(repr, table.lon[start:stop].tolist())))),
+            lambda start, stop: _stamp_rows(table.seconds[start:stop]),
+            lambda start, stop: _float_rows(table.lat[start:stop]),
+            lambda start, stop: _float_rows(table.lon[start:stop]),
             coded_column(table.origin_ids, table.origin),
             coded_column(table.tag_ids, table.tag),
         ),
     )
+
+
+def _stamp_rows(seconds: np.ndarray) -> np.ndarray:
+    """``np.datetime_as_string`` of epoch ``seconds`` in UTC, as padded rows:
+    the block's range of days is formatted once, unless it is wider than the
+    block, and the time of day is built from its digits."""
+    days, clock = np.divmod(seconds, 86_400)
+    first, last = days.min(), days.max()
+    if last - first >= len(days):
+        return padded_rows(np.datetime_as_string(seconds.view("datetime64[s]"), timezone="UTC"))
+    dates = padded_rows(np.datetime_as_string(np.arange(first, last + 1).astype("datetime64[D]")))[days - first]
+    times = np.tile(np.frombuffer(b"T00:00:00Z", dtype=np.uint8), (len(clock), 1))
+    fields = times[:, 1:].reshape(-1, 3, 3)  # "HH:", "MM:" and "SSZ" of each row, in place
+    parts = np.stack([clock // 3600, clock // 60 % 60, clock % 60], axis=1).astype(np.uint8)
+    fields[:, :, :2] += np.stack([parts // 10, parts % 10], axis=2)
+    return np.concatenate([dates, times], axis=1)
 
 
 def write_events_csv(table: EventTable, path: str | Path) -> None:

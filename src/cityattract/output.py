@@ -1,17 +1,18 @@
 """Shared output helpers: fixed-precision number formatting, CSV
 rendering and stable file writing.
 
-Every numeric value leaving the package is serialized with 12 significant
-digits so that repeated runs produce byte-identical files.  Every CSV file
-the package writes quotes its fields by the one rule of csv_fields.
-Per-row CSV files (events, homes, assignments) are rendered as bytes in
-blocks of BLOCK_ROWS rows, so writing one holds at most one block.
+Every computed number leaving the package has 12 significant digits, so that
+repeated runs produce byte-identical files; the events CSV writes coordinates
+as repr does.  Every CSV file the package writes quotes its fields by the one
+rule of csv_fields.  Per-row CSV files (events, homes, assignments) are bytes
+rendered in blocks of BLOCK_ROWS rows, so writing one holds at most one block.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -158,9 +159,15 @@ def csv_blocks(header: Sequence[str], n: int, columns: Sequence[Column]) -> Iter
 
 
 def write_text(path: str | Path, text: str | Iterable[bytes]) -> None:
-    """Write UTF-8 text, or the byte blocks of csv_blocks in order, as is."""
-    with open(path, "wb") as fh:
-        fh.writelines([text.encode()] if isinstance(text, str) else text)
+    """Write UTF-8 text, or the byte blocks of csv_blocks in order, through a
+    temporary file beside ``path``, so that a failed write leaves the old file."""
+    partial = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(partial, "wb") as fh:
+            fh.writelines([text.encode()] if isinstance(text, str) else text)
+        os.replace(partial, path)
+    finally:
+        partial.unlink(missing_ok=True)  # left only if the write failed
 
 
 def sha256_file(path: str | Path) -> str:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cityattract.events as events_module
 from cityattract import output
 from cityattract.cli import main
 from cityattract.events import CANONICAL_COLUMNS, EventTable, Ids, events_csv_blocks, parse_events, write_events_csv
@@ -213,6 +214,64 @@ def test_stamp_column_matches_numpy(seconds, seed):
     assert [row[1] for row in rows[1:]] == expected
 
 
+@pytest.mark.parametrize("base", EDGE_SECONDS)
+def test_stamp_column_formats_a_few_days_once_as_numpy_does(base):
+    # a block spanning fewer days than it has rows takes its dates from one
+    # formatted range of days
+    offsets = np.random.default_rng(base % 2**32).integers(-3 * 86_400, 3 * 86_400, 40)
+    seconds = np.clip(base + offsets.astype(object), -(2**63) + 1, 2**63 - 1).astype(np.int64)
+    table = dataclasses.replace(_events(("u",), (), ("t",), len(seconds), 0), seconds=seconds)
+    rows = list(csv.reader(io.StringIO(events_csv(table), newline="")))
+    expected = np.datetime_as_string(seconds.view("datetime64[s]"), timezone="UTC").tolist()
+    assert [row[1] for row in rows[1:]] == expected
+
+
+# floats that repr writes with an exponent or with 17 digits, the ends of
+# _float_rows' own digits and their neighbours, exact 16- and 17-digit ties,
+# and values whose scaled product in x87's longdouble rounds onto a tie or
+# whose quotient there lies halfway between two float64 values, so that
+# the product's rint or the quotient's rounding may be wrong
+EDGE_FLOATS = [
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, 1e-05, 1e-4, 1e16, -1e16, 1.7976931348623157e308,
+    *(f(bound, toward) for bound in (1e-3, 1e15) for toward in (0.0, math.inf) for f in (lambda b, t: b, np.nextafter)),
+    1 + 2**-16, 1 + 2**-17, 100 + 2**-10, 0.1, 0.3, 1.0, 9.999999999999999, 99.99999999999999, 179.99999999999997,
+    1.2294459902792299, 27.554788500620433, 0.0069894386915147245,
+    128.27619560697389, 5.3855947943611024, 0.0055497435489762666,
+    math.inf, -math.inf, math.nan,
+]
+
+
+def _coordinates(seed: int, n: int) -> np.ndarray:
+    """Random float64 bit patterns of magnitude 2**-10 to 2**8, either sign,
+    and the same values rounded to 0-7 decimals."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**52, n, dtype=np.uint64) | rng.integers(1013, 1031, n).astype(np.uint64) << np.uint64(52)
+    values = (bits | rng.integers(0, 2, n).astype(np.uint64) << np.uint64(63)).view(np.float64)
+    return np.concatenate([values, [round(v, d) for v, d in zip(values.tolist(), rng.integers(0, 8, n).tolist())]])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_FLOATS), st.floats(-180, 180), st.floats()), max_size=3 * SMALL_BLOCK + 2), SEEDS)
+@example(EDGE_FLOATS, 0)
+def test_coordinate_column_matches_repr_with_and_without_an_exact_quotient(values, seed):
+    values = np.concatenate([values, _coordinates(seed, 2 * SMALL_BLOCK)]).astype(np.float64)
+    column = lambda a, b: events_module._float_rows(values[a:b])
+    fields = _written(len(values), column)
+    assert fields == list(map(repr, values.tolist()))
+    with mock.patch.object(events_module, "_EXACT_QUOTIENT", False):
+        assert _written(len(values), column) == fields
+
+
+def test_coordinate_column_leaves_few_values_to_repr():
+    # values go to repr one by one only where a product rounds onto a tie,
+    # so that a slide back to repr for every value fails here
+    rng = np.random.default_rng(7)
+    values = np.concatenate([rng.uniform(-90.0, 90.0, 5000), rng.uniform(-180.0, 180.0, 5000)])
+    with mock.patch.object(events_module, "padded_rows", wraps=output.padded_rows) as spelled:
+        events_module._float_rows(values)
+    assert sum(len(text) for (text,), _ in spelled.call_args_list) <= 0.02 * len(values)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.lists(st.one_of(LABELS, EDGED, st.just("")), min_size=1, max_size=6, unique=True).map(sorted),
@@ -357,6 +416,31 @@ def test_region_id_with_carriage_return_reads_back_through_the_commands(tmp_path
     with open(tmp_path / "correlations.csv", encoding="utf-8", newline="") as fh:
         header, row = csv.reader(fh)
     assert header == ["layer", "x|y"] and row[0] == "a\rb" and float(row[1]) == pytest.approx(1.0)
+
+
+def test_a_failed_write_leaves_the_previous_file(tmp_path):
+    # the blocks go to a temporary file that replaces the output only once
+    # complete; a column failing on the second block leaves neither a part
+    # of the new file nor the temporary one
+    table = _events(SPECIAL, SPECIAL[:3], SPECIAL[3:], 3 * SMALL_BLOCK, 3)
+    path = tmp_path / "events.csv"
+    path.write_bytes(b"the previous run's file\n")
+    blocks, real = [], events_module._stamp_rows
+
+    def failing(seconds):
+        blocks.append(len(seconds))
+        if len(blocks) == 2:
+            raise OSError("disk full")
+        return real(seconds)
+
+    with mock.patch.object(output, "BLOCK_ROWS", SMALL_BLOCK):
+        with mock.patch.object(events_module, "_stamp_rows", failing), pytest.raises(OSError, match="disk full"):
+            write_events_csv(table, path)
+        assert path.read_bytes() == b"the previous run's file\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
+        write_events_csv(table, path)
+    assert path.read_bytes().decode() == _expected_events(table)
+    assert [p.name for p in tmp_path.iterdir()] == ["events.csv"]
 
 
 WIDE = "w" * (1 << 20)

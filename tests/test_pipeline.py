@@ -118,7 +118,8 @@ def test_failed_publish_leaves_no_manifest(world, tmp_path, monkeypatch):
     real_replace = os.replace
 
     def failing_replace(src, dst):
-        if os.path.basename(dst).startswith("temporal__"):
+        # write_text's own replaces stay in the staging directory
+        if Path(dst).parent == out_dir and os.path.basename(dst).startswith("temporal__"):
             raise OSError("disk full")
         real_replace(src, dst)
 
@@ -142,7 +143,8 @@ def test_manifest_moves_last(world, tmp_path, monkeypatch):
     real_replace = os.replace
 
     def recording_replace(src, dst):
-        moved.append(os.path.basename(dst))
+        if Path(dst).parent == tmp_path / "run":  # a publish, not one of write_text's replaces
+            moved.append(os.path.basename(dst))
         real_replace(src, dst)
 
     monkeypatch.setattr(pipeline.os, "replace", recording_replace)
