@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import __version__, pipeline
-from .events import EventTable, IngestReport, write_events_csv
+from .events import FORMATS, EventTable, IngestReport, write_events_csv
 from .geo import Assignment, RegionLayer, write_assignments_csv, write_layer_geojson
 from .output import dumps_stable, write_text
 from .pipeline import PipelineConfig, PipelineError
@@ -282,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     table = _option("--table", required=True)
     dataset = _option("--dataset", required=True)
     event_format = argparse.ArgumentParser(add_help=False)
-    event_format.add_argument("--format", choices=("csv", "jsonl"), default="csv", help="event file format")
+    event_format.add_argument("--format", choices=FORMATS, default="csv", help="event file format")
     event_format.add_argument("--strict", action="store_true", help="fail on the first malformed record")
 
     def command(name: str, func: Callable, help: str, *parents: argparse.ArgumentParser) -> argparse.ArgumentParser:

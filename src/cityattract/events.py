@@ -546,7 +546,7 @@ def parse_events(
     Non-strict mode counts and skips malformed rows; strict mode raises
     IngestError at the first one.  Blank lines are ignored.
     """
-    chunks = {"csv": _csv_chunks, "jsonl": _jsonl_chunks}.get(format)
+    chunks = FORMATS.get(format)
     if chunks is None:
         raise IngestError(f"unknown format: {format!r}")
     accumulator = _TableAccumulator()
@@ -1009,6 +1009,10 @@ def _jsonl_chunks(blocks: Iterator[bytes]) -> Iterator[Chunk]:
         else:
             yield chunk
             line_no += data.count(b"\n") + (not data.endswith(b"\n"))
+
+
+# the event file formats by name, each with its chunk reader
+FORMATS = {"csv": _csv_chunks, "jsonl": _jsonl_chunks}
 
 
 # the JSON number grammar, -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][-+]?[0-9]+)?,

@@ -20,8 +20,8 @@ Conventions, fixed for determinism:
 load_layer holds each ring once, as a read-only float64 (n, 2) array of
 (lat, lon) vertices, in frozen regions.  _polygons_contain is the one
 containment kernel: it tests arrays of points against those rings, ray
-shift included, with no per-point branch.  region_contains_bulk and
-assign_events run it on the points in a region's bbox, SLICE at a time.
+shift included, with no per-point branch.  assign_events runs it on
+the points in each region's bbox, SLICE at a time.
 """
 
 from __future__ import annotations
@@ -311,16 +311,6 @@ def _polygons_contain(region: Region, lats: np.ndarray, lons: np.ndarray) -> np.
             inside &= ~in_hole
         contained |= inside
     return on_edge | contained
-
-
-def region_contains_bulk(region: Region, plats: np.ndarray, plons: np.ndarray) -> np.ndarray:
-    """True where a point is inside (or on the boundary of) the region."""
-    plats = np.asarray(plats, dtype=np.float64)
-    plons = np.asarray(plons, dtype=np.float64)
-    out = np.zeros(plats.shape[0], dtype=bool)
-    for hits in _region_hits(region, plats, plons):
-        out[hits] = True
-    return out
 
 
 # ---------------------------------------------------------------------------

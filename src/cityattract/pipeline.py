@@ -42,7 +42,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
-from .events import EventTable, IngestError, IngestReport, parse_events
+from .events import FORMATS, EventTable, IngestError, IngestReport, parse_events
 from .geo import RegionLayer, assign_events, load_layer
 from .home import Homes, Origins, accumulate_stats_seq, homes_csv_blocks, infer_all, origin_map
 from .scaling import (
@@ -78,8 +78,6 @@ MANIFEST = "run_manifest.json"
 
 # run_pipeline's stages in run order, as the manifest's ``stages`` names them
 STAGES = ("parse", "origins", "city_assignment", "attractiveness", "fit_bin_residuals", "temporal", "write")
-
-VALID_FORMATS = ("csv", "jsonl")
 
 
 class PipelineError(Exception):
@@ -171,7 +169,7 @@ def validate_config(config: PipelineConfig) -> None:
     if len(set(map(slug, tags))) != len(tags):
         raise PipelineError("input-error", f"dataset tags must be distinct as file names, got {tags}")
     for s in config.event_sources:
-        if s.format not in VALID_FORMATS:
+        if s.format not in FORMATS:
             raise PipelineError(
                 "input-error", f"unknown format {s.format!r} for {s.dataset_tag}"
             )

@@ -234,15 +234,6 @@ def fit_power_law(table: AttractivenessTable) -> ScalingFit:
     return fit_xy(xs, ys, excluded_zero_A=excluded)
 
 
-def attractiveness_ratio(b: float, factor: float) -> float:
-    """Predicted attractiveness ratio between cities differing in
-    population by ``factor``: factor**b.  With b = 1.5, a 3x larger city
-    comes out around 5.2x more attractive."""
-    if factor <= 0.0:
-        raise StatsError(f"degenerate abscissa: population factor must be > 0, got {factor}")
-    return factor ** b
-
-
 # ---------------------------------------------------------------------------
 # log-binning
 
@@ -393,9 +384,11 @@ def read_residuals_csv(path: str | Path) -> list[ResidualScore]:
 
 def _read_csv(path: str | Path, header: Sequence[str], what: str, parse: Callable[[list[str]], T]) -> list[T]:
     """The rows of a CSV file under ``header``, each parsed by ``parse``.
-    A wrong header, a short row, a field past csv's size limit or a row
-    ``parse`` rejects with a ValueError is a StatsError naming the line."""
+    A wrong header, a short row, a region id an earlier row holds, a field
+    past csv's size limit or a row ``parse`` rejects with a ValueError is
+    a StatsError naming the line."""
     out: list[T] = []
+    seen: set[str] = set()
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -407,6 +400,9 @@ def _read_csv(path: str | Path, header: Sequence[str], what: str, parse: Callabl
                 try:
                     if len(raw) < len(header):
                         raise ValueError(f"row has {len(raw)} field(s), expected {len(header)}")
+                    if raw[0] in seen:
+                        raise ValueError(f"region id {raw[0]!r} repeats an earlier row")
+                    seen.add(raw[0])
                     out.append(parse(raw))
                 except ValueError as exc:
                     raise StatsError(f"line {reader.line_num} of {path}: {exc}") from exc

@@ -9,8 +9,8 @@ import pytest
 
 import numpy as np
 
-from cityattract.events import events_csv_blocks
-from cityattract.geo import Assignment, assign_events, assignments_csv_blocks, load_layer
+from cityattract.events import EventTable, events_csv_blocks
+from cityattract.geo import Assignment, RegionLayer, assign_events, assignments_csv_blocks, load_layer
 from cityattract.home import HomeRecord, Origins, accumulate_stats_seq, infer_all
 from cityattract.scaling import foreign_counts
 
@@ -49,6 +49,14 @@ def assignment_of(region_ids, regions=None) -> Assignment:
         regions = tuple(dict.fromkeys(r for r in region_ids if r is not None))
     index = np.array([-1 if r is None else regions.index(r) for r in region_ids], dtype=np.int64)
     return Assignment(index, regions, 0, int((index < 0).sum()))
+
+
+def contained(region, lats, lons) -> np.ndarray:
+    """Whether each point lies inside (or on the boundary of) ``region``,
+    as assign_events decides it over a layer of that region alone."""
+    n = len(lats)
+    points = EventTable.from_columns(["u"] * n, np.zeros(n), lats, lons, [None] * n, ["t"] * n)
+    return assign_events(points, RegionLayer(region.layer, (region,))).index >= 0
 
 
 def region_counts(assignment: Assignment) -> dict[str, int]:

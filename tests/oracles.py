@@ -24,7 +24,8 @@ package's earlier synthetic generator, which drew one event at a time;
 it is the reference of the column generator for worlds of up to 600
 regions, whose cities lie in one row.  oracle_run composes the per-row
 references into a whole run, the reference of run_pipeline's ingest,
-homes and attractiveness files and of its manifest's counts.
+homes, attractiveness and monthly window files and of its manifest's
+counts.
 
 The per-row references take and give events as EventRecord rows, the
 package's row type before events became columns; records and table_of
@@ -609,10 +610,11 @@ def _fit(table):
 
 def oracle_run(config) -> dict | str:
     """What run_pipeline reports for ``config``, from the per-row references:
-    ``files``, the text of every ingest, homes and attractiveness file by
-    name, and ``datasets``, the manifest's counts; or, where the run fails,
-    the tag of the stage that fails first.  Dataset tags and layer labels
-    must be file-name safe, as they then name the files unchanged."""
+    ``files``, the text of every ingest, homes, attractiveness and temporal
+    CSV file by name, and ``datasets``, the manifest's counts; or, where
+    the run fails, the tag of the stage that fails first.  Dataset tags and
+    layer labels must be file-name safe, as they then name the files
+    unchanged."""
     countries = load_layer(config.country_layer_path)
     city_layers = [load_layer(p) for p in config.city_layer_paths]
     files, datasets = {}, {}
@@ -642,13 +644,24 @@ def oracle_run(config) -> dict | str:
                 return "attractiveness"
             if _fit(table) is None:
                 return "fit"
-            windows = window_tables(region_ids, origins, config.target_country, layer, events, tag).values()
-            fits = [fit for fit in (_fit(w) for w in windows if not isinstance(w, str)) if fit is not None]
-            if math.fsum(fit.b for fit in fits) == 0.0:  # no window fitted, or a mean exponent of 0
+            windows = window_tables(region_ids, origins, config.target_country, layer, events, tag)
+            window_fits = {m: None if isinstance(w, str) else _fit(w) for m, w in windows.items()}
+            fits = [fit for fit in window_fits.values() if fit is not None]
+            mean_b = math.fsum(fit.b for fit in fits) / len(fits) if fits else 0.0
+            if mean_b == 0.0:  # no window fitted, or a mean exponent of 0
                 return "temporal"
             files[f"attractiveness__{tag}__{layer.label}.csv"] = rows_to_csv(
                 ("region_id", "population", "events", "share"),
                 ((row.region_id, row.population, row.events, fmt_num(row.share)) for row in table.rows),
+            )
+            files[f"temporal__{tag}__{layer.label}.csv"] = rows_to_csv(
+                ("center_month", "b", "b_normalized", "n", "r2", "p_value"),
+                (
+                    (m, "", "", "", "", "")
+                    if fit is None
+                    else (m, fmt_num(fit.b), fmt_num(fit.b / mean_b), fit.n, fmt_num(fit.r2), fmt_num(fit.p_value))
+                    for m, fit in window_fits.items()
+                ),
             )
             layers[layer.label] = {
                 "overlap_events": sum(

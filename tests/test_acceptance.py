@@ -20,13 +20,12 @@ import numpy as np
 import pytest
 
 import cityattract
-from cityattract.geo import assign_events, region_contains_bulk
+from cityattract.geo import assign_events
 from cityattract.home import accumulate_stats_seq, infer_all
 from cityattract.rng import CounterRng
 from cityattract.scaling import (
     AttractRow,
     AttractivenessTable,
-    attractiveness_ratio,
     correlate_residuals,
     fit_power_law,
     fit_xy,
@@ -42,7 +41,7 @@ from cityattract.synthetic import (
 )
 from cityattract.temporal import window_exponents, window_months
 
-from conftest import counts_of, ev, home_of, shape_regions, table_of
+from conftest import contained, counts_of, ev, home_of, shape_regions, table_of
 from oracles import distance_to_boundary, ols_grid_search, pearson_direct, raster_oracle, records
 
 BOUNDARY_PAD = 2e-4  # one raster diagonal: closer points cannot be resolved
@@ -166,13 +165,15 @@ def test_02_noisy_recovery_and_coverage():
 
 
 def test_03_ratio_anchor():
-    ratio = attractiveness_ratio(1.5, 3.0)
+    # the ratio the package's own fit predicts, from criterion 1's table
+    fit = fit_power_law(generate_table(table_spec())[0])
+    ratio = 3.0**fit.b
     ok = abs(ratio - 3.0**1.5) < 1e-9 and abs(ratio - 5.0) / 5.0 < 0.05
     report(
         3,
-        "b=1.5 triples population into a 3^1.5=5.196x attractiveness ratio, ~5x",
+        "fitted b=1.5 turns 3x the population into a 3^b=5.196x attractiveness ratio, ~5x",
         ok,
-        f" (ratio={ratio:.9f})",
+        f" (b={fit.b:.12f}, ratio={ratio:.9f})",
     )
 
 
@@ -217,10 +218,10 @@ def test_05_geometry_raster_oracle():
                 continue
             points.append((lat, lon))
             verdicts.append(verdict)
-        # judged on the production path: one bulk call per region
+        # judged on the production path: one assign_events call per region
         lats, lons = (np.array(axis) for axis in zip(*points))
         total_checked += len(verdicts)
-        disagreements += int((region_contains_bulk(region, lats, lons) != np.array(verdicts)).sum())
+        disagreements += int((contained(region, lats, lons) != np.array(verdicts)).sum())
     elapsed = time.perf_counter() - start
     ok = disagreements == 0 and total_checked >= 2500 and elapsed < 5.0
     report(

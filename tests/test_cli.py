@@ -475,11 +475,11 @@ def test_oversized_table_or_residuals_field_exits_2(tmp_path, capsys, command):
 
 
 @pytest.mark.parametrize(
-    "row", ["r4,0,1,0.25", "r4,1000,-1,0.25", "r4,1000,1,inf", "r4,1000,1,nan", "r4,1000,1,-0.25"]
+    "row", ["r4,0,1,0.25", "r4,1000,-1,0.25", "r4,1000,1,inf", "r4,1000,1,nan", "r4,1000,1,-0.25", "r1,1000,1,0.25"]
 )
 @pytest.mark.parametrize("command", ["fit", "bin", "residuals"])
 def test_bad_table_value_exits_2(tmp_path, capsys, command, row):
-    # population < 1, negative events, a non-finite or negative share
+    # population < 1, negative events, a non-finite or negative share, a repeated region id
     table = tmp_path / "table.csv"
     table.write_text(f"region_id,population,events,share\nr1,1000,1,0.25\nr2,2000,1,0.25\nr3,4000,1,0.25\n{row}\n")
     code = main([command, "--table", str(table), "--dataset", "d", "--layer", "l", "--out", str(tmp_path)])
@@ -488,10 +488,11 @@ def test_bad_table_value_exits_2(tmp_path, capsys, command, row):
     assert err.startswith(f"error [input-error]: cannot read table {table}: line 5 of {table}: ")
 
 
-@pytest.mark.parametrize("res", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("res", ["r2,inf", "r2,-inf", "r2,nan", "r1,0.5"])
 def test_non_finite_residual_exits_2(tmp_path, capsys, res):
+    # a non-finite residual, or a region id an earlier row holds
     (tmp_path / "a.csv").write_text("region_id,res\nr1,0.5\nr2,-0.5\nr3,0\n")
-    (tmp_path / "b.csv").write_text(f"region_id,res\nr1,0.25\nr2,{res}\nr3,0\n")
+    (tmp_path / "b.csv").write_text(f"region_id,res\nr1,0.25\n{res}\nr3,0\n")
     code = main(["correlate", "--pair", f"a={tmp_path / 'a.csv'}", "--pair", f"b={tmp_path / 'b.csv'}",
                  "--out", str(tmp_path)])
     assert code == 2

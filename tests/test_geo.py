@@ -19,12 +19,12 @@ from cityattract.geo import (
     assign_events,
     layer_to_geojson,
     load_layer,
-    region_contains_bulk,
     write_layer_geojson,
 )
 
 from conftest import (
     assignments_csv,
+    contained,
     ev,
     layer_of,
     multipolygon_feature,
@@ -187,12 +187,12 @@ def test_loaded_region_cannot_change():
 
 # --- containment -----------------------------------------------------------
 
-def contains_bulk(lat: float, lon: float, region) -> bool:
-    return bool(region_contains_bulk(region, np.array([lat]), np.array([lon]))[0])
+def contains_assigned(lat: float, lon: float, region) -> bool:
+    return bool(contained(region, [lat], [lon])[0])
 
 
 # the production path, and the scalar oracle it must agree with
-CONTAINS = (contains_bulk, point_in_region)
+CONTAINS = (contains_assigned, point_in_region)
 
 
 def multi_holed_region():
@@ -309,9 +309,9 @@ def test_bulk_matches_scalar_on_tricky_points():
     pts += [(rnd.uniform(-0.5, 2.5), rnd.uniform(-0.5, 2.5)) for _ in range(500)]
     plats = np.array([p[0] for p in pts])
     plons = np.array([p[1] for p in pts])
-    bulk = region_contains_bulk(region, plats, plons)
+    inside = contained(region, plats, plons)
     for i, (lat, lon) in enumerate(pts):
-        assert bulk[i] == point_in_region(lat, lon, region), (lat, lon)
+        assert inside[i] == point_in_region(lat, lon, region), (lat, lon)
 
 
 PROPERTY_REGIONS = (*shape_regions().values(), multi_holed_region())
@@ -326,13 +326,13 @@ LONS = st.one_of(AXIS, st.sampled_from(VERTEX_LONS).flatmap(lambda x: st.sampled
 @settings(max_examples=200)
 @given(st.lists(st.tuples(LATS, LONS), min_size=1, max_size=16))
 def test_bbox_prefilter_soundness(points):
-    # the bulk path, bbox filter and ray shift included, agrees with the
+    # assign_events, bbox filter and ray shift included, agrees with the
     # scalar oracle run without its bbox test
     plats = np.array([lat for lat, _ in points])
     plons = np.array([lon for _, lon in points])
     for region in PROPERTY_REGIONS:
         expected = [point_in_region(lat, lon, region, use_bbox=False) for lat, lon in points]
-        assert region_contains_bulk(region, plats, plons).tolist() == expected, region.id
+        assert contained(region, plats, plons).tolist() == expected, region.id
 
 
 # dyadic lattice keeps the float translation exact, so the geometric

@@ -1,7 +1,8 @@
-"""The package's public names: every export resolves, once; the CSV
-format is decided in one module; numpy is the only import from outside
-the standard library; and the test oracles use only public names, and no
-function of the ingest module."""
+"""The package's public names: every export resolves, once; every public
+definition is exported or named by a module; the CSV format is decided
+in one module; numpy is the only import from outside the standard
+library; and the test oracles use only public names, and no function of
+the ingest module."""
 
 import ast
 import inspect
@@ -71,5 +72,30 @@ def test_oracles_import_no_function_from_the_ingest_module():
         if isinstance(node, ast.ImportFrom) and node.module == "cityattract.events"
         for alias in node.names
         if inspect.isfunction(getattr(events, alias.name, None))
+    ]
+    assert found == []
+
+
+def test_every_public_definition_is_exported_or_named_in_the_package():
+    # a public module-level function or class that __all__ does not export
+    # and no module names is code that only tests call
+    paths = sorted(Path(cityattract.__file__).parent.rglob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    named = set(cityattract.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    found = [
+        f"{name}:{node.lineno} {node.name}"
+        for name, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and node.name not in named
     ]
     assert found == []

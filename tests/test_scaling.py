@@ -21,7 +21,6 @@ from cityattract.scaling import (
     AttractivenessTable,
     ResidualScore,
     StatsError,
-    attractiveness_ratio,
     binned_to_csv,
     compute_attractiveness,
     correlate_residuals,
@@ -261,13 +260,6 @@ def test_exact_power_law_recovered():
     assert abs(fit.b - 1.5) < 1e-12
     assert abs(fit.r2 - 1.0) < 1e-12
     assert fit.n == 3
-
-
-def test_superlinear_headline_ratio():
-    # a 3x larger city under b=1.5 is ~5.2x more attractive
-    ratio = attractiveness_ratio(1.5, 3.0)
-    assert abs(ratio - 5.196152422706632) < 1e-9
-    assert abs(ratio - 5.0) / 5.0 < 0.05
 
 
 def test_fit_matches_grid_search_oracle():

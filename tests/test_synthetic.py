@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from cityattract.cli import main
 from cityattract.events import EventTable, parse_events
-from cityattract.geo import assign_events, load_layer, region_contains_bulk
+from cityattract.geo import assign_events, load_layer
 from cityattract.output import dumps_stable
 from cityattract.scaling import fit_power_law
 from cityattract.synthetic import (
@@ -28,7 +28,7 @@ from cityattract.synthetic import (
     weight_matrix,
 )
 
-from conftest import events_csv, region_counts, table_of
+from conftest import contained, events_csv, region_counts, table_of
 from oracles import point_in_region, records
 
 
@@ -343,7 +343,7 @@ def test_municipality_scale_world_ingests_every_event(tmp_path):
     # in no foreign one
     corners = np.array([(lat, lon) for r in cities.regions for lat, lon in r.polygons[0][0]])
     for country in countries.regions:
-        inside = region_contains_bulk(country, corners[:, 0], corners[:, 1])
+        inside = contained(country, corners[:, 0], corners[:, 1])
         assert inside.all() if country.id == "ES" else not inside.any()
     counts = region_counts(assign_events(events, cities))
     expected = zip(truth["region_ids"], truth["annual_foreign_events"], truth["resident_events_by_region"])

@@ -4,7 +4,8 @@ Each stage has its own property test against its reference; this one
 checks the seams between them on small worlds: bad rows, events on
 region and country borders, in an overlap, in an unpopulated region and
 outside every country, declared origins against inferred homes, user ids
-shared by two datasets, and stamps around 1970 and at month ends.
+shared by two datasets, and stamps around 1970 and at month ends, which
+the monthly windows' file shows.
 """
 
 import json
